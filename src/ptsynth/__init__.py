@@ -25,7 +25,6 @@ from .network import (
     NetworkConstraints,
     cleanup,
     combined_score,
-    energy,
     evaluate_full,
     is_valid,
     random_network,
@@ -64,7 +63,6 @@ __all__ = [
     "emit_network",
     "emit_trace",
     "emit_truth_table",
-    "energy",
     "evaluate_full",
     "is_valid",
     "majority_truth_table",

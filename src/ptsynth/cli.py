@@ -130,16 +130,14 @@ def cmd_synth(args) -> int:
     except engine.CalibrationError as exc:
         print(f"calibration failed: {exc}", file=sys.stderr)
         return EXIT_NO_GOAL
-    threads = args.threads or min(os.cpu_count() or 1, ladder.size)
     gates = "maj-inv" if constraints.inverters_allowed else "maj"
     print(f"target {label} (n={target.n}), gates {gates}"
           f"{', leafy' if constraints.leafy else ''}, p={constraints.max_nodes}, "
-          f"replicas {ladder.size}, score goal {goal}, seed {args.seed}, "
-          f"threads {threads}")
+          f"replicas {ladder.size}, score goal {goal}, seed {args.seed}")
     stop = engine.StopConditions(max_repetitions=args.max_reps,
                                  time_limit=args.time_limit, score_goal=goal)
     report = engine.run(target, constraints, ladder, stop, seed=args.seed,
-                        threads=threads, move_weights=args.move_weights,
+                        move_weights=args.move_weights,
                         wall_clock_trace=args.wall_clock_trace)
     if report.interrupted:
         print("interrupted; reporting best so far", file=sys.stderr)
@@ -207,18 +205,17 @@ def cmd_calibrate(args) -> int:
     config = engine.CalibrationConfig(replicas=args.replicas,
                                       warmup_sweeps=args.warmup_sweeps)
     try:
-        ladder = engine.calibrate_ladder(target, constraints, config,
-                                         seed=args.seed)
+        deltas = engine.collect_uphill_deltas(
+            target, constraints, engine.derived_rng(args.seed, "calibrate"),
+            config.warmup_sweeps)
+        ladder = engine.ladder_from_deltas(deltas, config)
     except engine.CalibrationError as exc:
         print(f"calibration failed: {exc}", file=sys.stderr)
         return EXIT_NO_GOAL
-    deltas = engine.collect_uphill_deltas(
-        target, constraints, engine.derived_rng(args.seed, "calibrate"),
-        config.warmup_sweeps)
     print(f"replicas {ladder.size}")
     print("betas " + " ".join(f"{b:.6f}" for b in ladder.betas))
     for rate in config.anchor_rates:
-        beta = engine.anchor_beta(deltas, rate)
+        beta = engine.anchor_beta(deltas, rate, config.beta_max, config.tolerance)
         print(f"anchor rate {rate:g}: beta {beta:.6f}")
     if args.probe:
         rates = engine.probe_swap_rates(target, constraints, ladder,
@@ -313,7 +310,9 @@ def build_parser() -> argparse.ArgumentParser:
     synth.add_argument("--score-goal", type=int, default=None,
                        help="stop when the best score reaches this value")
     synth.add_argument("--threads", type=int, default=None,
-                       help="sweep threads (default: available cores, capped)")
+                       help="accepted and ignored: the search runs on one "
+                            "thread, since pure-Python sweeps cannot run in "
+                            "parallel under the interpreter lock")
     synth.add_argument("--move-weights", type=_move_weights,
                        default=(1.0, 0.0, 0.0),
                        help="relative weights for the three update types")

@@ -13,7 +13,8 @@ import math
 import random
 import time
 from collections import Counter
-from concurrent.futures import ThreadPoolExecutor
+# unused; kept because perfbench/run.py patches it in its traced pass
+from concurrent.futures import ThreadPoolExecutor  # noqa: F401
 from dataclasses import dataclass, field
 
 from . import moves
@@ -105,30 +106,11 @@ class SweepStats:
     best_exact: tuple[int, list[list[int]], int] | None = None
 
 
-def metropolis_step(replica: Replica, beta: float,
-                    gate: int | None = None, slot: int | None = None,
-                    pool: list[int] | None = None,
-                    move_weights=(1.0, 0.0, 0.0)) -> bool:
-    """One propose/accept/revert cycle; returns True when the move stuck."""
-    net, cache, rng = replica.network, replica.cache, replica.rng
-    proposal = _draw_proposal(net, rng, gate, slot, pool, move_weights)
-    if proposal is None:
-        return False
-    delta = moves.apply_proposal(net, cache, proposal)
-    if delta <= 0 or accept_uphill(delta, beta, rng):
-        return True
-    moves.revert_proposal(net, cache, proposal)
-    return False
-
-
-def _draw_proposal(net, rng, gate, slot, pool, move_weights):
+def _draw_proposal(net, rng, gate, slot, move_weights):
     w1, w2, w3 = move_weights
-    total = w1 + w2 + w3
-    if w2 == 0 and w3 == 0:
-        return moves.propose_reassign_one(net, rng, gate, slot, pool)
-    r = rng.random() * total
+    r = rng.random() * (w1 + w2 + w3)
     if r < w1:
-        return moves.propose_reassign_one(net, rng, gate, slot, pool)
+        return moves.propose_reassign_one(net, rng, gate, slot)
     if r < w1 + w2:
         return moves.propose_swap_between_gates(net, rng, gate, slot)
     return moves.propose_reassign_all(net, rng, gate)
@@ -163,7 +145,7 @@ def sweep(replica: Replica, beta: float, q_threshold: int | None = None,
                 if default_mix:
                     proposal = propose_one(net, rng, g, s, pool)
                 else:
-                    proposal = _draw_proposal(net, rng, g, s, None, move_weights)
+                    proposal = _draw_proposal(net, rng, g, s, move_weights)
                 if proposal is None:
                     continue
                 proposed += 1
@@ -241,9 +223,13 @@ def run(target: TruthTable, constraints: NetworkConstraints,
         debug_checks: bool = False) -> SynthesisReport:
     """Full parallel-tempering synthesis run.
 
+    Every sweep runs on the calling thread: the sweeps are pure Python and
+    hold the interpreter lock, so threads cannot run them in parallel.
+    ``threads`` is accepted for compatibility and ignored.
+
     Deterministic for a fixed (target, constraints, ladder, stop, seed,
-    move_weights) regardless of ``threads``, as long as no wall-clock stop
-    or interrupt cuts the run short.
+    move_weights), as long as no wall-clock stop or interrupt cuts the run
+    short.
     """
     if stop is None:
         stop = StopConditions()
@@ -274,7 +260,9 @@ def run(target: TruthTable, constraints: NetworkConstraints,
             return
         cleaned, count = cleanup(LogicNetwork(target.n, constraints,
                                               [row[:] for row in codes], out_code))
-        assert count == q, "cleanup disagreed with the cached score"
+        if count != q:
+            raise RuntimeError(f"cleanup counted {count} gates, the cached "
+                               f"score implies {q}")
         best_q, best_score, best_net = q, q - budget, cleaned
 
     def record_improvement(rep: int) -> None:
@@ -291,9 +279,8 @@ def run(target: TruthTable, constraints: NetworkConstraints,
                      replica.network.output_code)
     record_improvement(0)
 
-    executor = ThreadPoolExecutor(max_workers=min(threads, m)) if threads > 1 else None
+    betas = ladder.betas
     try:
-        betas = ladder.betas
         while True:
             if stop.score_goal is not None and best_score is not None \
                     and best_score <= stop.score_goal:
@@ -305,15 +292,8 @@ def run(target: TruthTable, constraints: NetworkConstraints,
                 break
             repetition += 1
             threshold = best_q if best_q is not None else budget + 1
-
-            def job(replica: Replica) -> SweepStats:
-                return sweep(replica, betas[replica.slot], threshold,
-                             move_weights=move_weights)
-
-            if executor is not None:
-                stats = list(executor.map(job, replicas))
-            else:
-                stats = [job(replica) for replica in replicas]
+            stats = [sweep(replica, betas[replica.slot], threshold,
+                           move_weights=move_weights) for replica in replicas]
 
             for slot, st in enumerate(stats):
                 slot_proposed[slot] += st.proposed
@@ -337,9 +317,6 @@ def run(target: TruthTable, constraints: NetworkConstraints,
                 _check_replicas(replicas, target)
     except KeyboardInterrupt:
         interrupted = True
-    finally:
-        if executor is not None:
-            executor.shutdown()
 
     return SynthesisReport(
         best_network=best_net,
@@ -360,9 +337,12 @@ def run(target: TruthTable, constraints: NetworkConstraints,
 def _check_replicas(replicas: list[Replica], target: TruthTable) -> None:
     for replica in replicas:
         fresh = evaluate_full(replica.network, target)
-        assert fresh.cols == replica.cache.cols, "cache columns drifted"
-        assert fresh.error == replica.cache.error, "cache error drifted"
-        assert fresh.score == replica.cache.score, "cached score drifted"
+        if fresh.cols != replica.cache.cols:
+            raise RuntimeError(f"slot {replica.slot}: cache columns drifted")
+        if fresh.error != replica.cache.error:
+            raise RuntimeError(f"slot {replica.slot}: cache error drifted")
+        if fresh.score != replica.cache.score:
+            raise RuntimeError(f"slot {replica.slot}: cached score drifted")
 
 
 @dataclass
@@ -416,6 +396,18 @@ def collect_uphill_deltas(target: TruthTable, constraints: NetworkConstraints,
 def calibrate_ladder(target: TruthTable, constraints: NetworkConstraints,
                      config: CalibrationConfig | None = None,
                      seed=0) -> TemperatureLadder:
+    """Warm up at infinite temperature, then build the ladder from the
+    observed uphill deltas (see ``ladder_from_deltas``)."""
+    if config is None:
+        config = CalibrationConfig()
+    deltas = collect_uphill_deltas(target, constraints,
+                                   derived_rng(seed, "calibrate"),
+                                   config.warmup_sweeps)
+    return ladder_from_deltas(deltas, config)
+
+
+def ladder_from_deltas(deltas: Counter,
+                       config: CalibrationConfig) -> TemperatureLadder:
     """Build the two-segment linear-in-beta ladder from warm-up statistics.
 
     Four anchor temperatures are chosen so the estimated acceptance of the
@@ -423,11 +415,6 @@ def calibrate_ladder(target: TruthTable, constraints: NetworkConstraints,
     inserted linearly in beta between the middle anchors until the ladder
     reaches the configured size.
     """
-    if config is None:
-        config = CalibrationConfig()
-    deltas = collect_uphill_deltas(target, constraints,
-                                   derived_rng(seed, "calibrate"),
-                                   config.warmup_sweeps)
     if not deltas:
         raise CalibrationError(
             "warm-up saw no energy-increasing updates; increase warmup_sweeps")
@@ -452,8 +439,7 @@ def calibrate_ladder(target: TruthTable, constraints: NetworkConstraints,
     betas = [b1]
     betas += [b2 + (bk - b2) * i / a for i in range(a + 1)]
     betas += [bk + (bl - bk) * i / b for i in range(1, b + 1)]
-    ladder = TemperatureLadder(betas)
-    return ladder
+    return TemperatureLadder(betas)
 
 
 def probe_swap_rates(target: TruthTable, constraints: NetworkConstraints,
@@ -463,23 +449,3 @@ def probe_swap_rates(target: TruthTable, constraints: NetworkConstraints,
     run(target, constraints, ladder,
         StopConditions(max_repetitions=repetitions), seed=seed)
     return ladder.swap_rates()
-
-
-def refine_ladder(target: TruthTable, constraints: NetworkConstraints,
-                  ladder: TemperatureLadder, seed=0,
-                  repetitions: int = 1000, min_swap_rate: float = 0.2,
-                  max_rounds: int = 3) -> tuple[TemperatureLadder, list[float]]:
-    """Insert midpoints into any adjacent pair swapping below the floor."""
-    rates = probe_swap_rates(target, constraints, ladder, seed, repetitions)
-    for _ in range(max_rounds):
-        if all(rate >= min_swap_rate for rate in rates):
-            break
-        betas = []
-        for i, beta in enumerate(ladder.betas[:-1]):
-            betas.append(beta)
-            if rates[i] < min_swap_rate:
-                betas.append((beta + ladder.betas[i + 1]) / 2)
-        betas.append(ladder.betas[-1])
-        ladder = TemperatureLadder(betas)
-        rates = probe_swap_rates(target, constraints, ladder, seed, repetitions)
-    return ladder, rates

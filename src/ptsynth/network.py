@@ -149,12 +149,6 @@ class LogicNetwork:
     def output(self) -> Literal:
         return decode_literal(self.output_code, self.n)
 
-    def gate_literals(self, g: int) -> tuple[Literal, Literal, Literal]:
-        return tuple(decode_literal(c, self.n) for c in self.codes[g])
-
-    def set_literal(self, g: int, slot: int, lit: Literal) -> None:
-        self.codes[g][slot] = encode_literal(lit, self.n)
-
     def copy(self) -> "LogicNetwork":
         return LogicNetwork(self.n, self.constraints,
                             [row[:] for row in self.codes], self.output_code)
@@ -316,11 +310,6 @@ def recompute_from(net: LogicNetwork, cache: EvalCache, changed_gate: int,
                     dirty.add(hid)
     cache.out_col = cache.output_column(net)
     cache.error = (cache.out_col ^ cache.target_bits).bit_count()
-    return cache.error
-
-
-def energy(cache: EvalCache) -> int:
-    """Number of input vectors where the network disagrees with the target."""
     return cache.error
 
 

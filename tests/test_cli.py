@@ -1,8 +1,8 @@
 import pytest
 
-from ptsynth import cli
-from ptsynth.formats import parse_network
-from ptsynth.network import cleanup, evaluate_full
+from ptsynth import cli, engine
+from ptsynth.formats import emit_ladder, parse_network
+from ptsynth.network import NetworkConstraints, cleanup, evaluate_full
 from ptsynth.truthtable import majority_truth_table
 
 
@@ -139,11 +139,48 @@ def test_calibrate_replica_override(capsys):
     assert betas == sorted(betas) and len(betas) == 8
 
 
+def test_calibrate_runs_the_warmup_once(monkeypatch, tmp_path, capsys):
+    calls = []
+    real_collect = engine.collect_uphill_deltas
+
+    def counting_collect(*args, **kwargs):
+        calls.append(args)
+        return real_collect(*args, **kwargs)
+
+    monkeypatch.setattr(engine, "collect_uphill_deltas", counting_collect)
+    out = tmp_path / "ladder.txt"
+    code = run_cli(["calibrate", "--target", "maj:3", "--gates", "maj",
+                    "--max-nodes", "2", "--replicas", "8", "--seed", "1",
+                    "--out", str(out)])
+    capsys.readouterr()
+    assert code == 0
+    assert len(calls) == 1
+    # the written ladder is the one the library call builds
+    ladder = engine.calibrate_ladder(
+        majority_truth_table(3), NetworkConstraints(2, inverters_allowed=False),
+        engine.CalibrationConfig(replicas=8), seed=1)
+    assert out.read_text() == emit_ladder(ladder)
+
+
 def test_calibrate_degenerate_exit_3(capsys):
     code = run_cli(["calibrate", "--target", "maj:1", "--gates", "maj",
                     "--max-nodes", "1", "--seed", "1"])
     assert code == 3
     capsys.readouterr()
+
+
+def test_synth_threads_option_is_accepted_and_changes_nothing(tmp_path, capsys):
+    artifacts = []
+    for threads in ("1", "3"):
+        out = tmp_path / f"net-{threads}.mig"
+        trace = tmp_path / f"trace-{threads}.csv"
+        code = run_cli(["synth", "--target", "maj:5", "--gates", "maj",
+                        "-p", "8", "--seed", "1", "--threads", threads,
+                        "--out", str(out), "--trace", str(trace)])
+        capsys.readouterr()
+        assert code == 0
+        artifacts.append((out.read_bytes(), trace.read_bytes()))
+    assert artifacts[0] == artifacts[1]
 
 
 def test_target_file_loading(tmp_path, capsys):

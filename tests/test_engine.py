@@ -1,9 +1,11 @@
 import math
 import random
+import threading
 from collections import Counter
 
 import pytest
 
+from ptsynth import engine
 from ptsynth.engine import (
     CalibrationConfig,
     CalibrationError,
@@ -15,8 +17,6 @@ from ptsynth.engine import (
     calibrate_ladder,
     collect_uphill_deltas,
     derived_rng,
-    metropolis_step,
-    refine_ladder,
     run,
     swap_phase,
     sweep,
@@ -62,17 +62,18 @@ def test_accept_uphill_matches_formula(delta):
     assert abs(hits / trials - math.exp(-delta)) < 0.02
 
 
-def test_metropolis_step_accepts_downhill():
+def test_sweep_at_infinite_beta_never_rises():
     replica = make_replica(5, 6, seed=1)
+    target = majority_truth_table(5)
     # at infinite beta only non-positive deltas can stick
     before = replica.score
-    for _ in range(500):
-        accepted = metropolis_step(replica, math.inf)
-        if accepted:
-            assert replica.score <= before
-            before = replica.score
-    assert replica.cache.error == evaluate_full(
-        replica.network, majority_truth_table(5)).error
+    for _ in range(6):
+        sweep(replica, math.inf)
+        assert replica.score <= before
+        before = replica.score
+        fresh = evaluate_full(replica.network, target)
+        assert (fresh.cols, fresh.error, fresh.score) == \
+            (replica.cache.cols, replica.cache.error, replica.cache.score)
 
 
 def test_sweep_step_count():
@@ -313,13 +314,43 @@ def test_run_debug_checks_hold():
         debug_checks=True)
 
 
-def test_refine_ladder_inserts_midpoints():
+def test_run_sweeps_on_the_calling_thread(monkeypatch):
+    callers = set()
+    real_sweep = engine.sweep
+
+    def recording_sweep(*args, **kwargs):
+        callers.add(threading.get_ident())
+        return real_sweep(*args, **kwargs)
+
+    monkeypatch.setattr(engine, "sweep", recording_sweep)
+    target = majority_truth_table(5)
+    cons = NetworkConstraints(8, inverters_allowed=False)
+    ladder = TemperatureLadder([0.05, 0.3, 0.8, 1.5, 3.0, 6.0])
+    run(target, cons, ladder, StopConditions(max_repetitions=3), seed=9,
+        threads=4)
+    assert callers == {threading.get_ident()}
+
+
+def test_run_raises_when_cleanup_disagrees_with_score(monkeypatch):
+    real_cleanup = engine.cleanup
+
+    def miscounting_cleanup(net):
+        cleaned, count = real_cleanup(net)
+        return cleaned, count + 1
+
+    monkeypatch.setattr(engine, "cleanup", miscounting_cleanup)
     target = majority_truth_table(3)
-    cons = NetworkConstraints(2, inverters_allowed=False)
-    ladder = TemperatureLadder([0.1, 0.4, 1.0])
-    refined, rates = refine_ladder(target, cons, ladder, seed=5,
-                                   repetitions=20, min_swap_rate=2.0,
-                                   max_rounds=1)
-    # an impossible floor forces a midpoint into every pair once
-    assert refined.size == 5
-    assert len(rates) == 4
+    cons = NetworkConstraints(1, inverters_allowed=False)
+    ladder = TemperatureLadder([0.1, 0.5, 1.0, 4.0])
+    with pytest.raises(RuntimeError, match="cleanup counted"):
+        run(target, cons, ladder,
+            StopConditions(max_repetitions=10**6, score_goal=0), seed=1)
+
+
+def test_check_replicas_raises_on_a_drifted_cache():
+    replica = make_replica(3, 2, seed=7)
+    target = majority_truth_table(3)
+    engine._check_replicas([replica], target)
+    replica.cache.error += 1
+    with pytest.raises(RuntimeError, match="cache error drifted"):
+        engine._check_replicas([replica], target)
