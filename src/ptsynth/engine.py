@@ -110,7 +110,8 @@ def _draw_proposal(net, rng, gate, slot, move_weights):
     w1, w2, w3 = move_weights
     r = rng.random() * (w1 + w2 + w3)
     if r < w1:
-        return moves.propose_reassign_one(net, rng, gate, slot)
+        return moves.propose_reassign_one(
+            net, rng, gate, slot, moves.replacement_pool(net, gate, slot))
     if r < w1 + w2:
         return moves.propose_swap_between_gates(net, rng, gate, slot)
     return moves.propose_reassign_all(net, rng, gate)
@@ -132,29 +133,28 @@ def sweep(replica: Replica, beta: float, q_threshold: int | None = None,
     apply_p = moves.apply_proposal
     revert_p = moves.revert_proposal
     propose_one = moves.propose_reassign_one
-    exp = math.exp
-    uniform = rng.random
     steps = proposed = accepted = 0
     deltas: list[int] | None = [] if collect_deltas else None
     best: tuple[int, list[list[int]], int] | None = None
     for g in range(p):
         for s in range(3):
+            # only reassign-one keeps this pool valid (it edits slot s alone)
             pool = moves.replacement_pool(net, g, s) if default_mix else None
             for _ in range(5):
                 steps += 1
                 if default_mix:
-                    proposal = propose_one(net, rng, g, s, pool)
+                    edits = propose_one(net, rng, g, s, pool)
                 else:
-                    proposal = _draw_proposal(net, rng, g, s, move_weights)
-                if proposal is None:
+                    edits = _draw_proposal(net, rng, g, s, move_weights)
+                if edits is None:
                     continue
                 proposed += 1
-                delta = apply_p(net, cache, proposal)
+                delta, undo = apply_p(net, cache, edits)
                 if delta > 0:
                     if deltas is not None:
                         deltas.append(delta)
-                    if uniform() >= exp(-beta * delta):
-                        revert_p(net, cache, proposal)
+                    if not accept_uphill(delta, beta, rng):
+                        revert_p(net, cache, undo)
                         continue
                 accepted += 1
                 score = cache.score
@@ -345,6 +345,9 @@ def _check_replicas(replicas: list[Replica], target: TruthTable) -> None:
             raise RuntimeError(f"slot {replica.slot}: cached score drifted")
 
 
+DEFAULT_REPLICAS = 51  # ladder size when the configuration sets none
+
+
 @dataclass
 class CalibrationConfig:
     """Knobs for the warm-up/anchor/in-fill temperature selection."""
@@ -354,8 +357,6 @@ class CalibrationConfig:
     beta_max: float = 100.0
     tolerance: float = 1e-6
     replicas: int | None = None
-    replicas_min: int = 41
-    replicas_max: int = 61
 
 
 def _mean_acceptance(deltas: Counter, beta: float) -> float:
@@ -426,10 +427,7 @@ def ladder_from_deltas(deltas: Counter,
     if not b1 < b2 < bk < bl:
         raise CalibrationError(f"degenerate anchors {b1}, {b2}, {bk}, {bl}; "
                                "increase warmup_sweeps")
-    if config.replicas is not None:
-        m = config.replicas
-    else:
-        m = (config.replicas_min + config.replicas_max) // 2
+    m = config.replicas if config.replicas is not None else DEFAULT_REPLICAS
     if m < 4:
         raise ValueError("need at least 4 replicas for the two-segment ladder")
     interior = m - 2

@@ -1,44 +1,31 @@
 """Search moves: propose, apply, and exactly revert single-network updates.
 
-Three update types are supported: reassigning one gate operand, swapping
-operands between two gates, and redrawing all three operands of a gate.
-Every proposal is constructed so that the mutated network stays valid, and
-applying then reverting restores network and cache bit-exactly.
+A move is a tuple of ``(gate, slot, new_code)`` writes: reassign-one is
+``((g, s, c),)``, swap-between-gates ``((g1, s1, l2), (g2, s2, l1))`` and
+reassign-all ``((g, 0, a), (g, 1, b), (g, 2, c))``.  The first and last
+writes name every edited gate.  Proposals keep the network valid;
+``apply_proposal`` returns the score delta and an undo record (old codes,
+overwritten columns, old error and score), and ``revert_proposal`` restores
+network and cache bit-exactly from it.
 """
 
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
 
-from .network import (
+# perfbench hooks moves.cleaned_gate_count, so the name stays importable here
+from .network import (  # noqa: F401
     PI_BASE,
     EvalCache,
     LogicNetwork,
     cleaned_gate_count,
+    combined_score,
     random_gate_codes,
     recompute_from,
 )
 
-REASSIGN_ONE = "reassign-one"
-SWAP_BETWEEN = "swap-between-gates"
-REASSIGN_ALL = "reassign-all"
-
-
-@dataclass
-class MoveProposal:
-    """One pending update plus everything needed to undo it."""
-
-    kind: str
-    gate: int
-    slot: int = 0
-    gate2: int | None = None
-    slot2: int | None = None
-    new_codes: tuple[int, ...] = ()
-    old_codes: tuple[int, ...] = ()
-    undo_cols: list = field(default_factory=list)
-    old_error: int = 0
-    old_score: int = 0
+SWAP_TRIES = 16  # rejection-sampling attempts before a swap gives up
+Edits = tuple[tuple[int, int, int], ...]  # one move's (gate, slot, code) writes
 
 
 def replacement_pool(net: LogicNetwork, gate: int, slot: int) -> list[int]:
@@ -68,26 +55,19 @@ def replacement_pool(net: LogicNetwork, gate: int, slot: int) -> list[int]:
     return pool
 
 
-def propose_reassign_one(net: LogicNetwork, rng: random.Random,
-                         gate: int | None = None, slot: int | None = None,
-                         pool: list[int] | None = None) -> MoveProposal | None:
-    """Replace one operand with a different literal drawn uniformly from the
-    legal pool.  Returns None when the chosen slot admits no replacement."""
-    tries = 16 if gate is None or slot is None else 1
-    for _ in range(tries):
-        g = rng.randrange(len(net.codes)) if gate is None else gate
-        s = rng.randrange(3) if slot is None else slot
-        codes = pool if pool is not None else replacement_pool(net, g, s)
-        cur = net.codes[g][s]
-        # the current literal is always in the pool, so len-1 real choices
-        if len(codes) < 2:
-            continue
-        while True:
-            new = codes[rng.randrange(len(codes))]
-            if new != cur:
-                break
-        return MoveProposal(REASSIGN_ONE, g, s, new_codes=(new,), old_codes=(cur,))
-    return None
+def propose_reassign_one(net: LogicNetwork, rng: random.Random, gate: int,
+                         slot: int, pool: list[int]) -> Edits | None:
+    """Replace one operand with a different literal drawn uniformly from
+    ``pool`` (``replacement_pool(net, gate, slot)``).  Returns None when the
+    slot admits no replacement."""
+    # the current literal is always in the pool, so len-1 real choices
+    if len(pool) < 2:
+        return None
+    cur = net.codes[gate][slot]
+    while True:
+        new = pool[rng.randrange(len(pool))]
+        if new != cur:
+            return ((gate, slot, new),)
 
 
 def _slot_accepts(net: LogicNetwork, gate: int, slot: int, code: int) -> bool:
@@ -107,80 +87,59 @@ def _slot_accepts(net: LogicNetwork, gate: int, slot: int, code: int) -> bool:
 
 
 def propose_swap_between_gates(net: LogicNetwork, rng: random.Random,
-                               gate: int | None = None, slot: int | None = None,
-                               max_tries: int = 16) -> MoveProposal | None:
-    """Exchange two operands of two different gates, if both stay valid."""
+                               gate: int, slot: int) -> Edits | None:
+    """Exchange this operand with one of another gate, if both stay valid."""
     p = len(net.codes)
     if p < 2:
         return None
-    for _ in range(max_tries):
-        g1 = rng.randrange(p) if gate is None else gate
-        s1 = rng.randrange(3) if slot is None else slot
+    l1 = net.codes[gate][slot]
+    for _ in range(SWAP_TRIES):
         g2 = rng.randrange(p - 1)
-        if g2 >= g1:
+        if g2 >= gate:
             g2 += 1
         s2 = rng.randrange(3)
-        l1 = net.codes[g1][s1]
         l2 = net.codes[g2][s2]
         if l1 == l2:
             continue
-        if _slot_accepts(net, g1, s1, l2) and _slot_accepts(net, g2, s2, l1):
-            return MoveProposal(SWAP_BETWEEN, g1, s1, gate2=g2, slot2=s2,
-                                new_codes=(l2, l1), old_codes=(l1, l2))
+        if _slot_accepts(net, gate, slot, l2) and _slot_accepts(net, g2, s2, l1):
+            return ((gate, slot, l2), (g2, s2, l1))
     return None
 
 
 def propose_reassign_all(net: LogicNetwork, rng: random.Random,
-                         gate: int | None = None) -> MoveProposal:
+                         gate: int) -> Edits:
     """Redraw all three operands of one gate as in network initialization."""
-    g = rng.randrange(len(net.codes)) if gate is None else gate
-    new = random_gate_codes(net.n, g, net.constraints, rng)
-    return MoveProposal(REASSIGN_ALL, g, new_codes=tuple(new),
-                        old_codes=tuple(net.codes[g]))
+    a, b, c = random_gate_codes(net.n, gate, net.constraints, rng)
+    return ((gate, 0, a), (gate, 1, b), (gate, 2, c))
 
 
 def apply_proposal(net: LogicNetwork, cache: EvalCache,
-                   proposal: MoveProposal) -> int:
-    """Mutate the network, refresh the cache incrementally, and return the
-    combined-score delta."""
-    proposal.old_error = cache.error
-    proposal.old_score = cache.score
-    undo = proposal.undo_cols
-    undo.clear()
-    if proposal.kind == REASSIGN_ONE:
-        net.codes[proposal.gate][proposal.slot] = proposal.new_codes[0]
-        recompute_from(net, cache, proposal.gate, undo)
-    elif proposal.kind == SWAP_BETWEEN:
-        net.codes[proposal.gate][proposal.slot] = proposal.new_codes[0]
-        net.codes[proposal.gate2][proposal.slot2] = proposal.new_codes[1]
-        first, second = sorted((proposal.gate, proposal.gate2))
-        recompute_from(net, cache, first, undo)
-        recompute_from(net, cache, second, undo)
-    elif proposal.kind == REASSIGN_ALL:
-        net.codes[proposal.gate][:] = proposal.new_codes
-        recompute_from(net, cache, proposal.gate, undo)
-    else:
-        raise ValueError(f"unknown move kind {proposal.kind!r}")
-    if cache.error:
-        cache.score = cache.error
-    else:
-        cache.score = cleaned_gate_count(net) - net.constraints.max_nodes
-    return cache.score - proposal.old_score
+                   edits: Edits) -> tuple[int, tuple]:
+    """Write the edits, refresh the cache incrementally, and return
+    ``(score delta, undo record)``."""
+    codes = net.codes
+    old_codes = []
+    for g, s, c in edits:
+        old_codes.append((g, s, codes[g][s]))
+        codes[g][s] = c
+    old_score = cache.score
+    undo_cols: list = []
+    undo = (old_codes, undo_cols, cache.error, old_score)
+    lo, hi = sorted((edits[0][0], edits[-1][0]))
+    recompute_from(net, cache, lo, undo_cols)
+    if hi != lo:
+        recompute_from(net, cache, hi, undo_cols)
+    cache.score = combined_score(net, cache)
+    return cache.score - old_score, undo
 
 
-def revert_proposal(net: LogicNetwork, cache: EvalCache,
-                    proposal: MoveProposal) -> None:
+def revert_proposal(net: LogicNetwork, cache: EvalCache, undo: tuple) -> None:
     """Undo an applied proposal, restoring network and cache bit-exactly."""
-    if proposal.kind == REASSIGN_ONE:
-        net.codes[proposal.gate][proposal.slot] = proposal.old_codes[0]
-    elif proposal.kind == SWAP_BETWEEN:
-        net.codes[proposal.gate][proposal.slot] = proposal.old_codes[0]
-        net.codes[proposal.gate2][proposal.slot2] = proposal.old_codes[1]
-    else:
-        net.codes[proposal.gate][:] = proposal.old_codes
+    old_codes, undo_cols, cache.error, cache.score = undo
+    codes = net.codes
+    for g, s, c in old_codes:
+        codes[g][s] = c
     cols = cache.cols
-    for sid, col in reversed(proposal.undo_cols):
+    for sid, col in reversed(undo_cols):
         cols[sid] = col
     cache.out_col = cache.literal_column(net.output_code)
-    cache.error = proposal.old_error
-    cache.score = proposal.old_score

@@ -273,7 +273,7 @@ def evaluate_full(net: LogicNetwork, target: TruthTable) -> EvalCache:
         cols.append(_gate_column(cols, mask, row))
     cache.out_col = cache.output_column(net)
     cache.error = (cache.out_col ^ target.bits).bit_count()
-    cache.score = cache.error if cache.error else cleaned_gate_count(net) - net.constraints.max_nodes
+    cache.score = combined_score(net, cache)
     return cache
 
 
@@ -422,7 +422,8 @@ def _reachable_gates(n: int, lits, alive, out: int) -> list[int]:
         g = sid - base
         if g >= 0 and g not in reachable:
             reachable.add(g)
-            assert alive[g]
+            if not alive[g]:
+                raise RuntimeError(f"cleanup reached the removed gate g{g}")
             row = lits[g]
             stack.append(row[0] >> 1)
             stack.append(row[1] >> 1)

@@ -4,6 +4,7 @@ import random
 import pytest
 
 from ptsynth import NetworkConstraints, TruthTable, random_network
+from ptsynth.moves import propose_reassign_one, replacement_pool
 
 REPO_ROOT = pathlib.Path(__file__).resolve().parents[1]
 
@@ -34,3 +35,21 @@ def random_problem(rng: random.Random, max_n: int = 8, max_p: int = 20):
     net = random_network(n, constraints, rng)
     table = TruthTable(n, rng.getrandbits(1 << n))
     return net, table
+
+
+def random_location(net, rng: random.Random) -> tuple[int, int]:
+    """A uniformly drawn (gate, slot) gate input."""
+    gate = rng.randrange(net.num_gates)
+    return gate, rng.randrange(3)
+
+
+def random_reassign_one(net, rng: random.Random):
+    """Reassign-one edits at a random gate input: up to 16 draws of a
+    location until one admits a replacement, else None."""
+    for _ in range(16):
+        gate, slot = random_location(net, rng)
+        edits = propose_reassign_one(net, rng, gate, slot,
+                                     replacement_pool(net, gate, slot))
+        if edits is not None:
+            return edits
+    return None

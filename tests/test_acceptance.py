@@ -25,7 +25,6 @@ from ptsynth.engine import (
     probe_swap_rates,
 )
 from ptsynth.formats import parse_network, parse_trace
-from ptsynth.moves import apply_proposal, propose_reassign_one
 from ptsynth.network import (
     NetworkConstraints,
     TruthTable,
@@ -36,7 +35,7 @@ from ptsynth.network import (
 )
 from ptsynth.truthtable import majority_truth_table
 
-from conftest import FIXTURE_SPECS
+from conftest import FIXTURE_SPECS, random_reassign_one
 
 SEEDS = list(range(1, 11))
 
@@ -188,12 +187,13 @@ def test_criterion_5_incremental_eval():
         net = random_network(n, constraints, rng)
         table = TruthTable(n, rng.getrandbits(1 << n))
         cache = evaluate_full(net, table)
-        proposal = propose_reassign_one(net, rng)
-        if proposal is None:
+        move = random_reassign_one(net, rng)
+        if move is None:
             continue
         edits += 1
-        net.codes[proposal.gate][proposal.slot] = proposal.new_codes[0]
-        recompute_from(net, cache, proposal.gate)
+        (gate, slot, code), = move
+        net.codes[gate][slot] = code
+        recompute_from(net, cache, gate)
         fresh = evaluate_full(net, table)
         assert fresh.cols == cache.cols, edits
         assert fresh.error == cache.error, edits

@@ -1,3 +1,4 @@
+import hashlib
 import math
 import random
 import threading
@@ -21,6 +22,7 @@ from ptsynth.engine import (
     swap_phase,
     sweep,
 )
+from ptsynth.formats import emit_network, emit_trace
 from ptsynth.network import (
     Gate,
     Literal,
@@ -246,6 +248,36 @@ def test_run_solves_maj3_immediately():
     assert report.found_exact
     cache = evaluate_full(report.best_network, target)
     assert cache.error == 0
+
+
+# sha256 prefixes of the emitted network, trace, slot acceptance and swap
+# rates of a 40-repetition MAJ-5 p=8 run; a change here changes the search
+PINNED_STREAMS = [
+    ((False, False), (1, 0, 0), "33dc6769755ae98ca70e97444e1171a6"),
+    ((False, False), (1, 1, 1), "925969275a5c78c7f6e25849c97c2998"),
+    ((False, False), (0, 1, 0), "59124a56c07ced9fb5553a1432b3a072"),
+    ((False, False), (0, 0, 1), "a2d2ee40f6f4090faa8b433ce3874a7f"),
+    ((True, True), (1, 0, 0), "294d61b46814c84cb871ae2fae4dfe90"),
+    ((True, True), (1, 1, 1), "e6266fa2edb7fad55d02c2144f051c5c"),
+    ((True, True), (0, 1, 0), "02ee074705e69b008798b6838771f2e9"),
+    ((True, True), (0, 0, 1), "561987fe43a8f38de3fdc670c8373985"),
+]
+
+
+@pytest.mark.parametrize("flags,mix,digest", PINNED_STREAMS)
+def test_run_rng_stream_is_pinned(flags, mix, digest):
+    inverters, leafy = flags
+    cons = NetworkConstraints(8, inverters_allowed=inverters, leafy=leafy)
+    report = run(majority_truth_table(5), cons,
+                 TemperatureLadder([0.0, 0.5, 1.0, 2.0, 4.0]),
+                 StopConditions(max_repetitions=40), seed=1, move_weights=mix)
+    assert report.best_q == 4
+    h = hashlib.sha256()
+    for part in (emit_network(report.best_network),
+                 emit_trace(report.trace, report.swap_rate_log),
+                 repr(report.slot_acceptance), repr(report.swap_rates)):
+        h.update(part.encode() + b"\0")
+    assert h.hexdigest()[:32] == digest
 
 
 def test_run_deterministic_across_threads():

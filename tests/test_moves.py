@@ -3,10 +3,6 @@ import random
 import pytest
 
 from ptsynth.moves import (
-    REASSIGN_ALL,
-    REASSIGN_ONE,
-    SWAP_BETWEEN,
-    MoveProposal,
     apply_proposal,
     propose_reassign_all,
     propose_reassign_one,
@@ -29,7 +25,7 @@ from ptsynth.network import (
 )
 from ptsynth.truthtable import majority_truth_table
 
-from conftest import random_problem
+from conftest import random_location, random_problem, random_reassign_one
 
 
 def x(i, inv=False):
@@ -44,6 +40,22 @@ def codes_of(lits, n):
     return [encode_literal(lit, n) for lit in lits]
 
 
+def reassign_one_at(net, rng, gate, slot):
+    return propose_reassign_one(net, rng, gate, slot,
+                                replacement_pool(net, gate, slot))
+
+
+def random_swap(net, rng):
+    return propose_swap_between_gates(net, rng, *random_location(net, rng))
+
+
+def random_reassign_all(net, rng):
+    return propose_reassign_all(net, rng, random_location(net, rng)[0])
+
+
+MAKERS = (random_reassign_one, random_swap, random_reassign_all)
+
+
 def test_pool_excludes_other_slots_and_keeps_constants():
     cons = NetworkConstraints(1, inverters_allowed=False)
     net = LogicNetwork(3, cons, [codes_of([x(0), x(1), x(2)], 3)])
@@ -52,8 +64,9 @@ def test_pool_excludes_other_slots_and_keeps_constants():
     assert pool == {const(0), const(1), x(0)}
     rng = random.Random(1)
     for _ in range(50):
-        proposal = propose_reassign_one(net, rng, 0, 0)
-        lit = decode_literal(proposal.new_codes[0], 3)
+        (gate, slot, code), = reassign_one_at(net, rng, 0, 0)
+        assert (gate, slot) == (0, 0)
+        lit = decode_literal(code, 3)
         assert lit in (const(0), const(1))
 
 
@@ -82,12 +95,14 @@ def test_reassign_one_never_null_and_respects_polarity_rules():
         net, _ = random_problem(rng, max_n=6, max_p=10)
         gate = rng.randrange(net.num_gates)
         slot = rng.randrange(3)
-        proposal = propose_reassign_one(net, rng, gate, slot)
-        if proposal is None:
+        edits = reassign_one_at(net, rng, gate, slot)
+        if edits is None:
             continue
-        assert proposal.new_codes[0] != proposal.old_codes[0]
+        (g, s, code), = edits
+        assert (g, s) == (gate, slot)
+        assert code != net.codes[gate][slot]
         if not net.constraints.inverters_allowed:
-            assert proposal.new_codes[0] & 1 == 0
+            assert code & 1 == 0
 
 
 def test_reassign_one_unavailable_when_saturated():
@@ -96,14 +111,13 @@ def test_reassign_one_unavailable_when_saturated():
     net = LogicNetwork(1, cons, [codes_of([x(0), const(0), const(1)], 1)])
     rng = random.Random(3)
     for slot in range(3):
-        assert propose_reassign_one(net, rng, 0, slot) is None
-    assert propose_reassign_one(net, rng) is None
+        assert reassign_one_at(net, rng, 0, slot) is None
 
 
 def test_swap_needs_two_gates():
     cons = NetworkConstraints(1)
     net = LogicNetwork(3, cons, [codes_of([x(0), x(1), x(2)], 3)])
-    assert propose_swap_between_gates(net, random.Random(0)) is None
+    assert propose_swap_between_gates(net, random.Random(0), 0, 0) is None
 
 
 def test_swap_rejects_topological_violation():
@@ -114,7 +128,7 @@ def test_swap_rejects_topological_violation():
                                  codes_of([Literal(GATE, 0), x(1), x(2)], 3)])
     rng = random.Random(4)
     for _ in range(100):
-        assert propose_swap_between_gates(net, rng) is None
+        assert random_swap(net, rng) is None
 
 
 def test_swap_never_moves_gate_refs_too_early():
@@ -124,12 +138,12 @@ def test_swap_never_moves_gate_refs_too_early():
     rng = random.Random(4)
     seen_valid = 0
     for _ in range(200):
-        proposal = propose_swap_between_gates(net, rng)
-        if proposal is None:
+        edits = random_swap(net, rng)
+        if edits is None:
             continue
         seen_valid += 1
-        moved_into_first = proposal.new_codes[0] if proposal.gate == 0 \
-            else proposal.new_codes[1]
+        assert {g for g, _, _ in edits} == {0, 1}
+        moved_into_first, = (code for g, _, code in edits if g == 0)
         assert decode_literal(moved_into_first, 4).kind != GATE
     assert seen_valid > 0
 
@@ -142,15 +156,15 @@ def test_swap_apply_revert_roundtrip():
         if net.num_gates < 2:
             continue
         cache = evaluate_full(net, tt)
-        proposal = propose_swap_between_gates(net, rng)
-        if proposal is None:
+        edits = random_swap(net, rng)
+        if edits is None:
             continue
         checked += 1
         snapshot = (net.copy(), cache.cols[:], cache.error, cache.score)
-        apply_proposal(net, cache, proposal)
+        _, undo = apply_proposal(net, cache, edits)
         ok, why = is_valid(net)
         assert ok, why
-        revert_proposal(net, cache, proposal)
+        revert_proposal(net, cache, undo)
         assert net == snapshot[0]
         assert cache.cols == snapshot[1]
         assert (cache.error, cache.score) == snapshot[2:]
@@ -162,9 +176,10 @@ def test_reassign_all_respects_constraints():
     net = LogicNetwork(3, cons, [codes_of([x(0), x(1), x(2)], 3)
                                  for _ in range(4)])
     for _ in range(100):
-        proposal = propose_reassign_all(net, rng)
-        assert proposal.kind == REASSIGN_ALL
-        new = [decode_literal(c, 3) for c in proposal.new_codes]
+        gate = rng.randrange(4)
+        edits = propose_reassign_all(net, rng, gate)
+        assert [(g, s) for g, s, _ in edits] == [(gate, 0), (gate, 1), (gate, 2)]
+        new = [decode_literal(c, 3) for _, _, c in edits]
         assert any(lit.kind == INPUT for lit in new)
         assert all(not lit.inverted for lit in new)
         assert len({(lit.kind, lit.index) for lit in new}) == 3
@@ -176,14 +191,13 @@ def test_apply_delta_matches_score_change():
     net = LogicNetwork(3, cons, [codes_of([x(0), x(1), const(0)], 3)])
     cache = evaluate_full(net, majority_truth_table(3))
     assert cache.score == 2
-    proposal = MoveProposal(REASSIGN_ONE, 0, 2,
-                            new_codes=(encode_literal(x(2), 3),),
-                            old_codes=(encode_literal(const(0), 3),))
-    delta = apply_proposal(net, cache, proposal)
+    edits = ((0, 2, encode_literal(x(2), 3)),)
+    delta, undo = apply_proposal(net, cache, edits)
     assert delta == -2
     assert cache.error == 0 and cache.score == 0
-    revert_proposal(net, cache, proposal)
-    delta2 = apply_proposal(net, cache, proposal)
+    revert_proposal(net, cache, undo)
+    assert net.codes[0][2] == encode_literal(const(0), 3)
+    delta2, _ = apply_proposal(net, cache, edits)
     assert delta2 == -2
 
 
@@ -192,18 +206,16 @@ def test_move_fuzz_million_proposals_stay_valid():
     # validity after apply, at scale; cache/score exactness is covered by
     # the smaller round-trip fuzz below
     rng = random.Random(8)
-    makers = (propose_reassign_one, propose_swap_between_gates,
-              propose_reassign_all)
     proposals = 0
     while proposals < 1_000_000:
         net, tt = random_problem(rng, max_n=6, max_p=12)
         cache = evaluate_full(net, tt)
         for _ in range(200):
-            proposal = makers[proposals % 3](net, rng)
+            edits = MAKERS[proposals % 3](net, rng)
             proposals += 1
-            if proposal is None:
+            if edits is None:
                 continue
-            apply_proposal(net, cache, proposal)
+            apply_proposal(net, cache, edits)
             ok, why = is_valid(net)
             assert ok, (proposals, why)
     assert proposals >= 1_000_000
@@ -211,25 +223,22 @@ def test_move_fuzz_million_proposals_stay_valid():
 
 def test_move_fuzz_validity_and_revert():
     rng = random.Random(7)
-    makers = (propose_reassign_one, propose_swap_between_gates,
-              propose_reassign_all)
     applied = 0
     for trial in range(3000):
         net, tt = random_problem(rng, max_n=6, max_p=12)
         cache = evaluate_full(net, tt)
-        maker = makers[trial % 3]
-        proposal = maker(net, rng)
-        if proposal is None:
+        edits = MAKERS[trial % 3](net, rng)
+        if edits is None:
             continue
         applied += 1
         snapshot = (net.copy(), cache.cols[:], cache.error, cache.score)
-        delta = apply_proposal(net, cache, proposal)
+        delta, undo = apply_proposal(net, cache, edits)
         ok, why = is_valid(net)
         assert ok, (trial, why)
         fresh = evaluate_full(net, tt)
         assert fresh.error == cache.error and fresh.score == cache.score
         assert delta == cache.score - snapshot[3]
-        revert_proposal(net, cache, proposal)
+        revert_proposal(net, cache, undo)
         assert net == snapshot[0] and cache.cols == snapshot[1]
         assert (cache.error, cache.score) == snapshot[2:]
     assert applied > 2000

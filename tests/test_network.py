@@ -10,6 +10,7 @@ from ptsynth.network import (
     Literal,
     LogicNetwork,
     NetworkConstraints,
+    _reachable_gates,
     cleaned_gate_count,
     cleanup,
     combined_score,
@@ -181,11 +182,12 @@ def test_recompute_matches_full_eval():
         cache = evaluate_full(net, tt)
         gate = rng.randrange(net.num_gates)
         slot = rng.randrange(3)
-        from ptsynth.moves import propose_reassign_one, apply_proposal
-        proposal = propose_reassign_one(net, rng, gate, slot)
-        if proposal is None:
+        from ptsynth.moves import propose_reassign_one, replacement_pool
+        move = propose_reassign_one(net, rng, gate, slot,
+                                    replacement_pool(net, gate, slot))
+        if move is None:
             continue
-        net.codes[gate][slot] = proposal.new_codes[0]
+        net.codes[gate][slot] = move[0][2]
         recompute_from(net, cache, gate)
         fresh = evaluate_full(net, tt)
         assert fresh.cols == cache.cols
@@ -251,6 +253,16 @@ def test_cleanup_merges_duplicate_gates():
     simplified, q = cleanup(net)
     assert q == 1
     assert simplified.output == g(0)
+
+
+def test_reachable_gates_raises_on_a_removed_gate():
+    # the output reaches gate 1, whose operand g0 was marked removed
+    lits = [encode_literal(lit, 3) for lit in (x(0), x(1), x(2))], \
+        [encode_literal(lit, 3) for lit in (x(0), x(1), g(0))]
+    out = encode_literal(g(1), 3)
+    assert _reachable_gates(3, lits, [True, True], out) == [0, 1]
+    with pytest.raises(RuntimeError, match="removed gate g0"):
+        _reachable_gates(3, lits, [False, True], out)
 
 
 def test_cleanup_fuzz_preserves_function():
