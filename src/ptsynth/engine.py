@@ -23,6 +23,7 @@ from .network import (
     NetworkConstraints,
     cleanup,
     evaluate_full,
+    output_cone,
     random_network,
 )
 from .truthtable import TruthTable
@@ -343,6 +344,9 @@ def _check_replicas(replicas: list[Replica], target: TruthTable) -> None:
             raise RuntimeError(f"slot {replica.slot}: cache error drifted")
         if fresh.score != replica.cache.score:
             raise RuntimeError(f"slot {replica.slot}: cached score drifted")
+        cone = replica.cache.cone
+        if cone is not None and cone != output_cone(replica.network):
+            raise RuntimeError(f"slot {replica.slot}: cached output cone drifted")
 
 
 DEFAULT_REPLICAS = 51  # ladder size when the configuration sets none

@@ -4,9 +4,14 @@ A move is a tuple of ``(gate, slot, new_code)`` writes: reassign-one is
 ``((g, s, c),)``, swap-between-gates ``((g1, s1, l2), (g2, s2, l1))`` and
 reassign-all ``((g, 0, a), (g, 1, b), (g, 2, c))``.  The first and last
 writes name every edited gate.  Proposals keep the network valid;
-``apply_proposal`` returns the score delta and an undo record (old codes,
-overwritten columns, old error and score), and ``revert_proposal`` restores
-network and cache bit-exactly from it.
+``apply_proposal`` returns the score delta and a 5-field undo record: the
+old ``(gate, slot, code)`` triples, the overwritten ``(source, column)``
+pairs, and the old error, score and output cone.  ``revert_proposal``
+restores network and cache bit-exactly from it.
+
+From an exact state, an edit to a gate outside the output cone changes
+neither the output column nor the cleaned gate count, so ``apply_proposal``
+returns a zero delta for it without calling ``cleaned_gate_count``.
 """
 
 from __future__ import annotations
@@ -20,6 +25,7 @@ from .network import (  # noqa: F401
     LogicNetwork,
     cleaned_gate_count,
     combined_score,
+    output_cone,
     random_gate_codes,
     recompute_from,
 )
@@ -117,6 +123,9 @@ def apply_proposal(net: LogicNetwork, cache: EvalCache,
                    edits: Edits) -> tuple[int, tuple]:
     """Write the edits, refresh the cache incrementally, and return
     ``(score delta, undo record)``."""
+    cone = cache.cone
+    if cone is None and cache.error == 0:
+        cone = cache.cone = output_cone(net)
     codes = net.codes
     old_codes = []
     for g, s, c in edits:
@@ -124,18 +133,36 @@ def apply_proposal(net: LogicNetwork, cache: EvalCache,
         codes[g][s] = c
     old_score = cache.score
     undo_cols: list = []
-    undo = (old_codes, undo_cols, cache.error, old_score)
+    undo = (old_codes, undo_cols, cache.error, old_score, cone)
     lo, hi = sorted((edits[0][0], edits[-1][0]))
     recompute_from(net, cache, lo, undo_cols)
     if hi != lo:
         recompute_from(net, cache, hi, undo_cols)
+    if cone is not None:
+        if cone >> lo & 1 or cone >> hi & 1:
+            cache.cone = None
+        else:
+            # Out-of-cone shortcut (only an exact network holds a cone).
+            # No cone gate reads an edited gate, so every cone column, and
+            # with it the output column, is unchanged and the network stays
+            # exact.  The cleaned count is unchanged too: at the fixpoint of
+            # _reduce_codes every live gate is irreducible with a distinct
+            # key, so the count is the number of distinct hash-consed nodes
+            # reachable from the output, and a node's hash-consed form
+            # depends only on its own fan-in cone, that is, only on operands
+            # of cone gates.  So the score stands.
+            if cache.error:
+                raise RuntimeError(
+                    f"an edit outside the output cone (gates {lo}, {hi}) "
+                    "changed the output of an exact network")
+            return 0, undo
     cache.score = combined_score(net, cache)
     return cache.score - old_score, undo
 
 
 def revert_proposal(net: LogicNetwork, cache: EvalCache, undo: tuple) -> None:
     """Undo an applied proposal, restoring network and cache bit-exactly."""
-    old_codes, undo_cols, cache.error, cache.score = undo
+    old_codes, undo_cols, cache.error, cache.score, cache.cone = undo
     codes = net.codes
     for g, s, c in old_codes:
         codes[g][s] = c

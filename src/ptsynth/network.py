@@ -230,10 +230,14 @@ class EvalCache:
     ``cols[sid]`` is the 2^n-bit column of source ``sid``; ``error`` is the
     Hamming distance between the output column and the target, and ``score``
     the combined search score (error, or cleaned-gate-count minus budget
-    when the error is zero).
+    when the error is zero).  ``cone`` is either None or the
+    ``output_cone`` bitmask of the current network: the move path fills it
+    in lazily from exact states and drops it when an edit touches a gate
+    inside it, so only an exact network ever holds a cone.
     """
 
-    __slots__ = ("cols", "mask", "target_bits", "out_col", "error", "score")
+    __slots__ = ("cols", "mask", "target_bits", "out_col", "error", "score",
+                 "cone")
 
     def __init__(self, cols: list[int], mask: int, target: TruthTable) -> None:
         self.cols = cols
@@ -242,6 +246,7 @@ class EvalCache:
         self.out_col = 0
         self.error = 0
         self.score = 0
+        self.cone: int | None = None
 
     def output_column(self, net: LogicNetwork) -> int:
         out = net.output_code
@@ -290,27 +295,55 @@ def recompute_from(net: LogicNetwork, cache: EvalCache, changed_gate: int,
     if not 0 <= changed_gate < p:
         raise ValueError(f"gate index {changed_gate} out of range")
     cols, mask = cache.cols, cache.mask
-    base = PI_BASE + net.n
-    sid = base + changed_gate
-    new = _gate_column(cols, mask, codes[changed_gate])
-    if new != cols[sid]:
+    hid = PI_BASE + net.n + changed_gate
+    # the majority is inlined here (see _gate_column): this is the hot loop
+    ca, cb, cc = codes[changed_gate]
+    a = cols[ca >> 1] ^ (mask if ca & 1 else 0)
+    b = cols[cb >> 1] ^ (mask if cb & 1 else 0)
+    c = cols[cc >> 1] ^ (mask if cc & 1 else 0)
+    new = (a & (b | c)) | (b & c)
+    if new != cols[hid]:
         if undo is not None:
-            undo.append((sid, cols[sid]))
-        cols[sid] = new
-        dirty = {sid}
-        for h in range(changed_gate + 1, p):
-            row = codes[h]
-            if row[0] >> 1 in dirty or row[1] >> 1 in dirty or row[2] >> 1 in dirty:
-                hid = base + h
-                col = _gate_column(cols, mask, row)
-                if col != cols[hid]:
+            undo.append((hid, cols[hid]))
+        cols[hid] = new
+        dirty = {hid}
+        for ca, cb, cc in codes[changed_gate + 1:]:
+            hid += 1
+            if ca >> 1 in dirty or cb >> 1 in dirty or cc >> 1 in dirty:
+                a = cols[ca >> 1] ^ (mask if ca & 1 else 0)
+                b = cols[cb >> 1] ^ (mask if cb & 1 else 0)
+                c = cols[cc >> 1] ^ (mask if cc & 1 else 0)
+                new = (a & (b | c)) | (b & c)
+                if new != cols[hid]:
                     if undo is not None:
                         undo.append((hid, cols[hid]))
-                    cols[hid] = col
+                    cols[hid] = new
                     dirty.add(hid)
-    cache.out_col = cache.output_column(net)
-    cache.error = (cache.out_col ^ cache.target_bits).bit_count()
+    out = net.output_code
+    col = cols[out >> 1]
+    if out & 1:
+        col ^= mask
+    cache.out_col = col
+    cache.error = (col ^ cache.target_bits).bit_count()
     return cache.error
+
+
+def output_cone(net: LogicNetwork) -> int:
+    """Bitmask of the gates the output reaches through operand edges (bit g
+    for gate g), found on the raw codes without any cleanup."""
+    base = PI_BASE + net.n
+    codes = net.codes
+    cone = 0
+    stack = [(net.output_code >> 1) - base]
+    while stack:
+        g = stack.pop()
+        if g >= 0 and not cone >> g & 1:
+            cone |= 1 << g
+            ca, cb, cc = codes[g]
+            stack.append((ca >> 1) - base)
+            stack.append((cb >> 1) - base)
+            stack.append((cc >> 1) - base)
+    return cone
 
 
 def weighted_energy(cache: EvalCache, weights) -> float:

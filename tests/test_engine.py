@@ -29,6 +29,7 @@ from ptsynth.network import (
     LogicNetwork,
     NetworkConstraints,
     evaluate_full,
+    output_cone,
     random_network,
 )
 from ptsynth.truthtable import majority_truth_table
@@ -385,4 +386,15 @@ def test_check_replicas_raises_on_a_drifted_cache():
     engine._check_replicas([replica], target)
     replica.cache.error += 1
     with pytest.raises(RuntimeError, match="cache error drifted"):
+        engine._check_replicas([replica], target)
+
+
+def test_check_replicas_raises_on_a_drifted_cone():
+    replica = make_replica(3, 2, seed=7)
+    target = majority_truth_table(3)
+    cone = output_cone(replica.network)
+    replica.cache.cone = cone
+    engine._check_replicas([replica], target)
+    replica.cache.cone = cone ^ 1
+    with pytest.raises(RuntimeError, match="cached output cone drifted"):
         engine._check_replicas([replica], target)

@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from ptsynth import network
 from ptsynth.moves import (
     apply_proposal,
     propose_reassign_all,
@@ -22,6 +23,7 @@ from ptsynth.network import (
     encode_literal,
     evaluate_full,
     is_valid,
+    output_cone,
 )
 from ptsynth.truthtable import majority_truth_table
 
@@ -199,6 +201,37 @@ def test_apply_delta_matches_score_change():
     assert net.codes[0][2] == encode_literal(const(0), 3)
     delta2, _ = apply_proposal(net, cache, edits)
     assert delta2 == -2
+
+
+def test_out_of_cone_edit_skips_the_cleanup_count(monkeypatch):
+    # g0 = maj(x0, x1, x2), g1 = maj(x0, x1, g0) = MAJ-3 is the output, and
+    # g2 = maj(x0, x1, 0) is dead
+    cons = NetworkConstraints(3, inverters_allowed=False)
+    g0 = Literal(GATE, 0)
+    net = LogicNetwork(3, cons, [codes_of([x(0), x(1), x(2)], 3),
+                                 codes_of([x(0), x(1), g0], 3),
+                                 codes_of([x(0), x(1), const(0)], 3)],
+                       output_code=encode_literal(Literal(GATE, 1), 3))
+    target = majority_truth_table(3)
+    cache = evaluate_full(net, target)
+    assert cache.error == 0 and cache.score == 2 - 3
+    calls = []
+    real_count = network.cleaned_gate_count
+
+    def counting(net):
+        calls.append(net)
+        return real_count(net)
+
+    monkeypatch.setattr(network, "cleaned_gate_count", counting)
+    delta, undo = apply_proposal(net, cache, ((2, 2, encode_literal(const(1), 3)),))
+    assert (delta, len(calls)) == (0, 0)
+    assert cache.cone == output_cone(net) == 0b011
+    revert_proposal(net, cache, undo)
+    # rewiring g1 to x2 keeps it exact, merges it with g0 and leaves the cone
+    delta, _ = apply_proposal(net, cache, ((1, 2, encode_literal(x(2), 3)),))
+    assert (delta, len(calls)) == (-1, 1)
+    assert cache.error == 0 and cache.cone is None
+    assert cache.score == evaluate_full(net, target).score
 
 
 @pytest.mark.slow
