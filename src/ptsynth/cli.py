@@ -96,8 +96,18 @@ def _constraints(args, target: TruthTable, label: str) -> NetworkConstraints:
             max_nodes = DEFAULT_MAX_NODES.get((target.n, inverters))
         if max_nodes is None:
             raise CliError("--max-nodes is required for this target", EXIT_USAGE)
-    return NetworkConstraints(max_nodes=max_nodes, inverters_allowed=inverters,
-                              leafy=args.leafy)
+    try:
+        return NetworkConstraints(max_nodes=max_nodes,
+                                  inverters_allowed=inverters, leafy=args.leafy)
+    except ValueError as exc:
+        raise CliError(f"--max-nodes {max_nodes}: {exc}", EXIT_USAGE) from None
+
+
+def _calibration_config(**options) -> engine.CalibrationConfig:
+    try:
+        return engine.CalibrationConfig(**options)
+    except ValueError as exc:
+        raise CliError(f"--replicas: {exc}", EXIT_USAGE) from None
 
 
 def _score_goal(args, target: TruthTable, label: str,
@@ -115,9 +125,12 @@ def _score_goal(args, target: TruthTable, label: str,
 def _make_ladder(args, target: TruthTable,
                  constraints: NetworkConstraints) -> engine.TemperatureLadder:
     if args.ladder != "auto":
-        return formats.parse_ladder(_read_text(args.ladder))
-    config = engine.CalibrationConfig(replicas=args.replicas,
-                                      warmup_sweeps=args.warmup_sweeps)
+        try:
+            return formats.parse_ladder(_read_text(args.ladder))
+        except formats.NetworkParseError as exc:
+            raise CliError(f"{args.ladder}: {exc}", EXIT_USAGE) from None
+    config = _calibration_config(replicas=args.replicas,
+                                 warmup_sweeps=args.warmup_sweeps)
     return engine.calibrate_ladder(target, constraints, config, seed=args.seed)
 
 
@@ -202,8 +215,8 @@ def cmd_simplify(args) -> int:
 def cmd_calibrate(args) -> int:
     target, label = _load_target(args.target)
     constraints = _constraints(args, target, label)
-    config = engine.CalibrationConfig(replicas=args.replicas,
-                                      warmup_sweeps=args.warmup_sweeps)
+    config = _calibration_config(replicas=args.replicas,
+                                 warmup_sweeps=args.warmup_sweeps)
     try:
         deltas = engine.collect_uphill_deltas(
             target, constraints, engine.derived_rng(args.seed, "calibrate"),
@@ -231,6 +244,7 @@ def cmd_calibrate(args) -> int:
 
 def cmd_bench(args) -> int:
     sizes = [3, 5, 7] if args.suite == "quick" else [3, 5, 7, 9, 11, 13]
+    config = _calibration_config(replicas=args.replicas)
     rows = []
     print(f"{'n':>3} {'gates':>8} {'p':>3} {'goal':>4} {'q':>3} "
           f"{'reps':>8} {'wall_s':>8} status")
@@ -241,7 +255,6 @@ def cmd_bench(args) -> int:
             p = DEFAULT_MAX_NODES.get((n, inverters), BENCH_MAX_NODES.get(n))
             constraints = NetworkConstraints(p, inverters_allowed=inverters)
             goal_q = BEST_KNOWN[(n, inverters, False)]
-            config = engine.CalibrationConfig(replicas=args.replicas)
             ladder = engine.calibrate_ladder(target, constraints, config,
                                              seed=args.seed)
             stop = engine.StopConditions(max_repetitions=args.max_reps,

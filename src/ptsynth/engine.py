@@ -17,12 +17,14 @@ from collections import Counter
 from concurrent.futures import ThreadPoolExecutor  # noqa: F401
 from dataclasses import dataclass, field
 
-from . import moves
+from . import moves, network
 from .network import (
+    PI_BASE,
     LogicNetwork,
     NetworkConstraints,
     cleanup,
     evaluate_full,
+    output_cofactors,
     output_cone,
     random_network,
 )
@@ -123,30 +125,30 @@ def sweep(replica: Replica, beta: float, q_threshold: int | None = None,
           move_weights=(1.0, 0.0, 0.0)) -> SweepStats:
     """Five Metropolis attempts per gate input, gate-major and slot-minor.
 
+    The default reassign-one mix scores each attempt from its gate's output
+    cofactors (``_cofactor_sweep``); the other mixes write every attempt
+    through ``moves.apply_proposal`` and undo rejected ones with
+    ``moves.revert_proposal``.  Both leave the cache fresh and draw the same
+    random numbers for the same moves.
+
     When ``q_threshold`` is given, any visited exact network that cleans up
     to fewer than that many gates is snapshotted into the returned stats.
     """
+    deltas: list[int] | None = [] if collect_deltas else None
+    if move_weights[1] == 0 and move_weights[2] == 0:
+        return _cofactor_sweep(replica, beta, q_threshold, deltas)
     net, cache, rng = replica.network, replica.cache, replica.rng
     codes = net.codes
-    p = len(codes)
     budget = net.constraints.max_nodes
-    default_mix = move_weights[1] == 0 and move_weights[2] == 0
     apply_p = moves.apply_proposal
     revert_p = moves.revert_proposal
-    propose_one = moves.propose_reassign_one
     steps = proposed = accepted = 0
-    deltas: list[int] | None = [] if collect_deltas else None
     best: tuple[int, list[list[int]], int] | None = None
-    for g in range(p):
+    for g in range(len(codes)):
         for s in range(3):
-            # only reassign-one keeps this pool valid (it edits slot s alone)
-            pool = moves.replacement_pool(net, g, s) if default_mix else None
             for _ in range(5):
                 steps += 1
-                if default_mix:
-                    edits = propose_one(net, rng, g, s, pool)
-                else:
-                    edits = _draw_proposal(net, rng, g, s, move_weights)
+                edits = _draw_proposal(net, rng, g, s, move_weights)
                 if edits is None:
                     continue
                 proposed += 1
@@ -163,6 +165,88 @@ def sweep(replica: Replica, beta: float, q_threshold: int | None = None,
                     q = score + budget
                     if q < q_threshold and (best is None or q < best[0]):
                         best = (q, [row[:] for row in codes], net.output_code)
+    return SweepStats(steps, proposed, accepted, deltas, best)
+
+
+def _cofactor_sweep(replica: Replica, beta: float, q_threshold: int | None,
+                    deltas: list[int] | None) -> SweepStats:
+    """The reassign-one sweep, scored without recompute or revert.
+
+    All 15 attempts at gate g edit only gate g, so the output cofactors of
+    gate g (``output_cofactors``) score every one of them: the new column is
+    one majority of the drawn literal with the two fixed operands.  An
+    accepted attempt writes only its code and gate g's column; the columns
+    after gate g go stale until the sweep reaches them and refreshes each
+    from its operands, so all are fresh again when it ends.  The error and
+    score live in locals until then.
+    """
+    net, cache, rng = replica.network, replica.cache, replica.rng
+    codes = net.codes
+    cols, mask = cache.cols, cache.mask
+    budget = net.constraints.max_nodes
+    propose_one = moves.propose_reassign_one
+    error, score = cache.error, cache.score
+    steps = proposed = accepted = 0
+    best: tuple[int, list[list[int]], int] | None = None
+    hid = PI_BASE + net.n
+    for g, row in enumerate(codes):
+        # every source before gate g is final for this sweep
+        ca, cb, cc = row
+        a = cols[ca >> 1] ^ (mask if ca & 1 else 0)
+        b = cols[cb >> 1] ^ (mask if cb & 1 else 0)
+        c = cols[cc >> 1] ^ (mask if cc & 1 else 0)
+        cols[hid] = (a & (b | c)) | (b & c)
+        e0, d, reaches = output_cofactors(net, cache, g)
+        # exact and outside the output cone: the score stands (the proof is
+        # at the cone shortcut in moves.apply_proposal)
+        frozen = not (error or reaches)
+        if frozen and d:
+            raise RuntimeError(f"gate {g} is outside the output cone but "
+                               "changes the output")
+        for s in range(3):
+            pool = moves.replacement_pool(net, g, s)
+            cb, cc = row[s - 2], row[s - 1]
+            b = cols[cb >> 1] ^ (mask if cb & 1 else 0)
+            c = cols[cc >> 1] ^ (mask if cc & 1 else 0)
+            bc_or, bc_and = b | c, b & c
+            for _ in range(5):
+                steps += 1
+                edits = propose_one(net, rng, g, s, pool)
+                if edits is None:
+                    continue
+                proposed += 1
+                new = edits[0][2]
+                x = ((cols[new >> 1] ^ (mask if new & 1 else 0)) & bc_or) | bc_and
+                new_error = (e0 ^ (d & x)).bit_count()
+                old = row[s]
+                if new_error:
+                    new_score = new_error
+                elif frozen:
+                    new_score = score
+                else:
+                    row[s] = new
+                    # called through the module, so a wrapper there sees it
+                    new_score = network.cleaned_gate_count(net) - budget
+                delta = new_score - score
+                if delta > 0:
+                    if deltas is not None:
+                        deltas.append(delta)
+                    if not accept_uphill(delta, beta, rng):
+                        row[s] = old
+                        continue
+                row[s] = new
+                cols[hid] = x
+                error, score = new_error, new_score
+                accepted += 1
+                if score <= 0 and q_threshold is not None:
+                    q = score + budget
+                    if q < q_threshold and (best is None or q < best[0]):
+                        best = (q, [r[:] for r in codes], net.output_code)
+        hid += 1
+    out = net.output_code
+    cache.out_col = cols[out >> 1] ^ (mask if out & 1 else 0)
+    cache.error, cache.score = error, score
+    cache.cone = None
     return SweepStats(steps, proposed, accepted, deltas, best)
 
 
@@ -362,6 +446,13 @@ class CalibrationConfig:
     tolerance: float = 1e-6
     replicas: int | None = None
 
+    def __post_init__(self) -> None:
+        if sorted(self.anchor_rates, reverse=True) != list(self.anchor_rates):
+            raise ValueError("anchor rates must be strictly decreasing")
+        if self.replicas is not None and self.replicas < 4:
+            raise ValueError("the two-segment ladder needs at least 4 "
+                             f"replicas, got {self.replicas}")
+
 
 def _mean_acceptance(deltas: Counter, beta: float) -> float:
     total = sum(deltas.values())
@@ -423,17 +514,12 @@ def ladder_from_deltas(deltas: Counter,
     if not deltas:
         raise CalibrationError(
             "warm-up saw no energy-increasing updates; increase warmup_sweeps")
-    rates = config.anchor_rates
-    if sorted(rates, reverse=True) != list(rates):
-        raise ValueError("anchor rates must be strictly decreasing")
     b1, b2, bk, bl = (anchor_beta(deltas, r, config.beta_max, config.tolerance)
-                      for r in rates)
+                      for r in config.anchor_rates)
     if not b1 < b2 < bk < bl:
         raise CalibrationError(f"degenerate anchors {b1}, {b2}, {bk}, {bl}; "
                                "increase warmup_sweeps")
     m = config.replicas if config.replicas is not None else DEFAULT_REPLICAS
-    if m < 4:
-        raise ValueError("need at least 4 replicas for the two-segment ladder")
     interior = m - 2
     a = round(interior * (bk - b2) / (bl - b2))
     a = max(1, min(interior - 1, a))

@@ -1,5 +1,10 @@
 """Search moves: propose, apply, and exactly revert single-network updates.
 
+Every mix draws its proposals here.  ``apply_proposal`` and
+``revert_proposal`` serve the swap and reassign-all mixes; the default
+reassign-one sweep scores its attempts from output cofactors instead (see
+``engine._cofactor_sweep``) and never calls them.
+
 A move is a tuple of ``(gate, slot, new_code)`` writes: reassign-one is
 ``((g, s, c),)``, swap-between-gates ``((g1, s1, l2), (g2, s2, l1))`` and
 reassign-all ``((g, 0, a), (g, 1, b), (g, 2, c))``.  The first and last

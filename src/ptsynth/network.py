@@ -233,7 +233,8 @@ class EvalCache:
     when the error is zero).  ``cone`` is either None or the
     ``output_cone`` bitmask of the current network: the move path fills it
     in lazily from exact states and drops it when an edit touches a gate
-    inside it, so only an exact network ever holds a cone.
+    inside it, so only an exact network ever holds a cone.  The cofactor
+    sweep does not read it and drops it when it ends.
     """
 
     __slots__ = ("cols", "mask", "target_bits", "out_col", "error", "score",
@@ -326,6 +327,51 @@ def recompute_from(net: LogicNetwork, cache: EvalCache, changed_gate: int,
     cache.out_col = col
     cache.error = (col ^ cache.target_bits).bit_count()
     return cache.error
+
+
+def output_cofactors(net: LogicNetwork, cache: EvalCache,
+                     g: int) -> tuple[int, int, bool]:
+    """Score every possible column of gate ``g`` at once.
+
+    Majority gates act bitwise, so on each input vector the output bit is a
+    function of gate g's bit on that vector alone.  With ``o0`` and ``o1``
+    the output columns when gate g's column is forced to 0 and to ``mask``,
+    this returns ``(e0, d, reaches)``: ``e0 = o0 ^ target``,
+    ``d = o0 ^ o1``, and whether the output reads gate g through operand
+    edges (``output_cone(net) >> g & 1``).  Giving gate g the column ``x``
+    then makes the error ``(e0 ^ (d & x)).bit_count()``.
+
+    Only the cached columns of the sources before gate g are read; the
+    gates after it are recomputed here, so their cached columns may be
+    stale.
+    """
+    codes = net.codes
+    if not 0 <= g < len(codes):
+        raise ValueError(f"gate index {g} out of range")
+    cols, mask = cache.cols, cache.mask
+    hid = PI_BASE + net.n + g
+    c0 = cols[:hid]
+    c0.append(0)
+    c1 = c0[:]
+    c1[hid] = mask
+    fanout = {hid}  # gate g and every gate that structurally reads it
+    for ca, cb, cc in codes[g + 1:]:
+        a = c0[ca >> 1] ^ (mask if ca & 1 else 0)
+        b = c0[cb >> 1] ^ (mask if cb & 1 else 0)
+        c = c0[cc >> 1] ^ (mask if cc & 1 else 0)
+        col = (a & (b | c)) | (b & c)
+        c0.append(col)
+        if ca >> 1 in fanout or cb >> 1 in fanout or cc >> 1 in fanout:
+            fanout.add(len(c1))
+            a = c1[ca >> 1] ^ (mask if ca & 1 else 0)
+            b = c1[cb >> 1] ^ (mask if cb & 1 else 0)
+            c = c1[cc >> 1] ^ (mask if cc & 1 else 0)
+            col = (a & (b | c)) | (b & c)
+        c1.append(col)
+    out = net.output_code
+    sid = out >> 1
+    o0 = c0[sid] ^ (mask if out & 1 else 0)
+    return o0 ^ cache.target_bits, c0[sid] ^ c1[sid], sid in fanout
 
 
 def output_cone(net: LogicNetwork) -> int:

@@ -169,6 +169,39 @@ def test_calibrate_degenerate_exit_3(capsys):
     capsys.readouterr()
 
 
+def assert_usage_error(args, capsys, expected):
+    """Exit 2 with one line on stderr that contains ``expected``."""
+    assert run_cli(args) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and expected in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("command", ["synth", "calibrate", "bench"])
+def test_too_few_replicas_exit_2(command, capsys):
+    args = [command, "--replicas", "3", "--seed", "1"]
+    if command != "bench":
+        args += ["--target", "maj:3", "--gates", "maj", "--max-nodes", "2"]
+    assert_usage_error(args, capsys, "at least 4 replicas, got 3")
+
+
+@pytest.mark.parametrize("command", ["synth", "calibrate"])
+@pytest.mark.parametrize("budget", ["0", "-1"])
+def test_non_positive_max_nodes_exit_2(command, budget, capsys):
+    assert_usage_error([command, "--target", "maj:3", "--max-nodes", budget],
+                       capsys, f"--max-nodes {budget}: max_nodes must be positive")
+
+
+@pytest.mark.parametrize("text, expected", [
+    ("0.1\nwarm\n", "line 2: bad inverse temperature 'warm'"),
+    ("0.5\n0.2\n", "inverse temperatures must strictly increase"),
+])
+def test_malformed_ladder_file_exit_2(text, expected, tmp_path, capsys):
+    ladder = tmp_path / "ladder.txt"
+    ladder.write_text(text)
+    assert_usage_error(["synth", "--target", "maj:3", "--max-nodes", "2",
+                        "--ladder", str(ladder)], capsys, expected)
+
+
 def test_synth_threads_option_is_accepted_and_changes_nothing(tmp_path, capsys):
     artifacts = []
     for threads in ("1", "3"):

@@ -6,12 +6,13 @@ from collections import Counter
 
 import pytest
 
-from ptsynth import engine
+from ptsynth import engine, moves, network
 from ptsynth.engine import (
     CalibrationConfig,
     CalibrationError,
     Replica,
     StopConditions,
+    SweepStats,
     TemperatureLadder,
     accept_uphill,
     anchor_beta,
@@ -23,6 +24,12 @@ from ptsynth.engine import (
     sweep,
 )
 from ptsynth.formats import emit_network, emit_trace
+from ptsynth.moves import (
+    apply_proposal,
+    propose_reassign_one,
+    replacement_pool,
+    revert_proposal,
+)
 from ptsynth.network import (
     Gate,
     Literal,
@@ -32,7 +39,7 @@ from ptsynth.network import (
     output_cone,
     random_network,
 )
-from ptsynth.truthtable import majority_truth_table
+from ptsynth.truthtable import TruthTable, majority_truth_table
 
 
 def make_replica(n, p, seed, inverters=False, target=None):
@@ -125,6 +132,87 @@ def test_sweep_snapshots_exact_states():
         assert cache.error == 0
         from ptsynth.network import cleaned_gate_count
         assert cleaned_gate_count(rebuilt) == q
+
+
+def move_path_sweep(replica, beta, q_threshold):
+    """Reassign-one sweep through the move path: propose, apply, then
+    accept or revert, as the default mix ran before cofactor scoring."""
+    net, cache, rng = replica.network, replica.cache, replica.rng
+    budget = net.constraints.max_nodes
+    steps = proposed = accepted = 0
+    deltas, best = [], None
+    for g in range(net.num_gates):
+        for s in range(3):
+            pool = replacement_pool(net, g, s)
+            for _ in range(5):
+                steps += 1
+                edits = propose_reassign_one(net, rng, g, s, pool)
+                if edits is None:
+                    continue
+                proposed += 1
+                delta, undo = apply_proposal(net, cache, edits)
+                if delta > 0:
+                    deltas.append(delta)
+                    if not accept_uphill(delta, beta, rng):
+                        revert_proposal(net, cache, undo)
+                        continue
+                accepted += 1
+                q = cache.score + budget
+                if cache.score <= 0 and q < q_threshold \
+                        and (best is None or q < best[0]):
+                    best = (q, [row[:] for row in net.codes], net.output_code)
+    return SweepStats(steps, proposed, accepted, deltas, best)
+
+
+@pytest.mark.parametrize("n,p,inverters,leafy,exact_start", [
+    (3, 4, False, False, False),
+    (5, 6, True, False, False),
+    (5, 8, False, False, True),
+    (5, 8, True, True, True),
+    (7, 10, True, False, False),
+    (7, 10, False, True, True),
+])
+def test_cofactor_sweep_matches_the_move_path(n, p, inverters, leafy,
+                                              exact_start, monkeypatch):
+    cons = NetworkConstraints(p, inverters_allowed=inverters, leafy=leafy)
+    rng = derived_rng(n * 100 + p, "differential")
+    net = random_network(n, cons, rng)
+    target = TruthTable(n, evaluate_full(net, majority_truth_table(n)).out_col) \
+        if exact_start else majority_truth_table(n)
+    ours = Replica(net.copy(), evaluate_full(net, target), rng, 0)
+    ref_rng = random.Random()
+    ref_rng.setstate(rng.getstate())
+    ref = Replica(net.copy(), evaluate_full(net, target), ref_rng, 0)
+    threshold = p + 1
+    expected = [move_path_sweep(ref, 1.0, threshold) for _ in range(4)]
+    if exact_start:
+        assert any(st.best_exact is not None for st in expected)
+    ref_states = ([row[:] for row in ref.network.codes], ref_rng.getstate())
+
+    calls = Counter()
+
+    def counting(name, real):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return real(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(moves, "apply_proposal",
+                        counting("apply", moves.apply_proposal))
+    monkeypatch.setattr(moves, "revert_proposal",
+                        counting("revert", moves.revert_proposal))
+    monkeypatch.setattr(network, "recompute_from",
+                        counting("recompute", network.recompute_from))
+    monkeypatch.setattr(moves, "recompute_from",
+                        counting("recompute", moves.recompute_from))
+    got = [sweep(ours, 1.0, threshold, collect_deltas=True) for _ in range(4)]
+    assert calls == Counter()
+    assert got == expected
+    assert ([row[:] for row in ours.network.codes], rng.getstate()) == ref_states
+    fresh = evaluate_full(ours.network, target)
+    cache = ours.cache
+    assert (cache.cols, cache.out_col, cache.error, cache.score) == \
+        (fresh.cols, fresh.out_col, fresh.error, fresh.score)
 
 
 def two_fixed_replicas(score_a, score_b):

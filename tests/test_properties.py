@@ -1,4 +1,5 @@
-"""Property tests for the move path's output-cone shortcut.
+"""Property tests for the move path's output-cone shortcut and for the
+output cofactors that score the default sweep.
 
 Networks are drawn over n in {3, 5, 7}, every budget up to 12 gates, both
 gate sets, leafy or not, and an output that may sit on any gate (inverted
@@ -22,6 +23,7 @@ from ptsynth.network import (
     NetworkConstraints,
     cleanup,
     evaluate_full,
+    output_cofactors,
     output_cone,
     random_network,
 )
@@ -122,3 +124,37 @@ def test_apply_revert_is_exact_and_scores_stay_fresh(drawn, mix, exact_start,
             assert net.codes == codes and cache.cols == cols
             assert (cache.error, cache.score, cache.cone) == (error, score, cone)
             assert cache.out_col == evaluate_full(net, target).out_col
+
+
+@SETTINGS
+@given(networks(), st.booleans())
+def test_output_cofactors_predict_the_error_of_every_replacement(drawn,
+                                                                 exact_start):
+    net, rng = drawn
+    target = own_target(net) if exact_start \
+        else TruthTable(net.n, rng.getrandbits(1 << net.n))
+    cache = evaluate_full(net, target)
+    cone = output_cone(net)
+    for g in range(net.num_gates):
+        e0, d, reaches = output_cofactors(net, cache, g)
+        assert reaches == bool(cone >> g & 1)
+        if not reaches:
+            assert d == 0
+        # the current column of gate g reproduces the current error
+        assert (e0 ^ (d & cache.cols[PI_BASE + net.n + g])).bit_count() \
+            == cache.error
+        s = rng.randrange(3)
+        edits = propose_reassign_one(net, rng, g, s, replacement_pool(net, g, s))
+        if edits is None:
+            continue
+        edited = net.copy()
+        edited.codes[g][s] = edits[0][2]
+        a, b, c = (cache.literal_column(code) for code in edited.codes[g])
+        x = (a & (b | c)) | (b & c)
+        assert (e0 ^ (d & x)).bit_count() == evaluate_full(edited, target).error
+        # the cached columns of gate g and the gates after it are not read
+        hid = PI_BASE + net.n + g
+        stale = evaluate_full(net, target)
+        for sid in range(hid, len(stale.cols)):
+            stale.cols[sid] = rng.getrandbits(1 << net.n)
+        assert output_cofactors(net, stale, g) == (e0, d, reaches)
