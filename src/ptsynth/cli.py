@@ -7,6 +7,7 @@ or degenerate calibration, 4 I/O failure.
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 import time
@@ -85,7 +86,12 @@ def _load_target(label: str) -> tuple[TruthTable, str]:
 
 
 def _default_seed() -> int:
-    return int(os.environ.get("PTSYNTH_SEED", "0"))
+    text = os.environ.get("PTSYNTH_SEED", "0")
+    try:
+        return int(text)
+    except ValueError:
+        raise CliError(f"PTSYNTH_SEED must be an integer, got {text!r}",
+                       EXIT_USAGE) from None
 
 
 def _constraints(args, target: TruthTable, label: str) -> NetworkConstraints:
@@ -283,8 +289,10 @@ def _move_weights(text: str) -> tuple[float, float, float]:
         parts = tuple(float(f) for f in text.split(","))
     except ValueError:
         raise argparse.ArgumentTypeError(f"bad move weights {text!r}") from None
-    if len(parts) != 3 or min(parts) < 0 or sum(parts) == 0:
-        raise argparse.ArgumentTypeError("move weights need 3 non-negative values")
+    if len(parts) != 3 or not all(map(math.isfinite, parts)) \
+            or min(parts) < 0 or sum(parts) == 0:
+        raise argparse.ArgumentTypeError(
+            "move weights need 3 finite non-negative values, not all 0")
     return parts
 
 
@@ -328,7 +336,9 @@ def build_parser() -> argparse.ArgumentParser:
                             "parallel under the interpreter lock")
     synth.add_argument("--move-weights", type=_move_weights,
                        default=(1.0, 0.0, 0.0),
-                       help="relative weights for the three update types")
+                       help="relative weights of reassign-one, "
+                            "swap-between-gates and reassign-all "
+                            "(default 1,0,0)")
     synth.add_argument("--out", default=None, help="best-network output file")
     synth.add_argument("--trace", default=None, help="trace CSV output file")
     synth.add_argument("--wall-clock-trace", action="store_true",
@@ -366,9 +376,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        # the parser reads $PTSYNTH_SEED for its defaults
+        args = build_parser().parse_args(argv)
         return args.func(args)
     except CliError as exc:
         print(str(exc), file=sys.stderr)

@@ -109,145 +109,158 @@ class SweepStats:
     best_exact: tuple[int, list[list[int]], int] | None = None
 
 
-def _draw_proposal(net, rng, gate, slot, move_weights):
-    w1, w2, w3 = move_weights
-    r = rng.random() * (w1 + w2 + w3)
-    if r < w1:
-        return moves.propose_reassign_one(
-            net, rng, gate, slot, moves.replacement_pool(net, gate, slot))
-    if r < w1 + w2:
-        return moves.propose_swap_between_gates(net, rng, gate, slot)
-    return moves.propose_reassign_all(net, rng, gate)
-
-
 def sweep(replica: Replica, beta: float, q_threshold: int | None = None,
           collect_deltas: bool = False,
           move_weights=(1.0, 0.0, 0.0)) -> SweepStats:
     """Five Metropolis attempts per gate input, gate-major and slot-minor.
 
-    The default reassign-one mix scores each attempt from its gate's output
-    cofactors (``_cofactor_sweep``); the other mixes write every attempt
-    through ``moves.apply_proposal`` and undo rejected ones with
-    ``moves.revert_proposal``.  Both leave the cache fresh and draw the same
-    random numbers for the same moves.
+    Each attempt draws its move kind by ``move_weights`` (reassign-one,
+    swap-between-gates, reassign-all; no draw when only reassign-one has
+    weight) and is scored before it is written.  A one-gate move
+    (reassign-one or reassign-all at gate g) is scored from gate g's output
+    cofactors (``output_cofactors``); a swap, which also rewires a gate g2,
+    by evaluating gates ``min(g, g2)..`` on a copy of the columns before
+    them.
+
+    At gate g the columns up to gate g are fresh and later ones may be
+    stale: an accepted one-gate move writes only gate g's column, and later
+    columns are refreshed when the sweep reaches them.  An accepted swap
+    copies back every column it evaluated.  So the cache is fresh again
+    when the sweep ends; the error and score live in locals until then.
 
     When ``q_threshold`` is given, any visited exact network that cleans up
     to fewer than that many gates is snapshotted into the returned stats.
-    """
-    deltas: list[int] | None = [] if collect_deltas else None
-    if move_weights[1] == 0 and move_weights[2] == 0:
-        return _cofactor_sweep(replica, beta, q_threshold, deltas)
-    net, cache, rng = replica.network, replica.cache, replica.rng
-    codes = net.codes
-    budget = net.constraints.max_nodes
-    apply_p = moves.apply_proposal
-    revert_p = moves.revert_proposal
-    steps = proposed = accepted = 0
-    best: tuple[int, list[list[int]], int] | None = None
-    for g in range(len(codes)):
-        for s in range(3):
-            for _ in range(5):
-                steps += 1
-                edits = _draw_proposal(net, rng, g, s, move_weights)
-                if edits is None:
-                    continue
-                proposed += 1
-                delta, undo = apply_p(net, cache, edits)
-                if delta > 0:
-                    if deltas is not None:
-                        deltas.append(delta)
-                    if not accept_uphill(delta, beta, rng):
-                        revert_p(net, cache, undo)
-                        continue
-                accepted += 1
-                score = cache.score
-                if score <= 0 and q_threshold is not None:
-                    q = score + budget
-                    if q < q_threshold and (best is None or q < best[0]):
-                        best = (q, [row[:] for row in codes], net.output_code)
-    return SweepStats(steps, proposed, accepted, deltas, best)
-
-
-def _cofactor_sweep(replica: Replica, beta: float, q_threshold: int | None,
-                    deltas: list[int] | None) -> SweepStats:
-    """The reassign-one sweep, scored without recompute or revert.
-
-    All 15 attempts at gate g edit only gate g, so the output cofactors of
-    gate g (``output_cofactors``) score every one of them: the new column is
-    one majority of the drawn literal with the two fixed operands.  An
-    accepted attempt writes only its code and gate g's column; the columns
-    after gate g go stale until the sweep reaches them and refreshes each
-    from its operands, so all are fresh again when it ends.  The error and
-    score live in locals until then.
     """
     net, cache, rng = replica.network, replica.cache, replica.rng
     codes = net.codes
     cols, mask = cache.cols, cache.mask
     budget = net.constraints.max_nodes
+    out = net.output_code
+    w1, w2, w3 = move_weights
+    mixed = w2 or w3
+    w12, total = w1 + w2, w1 + w2 + w3
     propose_one = moves.propose_reassign_one
     error, score = cache.error, cache.score
-    steps = proposed = accepted = 0
+    deltas: list[int] | None = [] if collect_deltas else None
+    proposed = accepted = 0
     best: tuple[int, list[list[int]], int] | None = None
-    hid = PI_BASE + net.n
+    base = PI_BASE + net.n
+    kind = 0  # reassign-one, unless the mix draws a kind per attempt
     for g, row in enumerate(codes):
-        # every source before gate g is final for this sweep
+        hid = base + g
         ca, cb, cc = row
         a = cols[ca >> 1] ^ (mask if ca & 1 else 0)
         b = cols[cb >> 1] ^ (mask if cb & 1 else 0)
         c = cols[cc >> 1] ^ (mask if cc & 1 else 0)
         cols[hid] = (a & (b | c)) | (b & c)
-        e0, d, reaches = output_cofactors(net, cache, g)
-        # exact and outside the output cone: the score stands (the proof is
-        # at the cone shortcut in moves.apply_proposal)
-        frozen = not (error or reaches)
-        if frozen and d:
-            raise RuntimeError(f"gate {g} is outside the output cone but "
-                               "changes the output")
+        e0 = None  # gate g's output cofactors, computed on first use
         for s in range(3):
-            pool = moves.replacement_pool(net, g, s)
-            cb, cc = row[s - 2], row[s - 1]
-            b = cols[cb >> 1] ^ (mask if cb & 1 else 0)
-            c = cols[cc >> 1] ^ (mask if cc & 1 else 0)
-            bc_or, bc_and = b | c, b & c
+            pool = None  # the slot's replacement pool and fixed operands
             for _ in range(5):
-                steps += 1
-                edits = propose_one(net, rng, g, s, pool)
-                if edits is None:
-                    continue
-                proposed += 1
-                new = edits[0][2]
-                x = ((cols[new >> 1] ^ (mask if new & 1 else 0)) & bc_or) | bc_and
-                new_error = (e0 ^ (d & x)).bit_count()
-                old = row[s]
-                if new_error:
-                    new_score = new_error
-                elif frozen:
-                    new_score = score
+                if mixed:
+                    r = rng.random() * total
+                    kind = 0 if r < w1 else 1 if r < w12 else 2
+                if kind != 1:
+                    if kind == 0:
+                        if pool is None:
+                            pool = moves.replacement_pool(net, g, s)
+                            cb, cc = row[s - 2], row[s - 1]
+                            b = cols[cb >> 1] ^ (mask if cb & 1 else 0)
+                            c = cols[cc >> 1] ^ (mask if cc & 1 else 0)
+                            bc_or, bc_and = b | c, b & c
+                        edits = propose_one(net, rng, g, s, pool)
+                        if edits is None:
+                            continue
+                        new = edits[0][2]
+                        x = ((cols[new >> 1] ^ (mask if new & 1 else 0))
+                             & bc_or) | bc_and
+                    else:
+                        edits = moves.propose_reassign_all(net, rng, g)
+                        (_, _, ca), (_, _, cb), (_, _, cc) = edits
+                        a = cols[ca >> 1] ^ (mask if ca & 1 else 0)
+                        b = cols[cb >> 1] ^ (mask if cb & 1 else 0)
+                        c = cols[cc >> 1] ^ (mask if cc & 1 else 0)
+                        x = (a & (b | c)) | (b & c)
+                    proposed += 1
+                    if e0 is None:
+                        e0, d, reaches = output_cofactors(net, cache, g)
+                        # Exact and outside the output cone: the score
+                        # stands.  No cone gate reads an edited gate, so
+                        # every cone column, and with it the output column,
+                        # is unchanged and the network stays exact.  The
+                        # cleaned count is unchanged too: at the fixpoint of
+                        # _reduce_codes every live gate is irreducible with
+                        # a distinct key, so the count is the number of
+                        # distinct hash-consed nodes reachable from the
+                        # output, and a node's hash-consed form depends only
+                        # on its own fan-in cone, that is, only on operands
+                        # of cone gates.
+                        frozen = not (error or reaches)
+                        if frozen and d:
+                            raise RuntimeError(f"gate {g} is outside the output "
+                                               "cone but changes the output")
+                    new_error = (e0 ^ (d & x)).bit_count()
+                    if new_error:
+                        new_score = new_error
+                    elif frozen:
+                        new_score = score
+                    else:
+                        old = row[:]
+                        for _, t, code in edits:
+                            row[t] = code
+                        # called through the module, so a wrapper there sees it
+                        new_score = network.cleaned_gate_count(net) - budget
+                        row[:] = old
                 else:
-                    row[s] = new
-                    # called through the module, so a wrapper there sees it
-                    new_score = network.cleaned_gate_count(net) - budget
+                    edits = moves.propose_swap_between_gates(net, rng, g, s)
+                    if edits is None:
+                        continue
+                    proposed += 1
+                    (_, _, l2), (g2, s2, l1) = edits
+                    row[s], codes[g2][s2] = l2, l1
+                    lo = base + min(g, g2)
+                    fresh = cols[:lo]
+                    for ca, cb, cc in codes[lo - base:]:
+                        a = fresh[ca >> 1] ^ (mask if ca & 1 else 0)
+                        b = fresh[cb >> 1] ^ (mask if cb & 1 else 0)
+                        c = fresh[cc >> 1] ^ (mask if cc & 1 else 0)
+                        fresh.append((a & (b | c)) | (b & c))
+                    new_error = (fresh[out >> 1] ^ (mask if out & 1 else 0)
+                                 ^ cache.target_bits).bit_count()
+                    if new_error:
+                        new_score = new_error
+                    elif not (error or output_cone(net) & (1 << g | 1 << g2)):
+                        new_score = score  # both gates outside: as for frozen
+                    else:
+                        new_score = network.cleaned_gate_count(net) - budget
+                    row[s], codes[g2][s2] = l1, l2
                 delta = new_score - score
                 if delta > 0:
                     if deltas is not None:
                         deltas.append(delta)
                     if not accept_uphill(delta, beta, rng):
-                        row[s] = old
                         continue
-                row[s] = new
-                cols[hid] = x
+                if kind == 0:
+                    row[s] = new
+                    cols[hid] = x
+                else:
+                    for eg, t, code in edits:
+                        codes[eg][t] = code
+                    if kind == 1:
+                        cols[lo:] = fresh[lo:]
+                        e0 = pool = None
+                    else:
+                        cols[hid] = x
+                        pool = None
                 error, score = new_error, new_score
                 accepted += 1
                 if score <= 0 and q_threshold is not None:
                     q = score + budget
                     if q < q_threshold and (best is None or q < best[0]):
-                        best = (q, [r[:] for r in codes], net.output_code)
-        hid += 1
-    out = net.output_code
+                        best = (q, [r[:] for r in codes], out)
     cache.out_col = cols[out >> 1] ^ (mask if out & 1 else 0)
     cache.error, cache.score = error, score
-    cache.cone = None
-    return SweepStats(steps, proposed, accepted, deltas, best)
+    return SweepStats(15 * len(codes), proposed, accepted, deltas, best)
 
 
 def swap_phase(replicas: list[Replica], ladder: TemperatureLadder,
@@ -428,9 +441,6 @@ def _check_replicas(replicas: list[Replica], target: TruthTable) -> None:
             raise RuntimeError(f"slot {replica.slot}: cache error drifted")
         if fresh.score != replica.cache.score:
             raise RuntimeError(f"slot {replica.slot}: cached score drifted")
-        cone = replica.cache.cone
-        if cone is not None and cone != output_cone(replica.network):
-            raise RuntimeError(f"slot {replica.slot}: cached output cone drifted")
 
 
 DEFAULT_REPLICAS = 51  # ladder size when the configuration sets none

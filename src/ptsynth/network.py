@@ -230,15 +230,11 @@ class EvalCache:
     ``cols[sid]`` is the 2^n-bit column of source ``sid``; ``error`` is the
     Hamming distance between the output column and the target, and ``score``
     the combined search score (error, or cleaned-gate-count minus budget
-    when the error is zero).  ``cone`` is either None or the
-    ``output_cone`` bitmask of the current network: the move path fills it
-    in lazily from exact states and drops it when an edit touches a gate
-    inside it, so only an exact network ever holds a cone.  The cofactor
-    sweep does not read it and drops it when it ends.
+    when the error is zero).  No structure of the network, such as its
+    output cone, is cached, so a code write leaves nothing else to drop.
     """
 
-    __slots__ = ("cols", "mask", "target_bits", "out_col", "error", "score",
-                 "cone")
+    __slots__ = ("cols", "mask", "target_bits", "out_col", "error", "score")
 
     def __init__(self, cols: list[int], mask: int, target: TruthTable) -> None:
         self.cols = cols
@@ -247,7 +243,6 @@ class EvalCache:
         self.out_col = 0
         self.error = 0
         self.score = 0
-        self.cone: int | None = None
 
     def output_column(self, net: LogicNetwork) -> int:
         out = net.output_code

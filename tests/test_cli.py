@@ -127,6 +127,22 @@ def test_synth_env_seed(monkeypatch, capsys, tmp_path):
     assert args.seed == 7
 
 
+def test_non_integer_env_seed_exit_2(monkeypatch, fixtures_dir, capsys):
+    monkeypatch.setenv("PTSYNTH_SEED", "abc")
+    assert_usage_error(["verify", str(fixtures_dir / "maj9_inv.mig"),
+                        "--target", "maj:9"],
+                       capsys, "PTSYNTH_SEED must be an integer, got 'abc'")
+
+
+@pytest.mark.parametrize("weights", ["nan,1,1", "1,inf,1", "0,0,inf"])
+def test_non_finite_move_weights_exit_2(weights, capsys):
+    with pytest.raises(SystemExit) as err:
+        run_cli(["synth", "--target", "maj:3", "--max-nodes", "1",
+                 "--move-weights", weights])
+    assert err.value.code == 2
+    assert "3 finite non-negative values" in capsys.readouterr().err
+
+
 def test_calibrate_replica_override(capsys):
     code = run_cli(["calibrate", "--target", "maj:3", "--gates", "maj",
                     "--max-nodes", "2", "--replicas", "8", "--seed", "1"])

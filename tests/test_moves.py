@@ -1,8 +1,10 @@
+import math
 import random
 
 import pytest
 
-from ptsynth import network
+from ptsynth import moves, network
+from ptsynth.engine import Replica, sweep
 from ptsynth.moves import (
     apply_proposal,
     propose_reassign_all,
@@ -23,7 +25,6 @@ from ptsynth.network import (
     encode_literal,
     evaluate_full,
     is_valid,
-    output_cone,
 )
 from ptsynth.truthtable import majority_truth_table
 
@@ -204,34 +205,50 @@ def test_apply_delta_matches_score_change():
 
 
 def test_out_of_cone_edit_skips_the_cleanup_count(monkeypatch):
-    # g0 = maj(x0, x1, x2), g1 = maj(x0, x1, g0) = MAJ-3 is the output, and
-    # g2 = maj(x0, x1, 0) is dead
-    cons = NetworkConstraints(3, inverters_allowed=False)
-    g0 = Literal(GATE, 0)
-    net = LogicNetwork(3, cons, [codes_of([x(0), x(1), x(2)], 3),
-                                 codes_of([x(0), x(1), g0], 3),
-                                 codes_of([x(0), x(1), const(0)], 3)],
-                       output_code=encode_literal(Literal(GATE, 1), 3))
+    # g0 = maj(x0, x1, x2) = MAJ-3 is the output and g1..g3 are dead.  At
+    # infinite beta the sweep stays exact, so no edit of g1..g3 needs the
+    # cleanup count.  Nor does a move touching g0, except a reassign-all
+    # that redraws x0, x1, x2 in some order: any other operand makes g0
+    # inexact, and a swap can only hand g0 a constant.
+    cons = NetworkConstraints(4, inverters_allowed=False)
+    g0, g1, g2 = (Literal(GATE, i) for i in range(3))
+    rows = [[x(0), x(1), x(2)], [x(0), x(1), g0], [x(2), g0, g1],
+            [x(0), g1, g2]]
+    majority = sorted(codes_of(rows[0], 3))
     target = majority_truth_table(3)
-    cache = evaluate_full(net, target)
-    assert cache.error == 0 and cache.score == 2 - 3
-    calls = []
+    at = [None]  # the gate of every proposal, in order
+    calls = []  # (proposal gate, g0's sorted codes) of every cleanup count
+
+    def tracking(real):
+        def wrapper(net, rng, gate, *rest):
+            at.append(gate)
+            return real(net, rng, gate, *rest)
+        return wrapper
+
+    for name in ("propose_reassign_one", "propose_swap_between_gates",
+                 "propose_reassign_all"):
+        monkeypatch.setattr(moves, name, tracking(getattr(moves, name)))
     real_count = network.cleaned_gate_count
 
     def counting(net):
-        calls.append(net)
+        calls.append((at[-1], sorted(net.codes[0])))
         return real_count(net)
 
     monkeypatch.setattr(network, "cleaned_gate_count", counting)
-    delta, undo = apply_proposal(net, cache, ((2, 2, encode_literal(const(1), 3)),))
-    assert (delta, len(calls)) == (0, 0)
-    assert cache.cone == output_cone(net) == 0b011
-    revert_proposal(net, cache, undo)
-    # rewiring g1 to x2 keeps it exact, merges it with g0 and leaves the cone
-    delta, _ = apply_proposal(net, cache, ((1, 2, encode_literal(x(2), 3)),))
-    assert (delta, len(calls)) == (-1, 1)
-    assert cache.error == 0 and cache.cone is None
-    assert cache.score == evaluate_full(net, target).score
+    for mix in ((1, 0, 0), (1, 1, 1), (0, 1, 0), (0, 0, 1)):
+        net = LogicNetwork(3, cons, [codes_of(row, 3) for row in rows],
+                           output_code=encode_literal(g0, 3))
+        replica = Replica(net, evaluate_full(net, target), random.Random(1), 0)
+        calls.clear()
+        for _ in range(3):
+            sweep(replica, math.inf, move_weights=mix)
+            assert (replica.cache.error, replica.score) == (0, 1 - 4)
+        # the dead gates were rewired, yet only g0's redraws were counted
+        assert net.codes[1:] != [codes_of(row, 3) for row in rows[1:]]
+        assert all(call == (0, majority) for call in calls), mix
+        if not mix[2]:
+            assert calls == []
+        assert evaluate_full(net, target).score == replica.score
 
 
 @pytest.mark.slow

@@ -1,5 +1,5 @@
-"""Property tests for the move path's output-cone shortcut and for the
-output cofactors that score the default sweep.
+"""Property tests for the output-cone shortcut, the move path and the
+output cofactors that score the sweep.
 
 Networks are drawn over n in {3, 5, 7}, every budget up to 12 gates, both
 gate sets, leafy or not, and an output that may sit on any gate (inverted
@@ -84,11 +84,6 @@ def test_out_of_cone_edit_keeps_output_and_cleaned_count(drawn, kind):
     assert evaluate_full(edited, target).out_col == before.out_col
     assert cleanup(edited)[1] == count
     assert output_cone(edited) == cone
-    # the move path takes the shortcut and reaches the same score
-    delta, _ = apply_proposal(net, before, edits)
-    assert delta == 0 and before.cone == cone
-    assert net == edited
-    assert before.score == evaluate_full(net, target).score
 
 
 @SETTINGS
@@ -109,20 +104,15 @@ def test_apply_revert_is_exact_and_scores_stay_fresh(drawn, mix, exact_start,
         codes = [row[:] for row in net.codes]
         cols = cache.cols[:]
         error, score = cache.error, cache.score
-        # an exact state gets its cone filled in before the edits are written
-        cone = cache.cone if cache.cone is not None or error else output_cone(net)
         delta, undo = apply_proposal(net, cache, edits)
         fresh = evaluate_full(net, target)
         assert cache.cols == fresh.cols and cache.out_col == fresh.out_col
         assert cache.error == fresh.error
         assert cache.score == fresh.score == score + delta
-        # only an exact network holds a cone, and it is always current
-        assert cache.cone is None or (cache.error == 0
-                                      and cache.cone == output_cone(net))
         if revert:
             revert_proposal(net, cache, undo)
             assert net.codes == codes and cache.cols == cols
-            assert (cache.error, cache.score, cache.cone) == (error, score, cone)
+            assert (cache.error, cache.score) == (error, score)
             assert cache.out_col == evaluate_full(net, target).out_col
 
 
