@@ -7,7 +7,6 @@ or degenerate calibration, 4 I/O failure.
 from __future__ import annotations
 
 import argparse
-import math
 import os
 import sys
 import time
@@ -289,11 +288,10 @@ def _move_weights(text: str) -> tuple[float, float, float]:
         parts = tuple(float(f) for f in text.split(","))
     except ValueError:
         raise argparse.ArgumentTypeError(f"bad move weights {text!r}") from None
-    if len(parts) != 3 or not all(map(math.isfinite, parts)) \
-            or min(parts) < 0 or sum(parts) == 0:
-        raise argparse.ArgumentTypeError(
-            "move weights need 3 finite non-negative values, not all 0")
-    return parts
+    try:
+        return engine.check_move_weights(parts)
+    except ValueError as err:
+        raise argparse.ArgumentTypeError(str(err)) from None
 
 
 def _add_target_options(parser: argparse.ArgumentParser, with_budget: bool = True) -> None:

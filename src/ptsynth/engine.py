@@ -122,6 +122,14 @@ def sweep(replica: Replica, beta: float, q_threshold: int | None = None,
     by evaluating gates ``min(g, g2)..`` on a copy of the columns before
     them.
 
+    A reassign-one attempt draws from the slot's replacement pool without
+    building it: ``moves.pool_layout`` gives the pool's size and the two
+    index blocks it skips, once per slot, and the drawn index
+    ``rng._randbelow(size)`` (the draws of ``randrange(size)``) becomes a
+    code by a few integer operations.  As in ``moves.propose_reassign_one``
+    it redraws while the code is the current one, and skips the attempt
+    without drawing when the pool holds fewer than two codes.
+
     At gate g the columns up to gate g are fresh and later ones may be
     stale: an accepted one-gate move writes only gate g's column, and later
     columns are refreshed when the sweep reaches them.  An accepted swap
@@ -139,7 +147,9 @@ def sweep(replica: Replica, beta: float, q_threshold: int | None = None,
     w1, w2, w3 = move_weights
     mixed = w2 or w3
     w12, total = w1 + w2, w1 + w2 + w3
-    propose_one = moves.propose_reassign_one
+    randbelow = rng._randbelow  # the draws of rng.randrange(size)
+    # pool index j >= cut holds code j + PI_BASE (see moves.pool_layout)
+    cut = PI_BASE if net.constraints.inverters_allowed else len(cols)
     error, score = cache.error, cache.score
     deltas: list[int] | None = [] if collect_deltas else None
     proposed = accepted = 0
@@ -155,23 +165,33 @@ def sweep(replica: Replica, beta: float, q_threshold: int | None = None,
         cols[hid] = (a & (b | c)) | (b & c)
         e0 = None  # gate g's output cofactors, computed on first use
         for s in range(3):
-            pool = None  # the slot's replacement pool and fixed operands
+            size = None  # the slot's pool layout and fixed operands
             for _ in range(5):
                 if mixed:
                     r = rng.random() * total
                     kind = 0 if r < w1 else 1 if r < w12 else 2
                 if kind != 1:
                     if kind == 0:
-                        if pool is None:
-                            pool = moves.replacement_pool(net, g, s)
+                        if size is None:
+                            size, first, e1, skip1, e2, skip2 = \
+                                moves.pool_layout(net, g, s)
                             cb, cc = row[s - 2], row[s - 1]
                             b = cols[cb >> 1] ^ (mask if cb & 1 else 0)
                             c = cols[cc >> 1] ^ (mask if cc & 1 else 0)
                             bc_or, bc_and = b | c, b & c
-                        edits = propose_one(net, rng, g, s, pool)
-                        if edits is None:
+                        # the current literal is in the pool: size - 1 choices
+                        if size < 2:
                             continue
-                        new = edits[0][2]
+                        cur = row[s]
+                        while True:
+                            j = first + randbelow(size)
+                            if j >= e1:
+                                j += skip1
+                            if j >= e2:
+                                j += skip2
+                            new = j << 1 if j < cut else j + PI_BASE
+                            if new != cur:
+                                break
                         x = ((cols[new >> 1] ^ (mask if new & 1 else 0))
                              & bc_or) | bc_and
                     else:
@@ -206,8 +226,11 @@ def sweep(replica: Replica, beta: float, q_threshold: int | None = None,
                         new_score = score
                     else:
                         old = row[:]
-                        for _, t, code in edits:
-                            row[t] = code
+                        if kind == 0:
+                            row[s] = new
+                        else:
+                            for _, t, code in edits:
+                                row[t] = code
                         # called through the module, so a wrapper there sees it
                         new_score = network.cleaned_gate_count(net) - budget
                         row[:] = old
@@ -248,10 +271,10 @@ def sweep(replica: Replica, beta: float, q_threshold: int | None = None,
                         codes[eg][t] = code
                     if kind == 1:
                         cols[lo:] = fresh[lo:]
-                        e0 = pool = None
+                        e0 = size = None
                     else:
                         cols[hid] = x
-                        pool = None
+                        size = None
                 error, score = new_error, new_score
                 accepted += 1
                 if score <= 0 and q_threshold is not None:
@@ -278,6 +301,16 @@ def swap_phase(replicas: list[Replica], ladder: TemperatureLadder,
             ladder.swap_accepts[i] += 1
             swapped += 1
     return swapped
+
+
+def check_move_weights(weights) -> tuple[float, float, float]:
+    """The move mix as three floats.  Raises ValueError unless there are
+    three non-negative weights, not all 0, with a finite sum."""
+    parts = tuple(float(w) for w in weights)
+    if len(parts) != 3 or min(parts) < 0 or not 0 < sum(parts) < math.inf:
+        raise ValueError("move weights need 3 finite non-negative values, "
+                         "not all 0")
+    return parts
 
 
 @dataclass
@@ -327,8 +360,10 @@ def run(target: TruthTable, constraints: NetworkConstraints,
 
     Deterministic for a fixed (target, constraints, ladder, stop, seed,
     move_weights), as long as no wall-clock stop or interrupt cuts the run
-    short.
+    short.  Raises ValueError on move weights that ``check_move_weights``
+    rejects.
     """
+    move_weights = check_move_weights(move_weights)
     if stop is None:
         stop = StopConditions()
     start = time.perf_counter()

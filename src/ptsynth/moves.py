@@ -1,9 +1,11 @@
 """Search moves: propose, apply, and exactly revert single-network updates.
 
-Every mix draws its proposals here.  ``engine.sweep`` scores them without
-writing them through the cache; ``apply_proposal`` and ``revert_proposal``
-are the plain reference it is tested against: write the edits and
-recompute, then undo them.
+``engine.sweep`` draws swaps and reassign-all moves here and scores them
+without writing them through the cache.  It draws reassign-one moves from
+``pool_layout`` by index arithmetic.  ``replacement_pool`` with
+``propose_reassign_one``, and ``apply_proposal`` with ``revert_proposal``,
+are the plain reference the sweep is tested against: list the pool and
+draw from it, write the edits and recompute, then undo them.
 
 A move is a tuple of ``(gate, slot, new_code)`` writes: reassign-one is
 ``((g, s, c),)``, swap-between-gates ``((g1, s1, l2), (g2, s2, l1))`` and
@@ -39,7 +41,9 @@ def replacement_pool(net: LogicNetwork, gate: int, slot: int) -> list[int]:
 
     The pool keeps operand sources pairwise distinct, references only earlier
     sources, and is restricted to primary inputs when the other two slots
-    would otherwise leave a leafy gate without one.
+    would otherwise leave a leafy gate without one.  ``engine.sweep`` draws
+    from it through ``pool_layout`` without building it; this list is the
+    reference that layout is tested against.
     """
     row = net.codes[gate]
     o1 = row[slot - 2] >> 1
@@ -59,6 +63,37 @@ def replacement_pool(net: LogicNetwork, gate: int, slot: int) -> list[int]:
         if inverters and s >= PI_BASE:
             pool.append(s << 1 | 1)
     return pool
+
+
+def pool_layout(net: LogicNetwork, gate: int,
+                slot: int) -> tuple[int, int, int, int, int, int]:
+    """``replacement_pool(net, gate, slot)`` as index arithmetic.
+
+    Number every literal the pool could hold in pool order: index j is code
+    ``j << 1`` without inverters; with them, ``j << 1`` below PI_BASE (the
+    constants) and ``j + PI_BASE`` from there, two entries per source.
+    Returns ``(size, first, e1, skip1, e2, skip2)``: pool entry k < size is
+    index ``first + k``, moved up by skip1 if that reaches e1, then by skip2
+    if it reaches e2, which skips the blocks of the two other operands'
+    sources.
+    """
+    row = net.codes[gate]
+    o1 = row[slot - 2] >> 1
+    o2 = row[slot - 1] >> 1
+    n = net.n
+    inverters = net.constraints.inverters_allowed
+    if net.constraints.leafy and not (PI_BASE <= o1 < PI_BASE + n
+                                      or PI_BASE <= o2 < PI_BASE + n):
+        # only the inputs, and neither other operand is one: nothing to skip
+        return 2 * n if inverters else n, PI_BASE, 0, 0, 0, 0
+    if o2 < o1:
+        o1, o2 = o2, o1
+    if not inverters:
+        return PI_BASE + n + gate - 2, 0, o1, 1, o2, 1
+    skip1, skip2 = 1 + (o1 >= PI_BASE), 1 + (o2 >= PI_BASE)
+    return (PI_BASE + 2 * (n + gate) - skip1 - skip2, 0,
+            o1 if skip1 == 1 else 2 * o1 - PI_BASE, skip1,
+            o2 if skip2 == 1 else 2 * o2 - PI_BASE, skip2)
 
 
 def propose_reassign_one(net: LogicNetwork, rng: random.Random, gate: int,

@@ -134,11 +134,21 @@ def test_non_integer_env_seed_exit_2(monkeypatch, fixtures_dir, capsys):
                        capsys, "PTSYNTH_SEED must be an integer, got 'abc'")
 
 
-@pytest.mark.parametrize("weights", ["nan,1,1", "1,inf,1", "0,0,inf"])
+@pytest.mark.parametrize("weights", ["nan,1,1", "1,inf,1", "0,0,inf",
+                                     "1e308,1e308,1"])
 def test_non_finite_move_weights_exit_2(weights, capsys):
     with pytest.raises(SystemExit) as err:
         run_cli(["synth", "--target", "maj:3", "--max-nodes", "1",
                  "--move-weights", weights])
+    assert err.value.code == 2
+    assert "3 finite non-negative values" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("weights", ["0,0,0", "-1,0,0", "1,1"])
+def test_negative_zero_or_short_move_weights_exit_2(weights, capsys):
+    with pytest.raises(SystemExit) as err:
+        run_cli(["synth", "--target", "maj:3", "--max-nodes", "1",
+                 f"--move-weights={weights}"])
     assert err.value.code == 2
     assert "3 finite non-negative values" in capsys.readouterr().err
 

@@ -229,6 +229,41 @@ def test_sweep_matches_the_move_path(n, p, inverters, leafy, exact_start,
         (fresh.cols, fresh.out_col, fresh.error, fresh.score)
 
 
+class NoRandrange(random.Random):
+    """A stream whose randrange must not be called; ``_randbelow`` is
+    inherited unchanged."""
+
+    def randrange(self, *args, **kwargs):
+        raise AssertionError("randrange called")
+
+
+@pytest.mark.parametrize("inverters,leafy", [(False, False), (True, False),
+                                             (True, True)])
+def test_reassign_one_sweep_draws_without_the_pool(inverters, leafy,
+                                                   monkeypatch):
+    def forbidden(*args):
+        raise AssertionError("called")
+
+    monkeypatch.setattr(moves, "replacement_pool", forbidden)
+    monkeypatch.setattr(moves, "propose_reassign_one", forbidden)
+    cons = NetworkConstraints(10, inverters_allowed=inverters, leafy=leafy)
+    net = random_network(7, cons, derived_rng(5, "pool-free"))
+    replica = Replica(net, evaluate_full(net, majority_truth_table(7)),
+                      NoRandrange(5), 0)
+    stats = sweep(replica, 1.0)
+    assert stats.proposed == stats.steps == 150
+
+
+@pytest.mark.parametrize("weights", [(0, 0, 0), (-1, 0, 0), (math.nan, 1, 1),
+                                     (1, math.inf, 1), (1, 1),
+                                     (1e308, 1e308, 1)])
+def test_run_rejects_move_weights_the_cli_rejects(weights):
+    with pytest.raises(ValueError, match="3 finite non-negative values"):
+        run(majority_truth_table(5), NetworkConstraints(8, inverters_allowed=False),
+            TemperatureLadder([0.5, 1.0]), StopConditions(max_repetitions=1),
+            move_weights=weights)
+
+
 def two_fixed_replicas(score_a, score_b):
     replicas = [make_replica(3, 2, seed=s) for s in (10, 11)]
     replicas[0].cache.score = score_a

@@ -1,5 +1,5 @@
-"""Property tests for the output-cone shortcut, the move path and the
-output cofactors that score the sweep.
+"""Property tests for the output-cone shortcut, the move path, the
+output cofactors that score the sweep and the pool layout it draws from.
 
 Networks are drawn over n in {3, 5, 7}, every budget up to 12 gates, both
 gate sets, leafy or not, and an output that may sit on any gate (inverted
@@ -8,10 +8,11 @@ when inverters are allowed), so many networks carry dead gates.
 
 import random
 
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from ptsynth.moves import (
     apply_proposal,
+    pool_layout,
     propose_reassign_all,
     propose_reassign_one,
     propose_swap_between_gates,
@@ -20,9 +21,11 @@ from ptsynth.moves import (
 )
 from ptsynth.network import (
     PI_BASE,
+    LogicNetwork,
     NetworkConstraints,
     cleanup,
     evaluate_full,
+    is_valid,
     output_cofactors,
     output_cone,
     random_network,
@@ -148,3 +151,69 @@ def test_output_cofactors_predict_the_error_of_every_replacement(drawn,
         for sid in range(hid, len(stale.cols)):
             stale.cols[sid] = rng.getrandbits(1 << net.n)
         assert output_cofactors(net, stale, g) == (e0, d, reaches)
+
+
+@st.composite
+def networks_with_constants(draw):
+    """Valid networks over n in 3..9 in which some operands are rewired to
+    the constants, where the gate stays valid."""
+    n = draw(st.integers(3, 9))
+    cons = NetworkConstraints(draw(st.integers(1, 12)),
+                              inverters_allowed=draw(st.booleans()),
+                              leafy=draw(st.booleans()))
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    net = random_network(n, cons, rng)
+    density = draw(st.sampled_from((0.0, 0.3, 0.7)))
+    for row in net.codes:
+        for s in range(3):
+            others = (row[s - 2] >> 1, row[s - 1] >> 1)
+            const = rng.randrange(PI_BASE)
+            if rng.random() < density and const not in others and not (
+                    cons.leafy and all(o < PI_BASE or o >= PI_BASE + n
+                                       for o in others)):
+                row[s] = const << 1
+    assert is_valid(net) == (True, None)
+    return net
+
+
+def pool_entry(net, layout, k):
+    """Entry k of the pool by the arithmetic ``engine.sweep`` inlines."""
+    size, first, e1, skip1, e2, skip2 = layout
+    j = first + k
+    if j >= e1:
+        j += skip1
+    if j >= e2:
+        j += skip2
+    inverters = net.constraints.inverters_allowed
+    return j << 1 if j < PI_BASE or not inverters else j + PI_BASE
+
+
+# leafy, and slot 0 of both gates has no input among its other operands,
+# so the input-only branch of pool_layout is taken on every run
+@example(LogicNetwork(3, NetworkConstraints(2, inverters_allowed=False,
+                                            leafy=True),
+                      [[4, 0, 2], [4, 0, 10]]))
+@example(LogicNetwork(3, NetworkConstraints(2, inverters_allowed=True,
+                                            leafy=True),
+                      [[5, 0, 2], [4, 2, 11]]))
+@SETTINGS
+@given(networks_with_constants())
+def test_pool_layout_maps_every_index_to_the_pool_entry(net):
+    for g in range(net.num_gates):
+        for s in range(3):
+            pool = replacement_pool(net, g, s)
+            layout = pool_layout(net, g, s)
+            assert layout[0] == len(pool)
+            assert [pool_entry(net, layout, k) for k in range(len(pool))] == pool
+            assert net.codes[g][s] in pool
+
+
+@SETTINGS
+@given(st.integers(0, 2**64), st.one_of(st.integers(1, 70),
+                                        st.integers(1, 2**70)))
+def test_randbelow_draws_as_randrange(seed, size):
+    # the sweep draws with rng._randbelow(size) in place of randrange(size)
+    ours, ref = random.Random(seed), random.Random(seed)
+    assert [ours._randbelow(size) for _ in range(8)] \
+        == [ref.randrange(size) for _ in range(8)]
+    assert ours.getstate() == ref.getstate()
