@@ -79,9 +79,15 @@ def _load_target(label: str) -> tuple[TruthTable, str]:
             raise CliError(str(exc), EXIT_USAGE) from None
     text = _read_text(label)
     try:
-        return parse_truth_table_file(text), label
+        target = parse_truth_table_file(text)
     except TruthTableError as exc:
         raise CliError(f"{label}: {exc}", EXIT_USAGE) from None
+    # every score counts each input vector once, so a weight other than 1
+    # would be read and then ignored
+    if target.weights is not None and any(w != 1 for w in target.weights):
+        raise CliError(f"{label}: weights other than 1 are not supported",
+                       EXIT_USAGE)
+    return target, label
 
 
 def _default_seed() -> int:

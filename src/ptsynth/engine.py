@@ -116,11 +116,21 @@ def sweep(replica: Replica, beta: float, q_threshold: int | None = None,
 
     Each attempt draws its move kind by ``move_weights`` (reassign-one,
     swap-between-gates, reassign-all; no draw when only reassign-one has
-    weight) and is scored before it is written.  A one-gate move
-    (reassign-one or reassign-all at gate g) is scored from gate g's output
-    cofactors (``output_cofactors``); a swap, which also rewires a gate g2,
-    by evaluating gates ``min(g, g2)..`` on a copy of the columns before
-    them.
+    weight) and is scored before it is written.
+
+    The sweep takes the output cone (``output_cone``) once.  A gate's cone
+    bit depends only on the operands of later gates, and every literal a
+    move at gate g writes or overwrites names a source below gate g (a
+    swap's partner literal must be legal at gate g too).  So no move changes
+    the cone bit of the gate it is made at or of any gate above it, and the
+    bit of the visited gate is exact.  A one-gate move (reassign-one or
+    reassign-all at gate g) at a gate outside the cone keeps both error and
+    score, so it is accepted with delta 0 and only its codes are written;
+    gate g's column is recomputed once, as the sweep leaves the gate.  At a
+    cone gate the move is scored from gate g's output cofactors
+    (``output_cofactors``), which evaluate only the later cone gates that
+    read gate g.  A swap, which also rewires a gate g2, is scored by
+    evaluating gates ``min(g, g2)..`` on a copy of the columns before them.
 
     A reassign-one attempt draws from the slot's replacement pool without
     building it: ``moves.pool_layout`` gives the pool's size and the two
@@ -130,11 +140,14 @@ def sweep(replica: Replica, beta: float, q_threshold: int | None = None,
     it redraws while the code is the current one, and skips the attempt
     without drawing when the pool holds fewer than two codes.
 
-    At gate g the columns up to gate g are fresh and later ones may be
-    stale: an accepted one-gate move writes only gate g's column, and later
-    columns are refreshed when the sweep reaches them.  An accepted swap
-    copies back every column it evaluated.  So the cache is fresh again
-    when the sweep ends; the error and score live in locals until then.
+    When the sweep visits gate g, the columns of every gate below g and of
+    every cone gate are fresh; the cone is closed under operand edges, so a
+    cone gate reads no gate outside it.  An accepted one-gate move at a cone
+    gate writes only gate g's column; as the sweep leaves the gate, it
+    refreshes the later cone gates that read gate g from their cofactor
+    columns if gate g's column changed.  An accepted swap copies back every
+    column it evaluated.  So the cache is fresh again when the sweep ends;
+    the error and score live in locals until then.
 
     When ``q_threshold`` is given, any visited exact network that cleans up
     to fewer than that many gates is snapshotted into the returned stats.
@@ -148,6 +161,7 @@ def sweep(replica: Replica, beta: float, q_threshold: int | None = None,
     mixed = w2 or w3
     w12, total = w1 + w2, w1 + w2 + w3
     randbelow = rng._randbelow  # the draws of rng.randrange(size)
+    random, exp = rng.random, math.exp
     # pool index j >= cut holds code j + PI_BASE (see moves.pool_layout)
     cut = PI_BASE if net.constraints.inverters_allowed else len(cols)
     error, score = cache.error, cache.score
@@ -156,13 +170,14 @@ def sweep(replica: Replica, beta: float, q_threshold: int | None = None,
     best: tuple[int, list[list[int]], int] | None = None
     base = PI_BASE + net.n
     kind = 0  # reassign-one, unless the mix draws a kind per attempt
+    cone = output_cone(net)
+    # set once an accepted move may have changed cone bits below the
+    # visited gate; bits from the visited gate up stay exact
+    moved = False
     for g, row in enumerate(codes):
         hid = base + g
-        ca, cb, cc = row
-        a = cols[ca >> 1] ^ (mask if ca & 1 else 0)
-        b = cols[cb >> 1] ^ (mask if cb & 1 else 0)
-        c = cols[cc >> 1] ^ (mask if cc & 1 else 0)
-        cols[hid] = (a & (b | c)) | (b & c)
+        inside = cone >> g & 1
+        entry = cols[hid]  # fresh if inside the cone
         e0 = None  # gate g's output cofactors, computed on first use
         for s in range(3):
             size = None  # the slot's pool layout and fixed operands
@@ -175,10 +190,11 @@ def sweep(replica: Replica, beta: float, q_threshold: int | None = None,
                         if size is None:
                             size, first, e1, skip1, e2, skip2 = \
                                 moves.pool_layout(net, g, s)
-                            cb, cc = row[s - 2], row[s - 1]
-                            b = cols[cb >> 1] ^ (mask if cb & 1 else 0)
-                            c = cols[cc >> 1] ^ (mask if cc & 1 else 0)
-                            bc_or, bc_and = b | c, b & c
+                            if inside:
+                                cb, cc = row[s - 2], row[s - 1]
+                                b = cols[cb >> 1] ^ (mask if cb & 1 else 0)
+                                c = cols[cc >> 1] ^ (mask if cc & 1 else 0)
+                                bc_or, bc_and = b | c, b & c
                         # the current literal is in the pool: size - 1 choices
                         if size < 2:
                             continue
@@ -192,38 +208,44 @@ def sweep(replica: Replica, beta: float, q_threshold: int | None = None,
                             new = j << 1 if j < cut else j + PI_BASE
                             if new != cur:
                                 break
+                    else:
+                        edits = moves.propose_reassign_all(net, rng, g)
+                    proposed += 1
+                    if not inside:
+                        # The output does not read gate g: error and score
+                        # stand.  The cleaned count stands too: at the
+                        # fixpoint of _reduce_codes every live gate is
+                        # irreducible with a distinct key, so the count is
+                        # the number of distinct hash-consed nodes reachable
+                        # from the output, and a node's hash-consed form
+                        # depends only on its own fan-in cone, that is, only
+                        # on operands of cone gates.
+                        if kind == 0:
+                            row[s] = new
+                        else:
+                            for _, t, code in edits:
+                                row[t] = code
+                            size = None
+                        accepted += 1
+                        if score <= 0 and q_threshold is not None:
+                            q = score + budget
+                            if q < q_threshold and (best is None or q < best[0]):
+                                best = (q, [r[:] for r in codes], out)
+                        continue
+                    if kind == 0:
                         x = ((cols[new >> 1] ^ (mask if new & 1 else 0))
                              & bc_or) | bc_and
                     else:
-                        edits = moves.propose_reassign_all(net, rng, g)
                         (_, _, ca), (_, _, cb), (_, _, cc) = edits
                         a = cols[ca >> 1] ^ (mask if ca & 1 else 0)
                         b = cols[cb >> 1] ^ (mask if cb & 1 else 0)
                         c = cols[cc >> 1] ^ (mask if cc & 1 else 0)
                         x = (a & (b | c)) | (b & c)
-                    proposed += 1
                     if e0 is None:
-                        e0, d, reaches = output_cofactors(net, cache, g)
-                        # Exact and outside the output cone: the score
-                        # stands.  No cone gate reads an edited gate, so
-                        # every cone column, and with it the output column,
-                        # is unchanged and the network stays exact.  The
-                        # cleaned count is unchanged too: at the fixpoint of
-                        # _reduce_codes every live gate is irreducible with
-                        # a distinct key, so the count is the number of
-                        # distinct hash-consed nodes reachable from the
-                        # output, and a node's hash-consed form depends only
-                        # on its own fan-in cone, that is, only on operands
-                        # of cone gates.
-                        frozen = not (error or reaches)
-                        if frozen and d:
-                            raise RuntimeError(f"gate {g} is outside the output "
-                                               "cone but changes the output")
+                        e0, d, stale = output_cofactors(net, cache, g, cone)
                     new_error = (e0 ^ (d & x)).bit_count()
                     if new_error:
                         new_score = new_error
-                    elif frozen:
-                        new_score = score
                     else:
                         old = row[:]
                         if kind == 0:
@@ -252,8 +274,17 @@ def sweep(replica: Replica, beta: float, q_threshold: int | None = None,
                                  ^ cache.target_bits).bit_count()
                     if new_error:
                         new_score = new_error
-                    elif not (error or output_cone(net) & (1 << g | 1 << g2)):
-                        new_score = score  # both gates outside: as for frozen
+                    # Both gates outside the cone: as for a one-gate edit
+                    # there.  With gate g outside, gate g2 is outside the
+                    # cone before the swap exactly when it is outside it
+                    # after, and the cone is then the same.  Gate g2's
+                    # cached bit is exact above gate g, and below it until
+                    # a move is accepted; after that the swapped codes are
+                    # walked.
+                    elif not (error or cone >> g & 1
+                              or (output_cone(net) if moved and g2 < g
+                                  else cone) >> g2 & 1):
+                        new_score = score
                     else:
                         new_score = network.cleaned_gate_count(net) - budget
                     row[s], codes[g2][s2] = l1, l2
@@ -261,26 +292,41 @@ def sweep(replica: Replica, beta: float, q_threshold: int | None = None,
                 if delta > 0:
                     if deltas is not None:
                         deltas.append(delta)
-                    if not accept_uphill(delta, beta, rng):
+                    if not random() < exp(-beta * delta):  # accept_uphill
                         continue
                 if kind == 0:
                     row[s] = new
                     cols[hid] = x
+                    moved = True
                 else:
                     for eg, t, code in edits:
                         codes[eg][t] = code
                     if kind == 1:
                         cols[lo:] = fresh[lo:]
-                        e0 = size = None
+                        entry = cols[hid]
+                        e0 = None
                     else:
                         cols[hid] = x
-                        size = None
+                    moved = True
+                    size = None
                 error, score = new_error, new_score
                 accepted += 1
                 if score <= 0 and q_threshold is not None:
                     q = score + budget
                     if q < q_threshold and (best is None or q < best[0]):
                         best = (q, [r[:] for r in codes], out)
+        if not inside:
+            ca, cb, cc = row
+            a = cols[ca >> 1] ^ (mask if ca & 1 else 0)
+            b = cols[cb >> 1] ^ (mask if cb & 1 else 0)
+            c = cols[cc >> 1] ^ (mask if cc & 1 else 0)
+            cols[hid] = (a & (b | c)) | (b & c)
+        elif cols[hid] != entry:
+            # only an accepted one-gate move, scored after e0 was taken,
+            # changes gate g's column
+            x = cols[hid]
+            for h, c0, dh in stale:
+                cols[base + h] = c0 ^ (dh & x)
     cache.out_col = cols[out >> 1] ^ (mask if out & 1 else 0)
     cache.error, cache.score = error, score
     return SweepStats(15 * len(codes), proposed, accepted, deltas, best)

@@ -324,49 +324,64 @@ def recompute_from(net: LogicNetwork, cache: EvalCache, changed_gate: int,
     return cache.error
 
 
-def output_cofactors(net: LogicNetwork, cache: EvalCache,
-                     g: int) -> tuple[int, int, bool]:
+def output_cofactors(net: LogicNetwork, cache: EvalCache, g: int,
+                     cone: int) -> tuple[int, int, list[tuple[int, int, int]]]:
     """Score every possible column of gate ``g`` at once.
 
     Majority gates act bitwise, so on each input vector the output bit is a
     function of gate g's bit on that vector alone.  With ``o0`` and ``o1``
     the output columns when gate g's column is forced to 0 and to ``mask``,
-    this returns ``(e0, d, reaches)``: ``e0 = o0 ^ target``,
-    ``d = o0 ^ o1``, and whether the output reads gate g through operand
-    edges (``output_cone(net) >> g & 1``).  Giving gate g the column ``x``
-    then makes the error ``(e0 ^ (d & x)).bit_count()``.
+    this returns ``(e0, d, stale)``: ``e0 = o0 ^ target`` and
+    ``d = o0 ^ o1``, so giving gate g the column ``x`` makes the error
+    ``(e0 ^ (d & x)).bit_count()``.  ``stale`` lists, in gate order, the
+    gates after g in ``cone`` (``output_cone(net)``) that read gate g
+    through operand edges, as ``(h, c0, dh)``: gate h's column is
+    ``c0 ^ (dh & x)`` once gate g's column is ``x``.
 
-    Only the cached columns of the sources before gate g are read; the
-    gates after it are recomputed here, so their cached columns may be
-    stale.
+    Only those gates are evaluated.  Every other column is read from the
+    cache: the sources before gate g, and the cone gates after it that do
+    not read it, must be fresh.  A cone gate reads only cone gates and
+    sources before it, so the columns of gate g and of the gates outside
+    the cone are never read and may be stale.  For a gate outside the cone
+    ``d`` is 0 and ``stale`` is empty.
     """
     codes = net.codes
     if not 0 <= g < len(codes):
         raise ValueError(f"gate index {g} out of range")
     cols, mask = cache.cols, cache.mask
-    hid = PI_BASE + net.n + g
-    c0 = cols[:hid]
-    c0.append(0)
+    base = PI_BASE + net.n
+    hid = base + g
+    out = net.output_code
+    top = (out >> 1) - base  # the highest cone gate, if the output is a gate
+    c0 = cols[:]
+    c0[hid] = 0
     c1 = c0[:]
     c1[hid] = mask
-    fanout = {hid}  # gate g and every gate that structurally reads it
-    for ca, cb, cc in codes[g + 1:]:
-        a = c0[ca >> 1] ^ (mask if ca & 1 else 0)
-        b = c0[cb >> 1] ^ (mask if cb & 1 else 0)
-        c = c0[cc >> 1] ^ (mask if cc & 1 else 0)
-        col = (a & (b | c)) | (b & c)
-        c0.append(col)
-        if ca >> 1 in fanout or cb >> 1 in fanout or cc >> 1 in fanout:
-            fanout.add(len(c1))
-            a = c1[ca >> 1] ^ (mask if ca & 1 else 0)
-            b = c1[cb >> 1] ^ (mask if cb & 1 else 0)
-            c = c1[cc >> 1] ^ (mask if cc & 1 else 0)
-            col = (a & (b | c)) | (b & c)
-        c1.append(col)
-    out = net.output_code
+    stale = []
+    reads = 1 << hid  # source-id bits of gate g and of the gates that read it
+    later = cone >> g
+    for h in range(g + 1, top + 1):
+        later >>= 1
+        if not later & 1:
+            continue
+        ca, cb, cc = codes[h]
+        ia, ib, ic = ca >> 1, cb >> 1, cc >> 1
+        if not (reads >> ia | reads >> ib | reads >> ic) & 1:
+            continue
+        sid = base + h
+        reads |= 1 << sid
+        a = c0[ia] ^ (mask if ca & 1 else 0)
+        b = c0[ib] ^ (mask if cb & 1 else 0)
+        c = c0[ic] ^ (mask if cc & 1 else 0)
+        x0 = c0[sid] = (a & (b | c)) | (b & c)
+        a = c1[ia] ^ (mask if ca & 1 else 0)
+        b = c1[ib] ^ (mask if cb & 1 else 0)
+        c = c1[ic] ^ (mask if cc & 1 else 0)
+        x1 = c1[sid] = (a & (b | c)) | (b & c)
+        stale.append((h, x0, x0 ^ x1))
     sid = out >> 1
     o0 = c0[sid] ^ (mask if out & 1 else 0)
-    return o0 ^ cache.target_bits, c0[sid] ^ c1[sid], sid in fanout
+    return o0 ^ cache.target_bits, c0[sid] ^ c1[sid], stale
 
 
 def output_cone(net: LogicNetwork) -> int:

@@ -2,8 +2,9 @@
 
 A table over n inputs stores all 2^n function values in one Python integer:
 bit i holds the value on the input vector encoded by i, with x0 as the
-least significant bit of i.  Optional per-vector weights feed the weighted
-error; weight 0 marks a don't-care.
+least significant bit of i.  A table may carry per-vector weights; the
+search scores every vector with weight 1, and the command line rejects
+any other weight.
 """
 
 from __future__ import annotations

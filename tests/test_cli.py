@@ -251,6 +251,33 @@ def test_target_file_loading(tmp_path, capsys):
     assert code == 0
 
 
+@pytest.mark.parametrize("command", ["synth", "calibrate", "verify"])
+def test_target_file_with_a_zero_weight_exit_2(command, tmp_path, capsys):
+    table = tmp_path / "maj3.tt"
+    table.write_text("E8\nweights: 1 1 1 0 1 1 1 1\n")
+    args = [command, "--target", str(table)]
+    if command == "verify":
+        network = tmp_path / "maj3.mig"
+        network.write_text("inputs 3\ng0 = MAJ(x0, x1, x2)\noutput g0\n")
+        args.insert(1, str(network))
+    else:
+        args += ["--gates", "maj", "--max-nodes", "1"]
+    assert run_cli(args) == 2
+    err = capsys.readouterr().err
+    assert err.splitlines() == [f"{table}: weights other than 1 are not "
+                                "supported"]
+
+
+def test_target_file_with_unit_weights_runs(tmp_path, capsys):
+    table = tmp_path / "maj3.tt"
+    table.write_text("E8\nweights: 1 1 1 1 1 1 1 1\n")
+    code = run_cli(["synth", "--target", str(table), "--gates", "maj",
+                    "--max-nodes", "1", "--seed", "1", "--replicas", "6"])
+    out = capsys.readouterr().out
+    assert code == 0
+    assert "found exact network: q=1" in out
+
+
 @pytest.mark.slow
 def test_bench_quick_suite(tmp_path, capsys):
     summary = tmp_path / "bench.csv"

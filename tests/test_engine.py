@@ -229,6 +229,42 @@ def test_sweep_matches_the_move_path(n, p, inverters, leafy, exact_start,
         (fresh.cols, fresh.out_col, fresh.error, fresh.score)
 
 
+@pytest.mark.parametrize("mix", [(1, 0, 0), (1, 1, 1), (0, 1, 0), (0, 0, 1)])
+@pytest.mark.parametrize("p,exact_start", [(3, False), (8, True)])
+def test_sweep_takes_the_cone_once_and_no_cofactors_outside_it(
+        mix, p, exact_start, monkeypatch):
+    cones = 0
+    cofactor_gates = []
+    real_cone, real_cofactors = engine.output_cone, engine.output_cofactors
+
+    def counting_cone(net):
+        nonlocal cones
+        cones += 1
+        return real_cone(net)
+
+    def checked_cofactors(net, cache, g, cone):
+        assert network.output_cone(net) >> g & 1, f"gate {g} is outside"
+        cofactor_gates.append(g)
+        return real_cofactors(net, cache, g, cone)
+
+    monkeypatch.setattr(engine, "output_cone", counting_cone)
+    monkeypatch.setattr(engine, "output_cofactors", checked_cofactors)
+    cons = NetworkConstraints(p, inverters_allowed=True)
+    rng = derived_rng(p, "cone")
+    net = random_network(5, cons, rng)
+    # MAJ-5 needs more than 3 gates, so the p=3 replica never turns exact
+    target = TruthTable(5, evaluate_full(net, majority_truth_table(5)).out_col) \
+        if exact_start else majority_truth_table(5)
+    replica = Replica(net, evaluate_full(net, target), rng, 0)
+    sweeps = 6
+    for _ in range(sweeps):
+        sweep(replica, 2.0, move_weights=mix)
+    if not (exact_start and mix[1]):
+        # an exact swap check may walk the swapped codes once more
+        assert cones == sweeps
+    assert cofactor_gates or mix == (0, 1, 0)
+
+
 class NoRandrange(random.Random):
     """A stream whose randrange must not be called; ``_randbelow`` is
     inherited unchanged."""
@@ -476,12 +512,39 @@ def test_run_without_exact_solution_reports_positive_score():
     assert report.best_score > 0
 
 
-def test_run_debug_checks_hold():
-    target = majority_truth_table(4 - 1)
-    cons = NetworkConstraints(3, inverters_allowed=True)
-    ladder = TemperatureLadder([0.1, 0.6, 2.0])
-    run(target, cons, ladder, StopConditions(max_repetitions=10), seed=4,
-        debug_checks=True)
+@pytest.mark.parametrize("mix", [(1, 0, 0), (1, 1, 1), (0, 1, 0), (0, 0, 1)],
+                         ids=["one", "mixed", "swap", "all"])
+@pytest.mark.parametrize("inverters,leafy", [(False, False), (False, True),
+                                             (True, False), (True, True)],
+                         ids=["maj", "maj-leafy", "inv", "inv-leafy"])
+def test_run_debug_checks_hold(mix, inverters, leafy, monkeypatch):
+    # _check_replicas compares every cached column with evaluate_full after
+    # every repetition; the two seeds together take every case through
+    # both phases
+    phases = set()
+    accepted = 0
+    real_check, real_sweep = engine._check_replicas, engine.sweep
+
+    def recording_check(replicas, target):
+        real_check(replicas, target)
+        phases.update(replica.cache.error == 0 for replica in replicas)
+
+    def counting_sweep(*args, **kwargs):
+        nonlocal accepted
+        stats = real_sweep(*args, **kwargs)
+        accepted += stats.accepted
+        return stats
+
+    monkeypatch.setattr(engine, "_check_replicas", recording_check)
+    monkeypatch.setattr(engine, "sweep", counting_sweep)
+    target = majority_truth_table(5)
+    cons = NetworkConstraints(8, inverters_allowed=inverters, leafy=leafy)
+    for seed in (1, 4):
+        run(target, cons, TemperatureLadder([0.1, 0.6, 2.0, 5.0]),
+            StopConditions(max_repetitions=40), seed=seed,
+            move_weights=mix, debug_checks=True)
+    assert phases == {False, True}
+    assert accepted
 
 
 def test_run_sweeps_on_the_calling_thread(monkeypatch):

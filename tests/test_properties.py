@@ -1,5 +1,6 @@
-"""Property tests for the output-cone shortcut, the move path, the
-output cofactors that score the sweep and the pool layout it draws from.
+"""Property tests for the output-cone shortcut and the cone bits a move
+keeps, the move path, the output cofactors that score the sweep and the
+pool layout it draws from.
 
 Networks are drawn over n in {3, 5, 7}, every budget up to 12 gates, both
 gate sets, leafy or not, and an output that may sit on any gate (inverted
@@ -25,6 +26,7 @@ from ptsynth.network import (
     NetworkConstraints,
     cleanup,
     evaluate_full,
+    input_column,
     is_valid,
     output_cofactors,
     output_cone,
@@ -119,6 +121,28 @@ def test_apply_revert_is_exact_and_scores_stay_fresh(drawn, mix, exact_start,
             assert cache.out_col == evaluate_full(net, target).out_col
 
 
+def forced_columns(net, g, col):
+    """Every source column, evaluated from scratch with gate g's column
+    forced to ``col``."""
+    n = net.n
+    mask = (1 << (1 << n)) - 1
+    cols = [0, mask] + [input_column(i, n) for i in range(n)]
+    for h, row in enumerate(net.codes):
+        a, b, c = (cols[code >> 1] ^ (mask if code & 1 else 0) for code in row)
+        cols.append(col if h == g else (a & (b | c)) | (b & c))
+    return cols
+
+
+def readers(net, g):
+    """The gates after g that read gate g through operand edges."""
+    base = PI_BASE + net.n
+    reading = {base + g}
+    for h, row in enumerate(net.codes[g + 1:], g + 1):
+        if any(code >> 1 in reading for code in row):
+            reading.add(base + h)
+    return sorted(sid - base for sid in reading if sid != base + g)
+
+
 @SETTINGS
 @given(networks(), st.booleans())
 def test_output_cofactors_predict_the_error_of_every_replacement(drawn,
@@ -128,29 +152,62 @@ def test_output_cofactors_predict_the_error_of_every_replacement(drawn,
         else TruthTable(net.n, rng.getrandbits(1 << net.n))
     cache = evaluate_full(net, target)
     cone = output_cone(net)
+    base, mask, out = PI_BASE + net.n, cache.mask, net.output_code
     for g in range(net.num_gates):
-        e0, d, reaches = output_cofactors(net, cache, g)
-        assert reaches == bool(cone >> g & 1)
-        if not reaches:
-            assert d == 0
+        hid = base + g
+        o0, o1 = (forced_columns(net, g, col)[out >> 1] ^ (mask if out & 1 else 0)
+                  for col in (0, mask))
+        if not cone >> g & 1:
+            # the output reads no gate outside the cone
+            assert o0 == o1 == cache.out_col
+            continue
+        e0, d, stale = output_cofactors(net, cache, g, cone)
+        assert (e0, d) == (o0 ^ target.bits, o0 ^ o1)
+        assert [h for h, _, _ in stale] == [h for h in readers(net, g)
+                                            if cone >> h & 1]
         # the current column of gate g reproduces the current error
-        assert (e0 ^ (d & cache.cols[PI_BASE + net.n + g])).bit_count() \
-            == cache.error
+        assert (e0 ^ (d & cache.cols[hid])).bit_count() == cache.error
         s = rng.randrange(3)
         edits = propose_reassign_one(net, rng, g, s, replacement_pool(net, g, s))
+        if edits is not None:
+            edited = net.copy()
+            edited.codes[g][s] = edits[0][2]
+            a, b, c = (cache.literal_column(code) for code in edited.codes[g])
+            x = (a & (b | c)) | (b & c)
+            fresh = evaluate_full(edited, target)
+            assert (e0 ^ (d & x)).bit_count() == fresh.error
+            # refreshing the stale gates makes every later cone column fresh
+            cols = cache.cols[:]
+            cols[hid] = x
+            for h, c0, dh in stale:
+                cols[base + h] = c0 ^ (dh & x)
+            assert all(cols[base + h] == fresh.cols[base + h]
+                       for h in range(g, net.num_gates) if cone >> h & 1)
+        # the columns of gate g and of the gates outside the cone are not read
+        scrambled = evaluate_full(net, target)
+        for h in range(net.num_gates):
+            if h == g or not cone >> h & 1:
+                scrambled.cols[base + h] = rng.getrandbits(1 << net.n)
+        assert output_cofactors(net, scrambled, g, cone) == (e0, d, stale)
+
+
+@SETTINGS
+@given(networks(), st.sampled_from((0, 1, 2)), st.integers(1, 6))
+def test_no_move_changes_the_cone_bits_from_its_gate_up(drawn, kind, count):
+    # every literal a move at gate g writes or overwrites names a source
+    # below g, so the cone bits of g and the gates above it stay put; for
+    # a swap that holds from the lower of its two gates up
+    net, rng = drawn
+    for _ in range(count):
+        g = rng.randrange(net.num_gates)
+        edits = propose(net, rng, kind, g, rng.randrange(3))
         if edits is None:
             continue
-        edited = net.copy()
-        edited.codes[g][s] = edits[0][2]
-        a, b, c = (cache.literal_column(code) for code in edited.codes[g])
-        x = (a & (b | c)) | (b & c)
-        assert (e0 ^ (d & x)).bit_count() == evaluate_full(edited, target).error
-        # the cached columns of gate g and the gates after it are not read
-        hid = PI_BASE + net.n + g
-        stale = evaluate_full(net, target)
-        for sid in range(hid, len(stale.cols)):
-            stale.cols[sid] = rng.getrandbits(1 << net.n)
-        assert output_cofactors(net, stale, g) == (e0, d, reaches)
+        lo = min(eg for eg, _, _ in edits)
+        cone = output_cone(net)
+        for eg, s, code in edits:
+            net.codes[eg][s] = code
+        assert output_cone(net) >> lo == cone >> lo
 
 
 @st.composite
