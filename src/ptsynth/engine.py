@@ -213,10 +213,11 @@ def sweep(replica: Replica, beta: float, q_threshold: int | None = None,
                     proposed += 1
                     if not inside:
                         # The output does not read gate g: error and score
-                        # stand.  The cleaned count stands too: at the
-                        # fixpoint of _reduce_codes every live gate is
-                        # irreducible with a distinct key, so the count is
-                        # the number of distinct hash-consed nodes reachable
+                        # stand.  The cleaned count stands too: cleanup's
+                        # one pass in gate order rewrites each gate from its
+                        # operands' final codes, so every live gate ends
+                        # irreducible with a distinct key, the count is the
+                        # number of distinct hash-consed nodes reachable
                         # from the output, and a node's hash-consed form
                         # depends only on its own fan-in cone, that is, only
                         # on operands of cone gates.

@@ -384,13 +384,11 @@ def output_cofactors(net: LogicNetwork, cache: EvalCache, g: int,
     return o0 ^ cache.target_bits, c0[sid] ^ c1[sid], stale
 
 
-def output_cone(net: LogicNetwork) -> int:
-    """Bitmask of the gates the output reaches through operand edges (bit g
-    for gate g), found on the raw codes without any cleanup."""
-    base = PI_BASE + net.n
-    codes = net.codes
+def _cone(codes, base: int, out: int) -> int:
+    """Bitmask of the gates that output code ``out`` reaches through the
+    operand rows ``codes`` (bit g for gate g; ``base`` is gate 0's source id)."""
     cone = 0
-    stack = [(net.output_code >> 1) - base]
+    stack = [(out >> 1) - base]
     while stack:
         g = stack.pop()
         if g >= 0 and not cone >> g & 1:
@@ -400,6 +398,12 @@ def output_cone(net: LogicNetwork) -> int:
             stack.append((cb >> 1) - base)
             stack.append((cc >> 1) - base)
     return cone
+
+
+def output_cone(net: LogicNetwork) -> int:
+    """Bitmask of the gates the output reaches through operand edges (bit g
+    for gate g), found on the raw codes without any cleanup."""
+    return _cone(net.codes, PI_BASE + net.n, net.output_code)
 
 
 def weighted_energy(cache: EvalCache, weights) -> float:
@@ -416,127 +420,89 @@ def weighted_energy(cache: EvalCache, weights) -> float:
     return total
 
 
-def _invert_code(code: int) -> int:
-    # inverted constants normalize to the opposite constant
-    return code ^ 2 if code < 4 else code ^ 1
-
-
 def _reduce_codes(n: int, codes: list[list[int]], output_code: int):
-    """Shared cleanup core: trivial-gate and duplicate elimination to fixpoint.
+    """Shared cleanup core: trivial-gate and duplicate elimination.
 
-    Returns (lits, alive, resolved_output) where ``lits`` holds fully
-    substituted operand codes for surviving gates.  Substitutions live in a
-    path-compressed table indexed by operand code.
+    One pass in gate order reaches the fixpoint: gate g reads only earlier
+    sources, whose substitutions are final when g is visited, so a second
+    pass would find the same operands and keys.  Substitutions live in a
+    table indexed by operand code, and every entry names its final code.
+
+    Returns (lits, out, cone): every gate's substituted operand codes, the
+    substituted output code, and the bitmask of gates that output reaches.
     """
     base = PI_BASE + n
-    p = len(codes)
-    table = list(range((base + p) << 1))
-    lits = [row[:] for row in codes]
-    alive = [True] * p
-
-    def chase(code: int) -> int:
-        trail = []
-        step = table[code]
-        while step != code:
-            trail.append(code)
-            code, step = step, table[step]
-        for entry in trail:
-            table[entry] = code
-        return code
-
-    changed = True
-    while changed:
-        changed = False
-        seen: dict[int, int] = {}
-        for g in range(p):
-            if not alive[g]:
+    table = list(range((base + len(codes)) << 1))
+    width = len(table).bit_length()  # every code fits in one key field
+    seen: dict[int, int] = {}
+    lits = []
+    removed = 0
+    for g, (a, b, c) in enumerate(codes):
+        a, b, c = table[a], table[b], table[c]
+        lits.append((a, b, c))
+        if a == b or a == c:
+            red = a
+        elif b == c:
+            red = b
+        elif a >> 1 == b >> 1:
+            red = c
+        elif a >> 1 == c >> 1:
+            red = b
+        elif b >> 1 == c >> 1:
+            red = a
+        # two distinct constants pass the third operand through
+        elif a < 4 and b < 4:
+            red = c
+        elif a < 4 and c < 4:
+            red = b
+        elif b < 4 and c < 4:
+            red = a
+        else:
+            # irreducible: merge gates computing the same function
+            if a > b:
+                a, b = b, a
+            if b > c:
+                b, c = c, b
+            if a > b:
+                a, b = b, a
+            key = (a << width | b) << width | c
+            other = seen.get(key)
+            if other is None:
+                seen[key] = g
                 continue
-            row = lits[g]
-            a = row[0]
-            if table[a] != a:
-                a = chase(a)
-            b = row[1]
-            if table[b] != b:
-                b = chase(b)
-            c = row[2]
-            if table[c] != c:
-                c = chase(c)
-            row[0], row[1], row[2] = a, b, c
-            if a == b or a == c:
-                red = a
-            elif b == c:
-                red = b
-            elif a >> 1 == b >> 1:
-                red = c
-            elif a >> 1 == c >> 1:
-                red = b
-            elif b >> 1 == c >> 1:
-                red = a
-            # two distinct constants pass the third operand through
-            elif a < 4 and b < 4:
-                red = c
-            elif a < 4 and c < 4:
-                red = b
-            elif b < 4 and c < 4:
-                red = a
-            else:
-                # irreducible: merge gates computing the same function
-                if a > b:
-                    a, b = b, a
-                if b > c:
-                    b, c = c, b
-                if a > b:
-                    a, b = b, a
-                key = (a << 32) | (b << 16) | c
-                other = seen.get(key)
-                if other is None:
-                    seen[key] = g
-                    continue
-                red = (base + other) << 1
-            sid = (base + g) << 1
-            table[sid] = red
-            table[sid | 1] = _invert_code(red)
-            alive[g] = False
-            changed = True
-    out = chase(output_code)
-    return lits, alive, out
-
-
-def _reachable_gates(n: int, lits, alive, out: int) -> list[int]:
-    base = PI_BASE + n
-    reachable: set[int] = set()
-    stack = [out >> 1]
-    while stack:
-        sid = stack.pop()
-        g = sid - base
-        if g >= 0 and g not in reachable:
-            reachable.add(g)
-            if not alive[g]:
-                raise RuntimeError(f"cleanup reached the removed gate g{g}")
-            row = lits[g]
-            stack.append(row[0] >> 1)
-            stack.append(row[1] >> 1)
-            stack.append(row[2] >> 1)
-    return sorted(reachable)
+            red = (base + other) << 1
+        sid = (base + g) << 1
+        table[sid] = red
+        # inverted constants normalize to the opposite constant
+        table[sid | 1] = red ^ 2 if red < 4 else red ^ 1
+        removed |= 1 << g
+    out = table[output_code]
+    cone = _cone(lits, base, out)
+    bad = cone & removed
+    if bad:
+        # only a gate reading a later one can reach a replaced gate
+        raise RuntimeError("cleanup reached the removed gate "
+                           f"g{(bad & -bad).bit_length() - 1}")
+    return lits, out, cone
 
 
 def cleaned_gate_count(net: LogicNetwork) -> int:
     """Gate count after cleanup, without materializing the cleaned network."""
-    lits, alive, out = _reduce_codes(net.n, net.codes, net.output_code)
-    return len(_reachable_gates(net.n, lits, alive, out))
+    return _reduce_codes(net.n, net.codes, net.output_code)[2].bit_count()
 
 
 def cleanup(net: LogicNetwork) -> tuple[LogicNetwork, int]:
-    """Simplify to fixpoint: constant/trivial propagation, duplicate-gate
-    merging, dead-gate removal.  Returns (simplified network, gate count).
+    """Simplify: constant/trivial propagation, duplicate-gate merging and
+    dead-gate removal, in one pass that reaches the fixpoint (see
+    ``_reduce_codes``).  Returns (simplified network, gate count).
 
     The input network is not modified; the simplified network computes a
     bit-identical output column.
     """
     n = net.n
     base = PI_BASE + n
-    lits, alive, out = _reduce_codes(n, net.codes, net.output_code)
-    order = _reachable_gates(n, lits, alive, out)
+    lits, out, cone = _reduce_codes(n, net.codes, net.output_code)
+    order = [g for g in range(len(lits)) if cone >> g & 1]
     renumber = {base + g: base + i for i, g in enumerate(order)}
 
     def remap(code: int) -> int:
@@ -544,8 +510,7 @@ def cleanup(net: LogicNetwork) -> tuple[LogicNetwork, int]:
         return renumber[sid] << 1 | (code & 1) if sid in renumber else code
 
     new_codes = [[remap(x) for x in lits[g]] for g in order]
-    new_out = remap(out)
-    simplified = LogicNetwork(n, net.constraints, new_codes, new_out)
+    simplified = LogicNetwork(n, net.constraints, new_codes, remap(out))
     return simplified, len(new_codes)
 
 

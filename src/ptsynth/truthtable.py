@@ -123,6 +123,8 @@ def parse_truth_table_file(text: str) -> TruthTable:
         raise TruthTableError("expected one table line and at most one weights: line")
     first = lines[0]
     if first[:2].lower() == "0b":
+        if len(first) == 2:
+            raise TruthTableError("no binary digits after 0b")
         n = (len(first) - 2).bit_length() - 1
         if (1 << n) != len(first) - 2:
             raise TruthTableError("binary digit count must be a power of two")

@@ -251,10 +251,8 @@ def test_target_file_loading(tmp_path, capsys):
     assert code == 0
 
 
-@pytest.mark.parametrize("command", ["synth", "calibrate", "verify"])
-def test_target_file_with_a_zero_weight_exit_2(command, tmp_path, capsys):
-    table = tmp_path / "maj3.tt"
-    table.write_text("E8\nweights: 1 1 1 0 1 1 1 1\n")
+def target_file_args(command, tmp_path, table):
+    """Arguments that run ``command`` on the target file ``table``."""
     args = [command, "--target", str(table)]
     if command == "verify":
         network = tmp_path / "maj3.mig"
@@ -262,10 +260,27 @@ def test_target_file_with_a_zero_weight_exit_2(command, tmp_path, capsys):
         args.insert(1, str(network))
     else:
         args += ["--gates", "maj", "--max-nodes", "1"]
-    assert run_cli(args) == 2
+    return args
+
+
+@pytest.mark.parametrize("command", ["synth", "calibrate", "verify"])
+def test_target_file_with_a_zero_weight_exit_2(command, tmp_path, capsys):
+    table = tmp_path / "maj3.tt"
+    table.write_text("E8\nweights: 1 1 1 0 1 1 1 1\n")
+    assert run_cli(target_file_args(command, tmp_path, table)) == 2
     err = capsys.readouterr().err
     assert err.splitlines() == [f"{table}: weights other than 1 are not "
                                 "supported"]
+
+
+@pytest.mark.parametrize("command", ["synth", "verify"])
+def test_target_file_with_an_empty_binary_table_exit_2(command, tmp_path,
+                                                      capsys):
+    table = tmp_path / "empty.tt"
+    table.write_text("0b\n")
+    assert run_cli(target_file_args(command, tmp_path, table)) == 2
+    err = capsys.readouterr().err
+    assert err.splitlines() == [f"{table}: no binary digits after 0b"]
 
 
 def test_target_file_with_unit_weights_runs(tmp_path, capsys):

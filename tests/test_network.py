@@ -10,7 +10,6 @@ from ptsynth.network import (
     Literal,
     LogicNetwork,
     NetworkConstraints,
-    _reachable_gates,
     cleaned_gate_count,
     cleanup,
     combined_score,
@@ -255,14 +254,34 @@ def test_cleanup_merges_duplicate_gates():
     assert simplified.output == g(0)
 
 
-def test_reachable_gates_raises_on_a_removed_gate():
-    # the output reaches gate 1, whose operand g0 was marked removed
-    lits = [encode_literal(lit, 3) for lit in (x(0), x(1), x(2))], \
-        [encode_literal(lit, 3) for lit in (x(0), x(1), g(0))]
-    out = encode_literal(g(1), 3)
-    assert _reachable_gates(3, lits, [True, True], out) == [0, 1]
-    with pytest.raises(RuntimeError, match="removed gate g0"):
-        _reachable_gates(3, lits, [False, True], out)
+def test_cleanup_raises_when_it_reaches_a_removed_gate():
+    # g0 reads the later gate g1, which reduces to x1; a network in gate
+    # order never does this, and cleanup must not count g1 or emit it
+    g0 = [encode_literal(lit, 3) for lit in (g(1), x(0), x(1))]
+    g1 = [encode_literal(lit, 3) for lit in (x(0), x(0, True), x(1))]
+    net = LogicNetwork(3, NetworkConstraints(2), [g0, g1],
+                       encode_literal(g(0), 3))
+    with pytest.raises(RuntimeError, match="removed gate g1"):
+        cleanup(net)
+    with pytest.raises(RuntimeError, match="removed gate g1"):
+        cleaned_gate_count(net)
+
+
+def test_cleanup_keeps_apart_gates_with_large_operand_codes():
+    # A chain g0..g32814 of MAJ(x0, x1, previous) and a last gate
+    # MAJ(x0, ~x1, g45): the sorted operand codes (4, 6, 65636) of g32814
+    # and (4, 7, 100) of the last gate share a key if each code gets only
+    # 16 bits, although the gates differ on the vector x0=1, x1=x2=0.
+    n, p = 3, 32816
+    x0, x1, nx1 = (encode_literal(lit, n) for lit in (x(0), x(1), x(1, True)))
+    codes = [[x0, x1, encode_literal(x(2), n)]]
+    codes += [[x0, x1, encode_literal(g(i - 1), n)] for i in range(1, p - 1)]
+    codes.append([x0, nx1, encode_literal(g(45), n)])
+    net = LogicNetwork(n, NetworkConstraints(p), codes)
+    simplified, q = cleanup(net)
+    assert q == 47  # the last gate and g0..g45
+    tt = majority_truth_table(n)
+    assert evaluate_full(simplified, tt).out_col == evaluate_full(net, tt).out_col
 
 
 def test_cleanup_fuzz_preserves_function():

@@ -1,5 +1,5 @@
-"""Property tests for the output-cone shortcut and the cone bits a move
-keeps, the move path, the output cofactors that score the sweep and the
+"""Property tests for cleanup, the output-cone shortcut and the cone bits a
+move keeps, the move path, the output cofactors that score the sweep and the
 pool layout it draws from.
 
 Networks are drawn over n in {3, 5, 7}, every budget up to 12 gates, both
@@ -24,6 +24,7 @@ from ptsynth.network import (
     PI_BASE,
     LogicNetwork,
     NetworkConstraints,
+    cleaned_gate_count,
     cleanup,
     evaluate_full,
     input_column,
@@ -89,6 +90,31 @@ def test_out_of_cone_edit_keeps_output_and_cleaned_count(drawn, kind):
     assert evaluate_full(edited, target).out_col == before.out_col
     assert cleanup(edited)[1] == count
     assert output_cone(edited) == cone
+
+
+@SETTINGS
+@given(networks(), st.data())
+def test_cleanup_of_merging_networks_is_sound_and_idempotent(drawn, data):
+    # overwrite some rows with permuted copies of earlier rows, complemented
+    # when inverters are allowed, so that cleanup has gates to merge
+    net, rng = drawn
+    for g in range(1, net.num_gates):
+        if not data.draw(st.booleans()):
+            continue
+        row = net.codes[data.draw(st.integers(0, g - 1))][:]
+        rng.shuffle(row)
+        if net.constraints.inverters_allowed and data.draw(st.booleans()):
+            # an inverted constant is the other constant
+            row = [c ^ 2 if c < 4 else c ^ 1 for c in row]
+        net.codes[g] = row
+    assert is_valid(net) == (True, None)
+    simplified, q = cleanup(net)
+    assert is_valid(simplified) == (True, None)
+    assert cleanup(simplified) == (simplified, q)
+    target = TruthTable(net.n, 0)
+    assert evaluate_full(simplified, target).out_col \
+        == evaluate_full(net, target).out_col
+    assert cleaned_gate_count(net) == q
 
 
 @SETTINGS

@@ -115,6 +115,8 @@ def test_table_file_errors():
         parse_truth_table_file("E8A\n")  # not a power-of-two digit count
     with pytest.raises(TruthTableError):
         parse_truth_table_file("E8\nweights: 1 2 x\n")
+    with pytest.raises(TruthTableError, match="no binary digits"):
+        parse_truth_table_file("0b\n")
 
 
 def test_value_bounds():
