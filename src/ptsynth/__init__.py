@@ -29,7 +29,6 @@ from .network import (
     is_valid,
     random_network,
     recompute_from,
-    weighted_energy,
 )
 from .truthtable import (
     TruthTable,
@@ -37,7 +36,6 @@ from .truthtable import (
     emit_truth_table,
     majority_truth_table,
     parse_truth_table,
-    set_weights,
 )
 
 __version__ = "0.1.0"
@@ -72,6 +70,4 @@ __all__ = [
     "random_network",
     "recompute_from",
     "run",
-    "set_weights",
-    "weighted_energy",
 ]

@@ -7,6 +7,7 @@ or degenerate calibration, 4 I/O failure.
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 import time
@@ -82,11 +83,6 @@ def _load_target(label: str) -> tuple[TruthTable, str]:
         target = parse_truth_table_file(text)
     except TruthTableError as exc:
         raise CliError(f"{label}: {exc}", EXIT_USAGE) from None
-    # every score counts each input vector once, so a weight other than 1
-    # would be read and then ignored
-    if target.weights is not None and any(w != 1 for w in target.weights):
-        raise CliError(f"{label}: weights other than 1 are not supported",
-                       EXIT_USAGE)
     return target, label
 
 
@@ -238,8 +234,8 @@ def cmd_calibrate(args) -> int:
         return EXIT_NO_GOAL
     print(f"replicas {ladder.size}")
     print("betas " + " ".join(f"{b:.6f}" for b in ladder.betas))
-    for rate in config.anchor_rates:
-        beta = engine.anchor_beta(deltas, rate, config.beta_max, config.tolerance)
+    for rate in engine.ANCHOR_RATES:
+        beta = engine.anchor_beta(deltas, rate)
         print(f"anchor rate {rate:g}: beta {beta:.6f}")
     if args.probe:
         rates = engine.probe_swap_rates(target, constraints, ladder,
@@ -300,6 +296,20 @@ def _move_weights(text: str) -> tuple[float, float, float]:
         raise argparse.ArgumentTypeError(str(err)) from None
 
 
+def _positive(convert):
+    """An argparse type: ``convert(text)``, which must be finite and above 0."""
+    def parse(text: str):
+        try:
+            value = convert(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(
+                f"invalid {convert.__name__} value: {text!r}") from None
+        if not 0 < value < math.inf:
+            raise argparse.ArgumentTypeError(f"must be finite and above 0, got {text}")
+        return value
+    return parse
+
+
 def _add_target_options(parser: argparse.ArgumentParser, with_budget: bool = True) -> None:
     parser.add_argument("--target", required=True,
                         help="builtin maj:<n> or a truth-table file")
@@ -314,7 +324,7 @@ def _add_target_options(parser: argparse.ArgumentParser, with_budget: bool = Tru
                             help="RNG seed (default $PTSYNTH_SEED or 0)")
         parser.add_argument("--replicas", type=int, default=None,
                             help="override the calibrated replica count")
-        parser.add_argument("--warmup-sweeps", type=int, default=200,
+        parser.add_argument("--warmup-sweeps", type=_positive(int), default=200,
                             help="calibration warm-up sweeps")
 
 
@@ -329,8 +339,8 @@ def build_parser() -> argparse.ArgumentParser:
     _add_target_options(synth)
     synth.add_argument("--ladder", default="auto",
                        help="'auto' (calibrate) or a ladder file")
-    synth.add_argument("--max-reps", type=int, default=10**7)
-    synth.add_argument("--time-limit", type=float, default=None,
+    synth.add_argument("--max-reps", type=_positive(int), default=10**7)
+    synth.add_argument("--time-limit", type=_positive(float), default=None,
                        help="wall-clock budget in seconds")
     synth.add_argument("--score-goal", type=int, default=None,
                        help="stop when the best score reaches this value")
@@ -363,7 +373,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_target_options(calibrate)
     calibrate.add_argument("--probe", action="store_true",
                            help="measure swap rates with a probe run")
-    calibrate.add_argument("--probe-reps", type=int, default=1000)
+    calibrate.add_argument("--probe-reps", type=_positive(int), default=1000)
     calibrate.add_argument("--out", default=None, help="ladder output file")
     calibrate.set_defaults(func=cmd_calibrate)
 
@@ -371,8 +381,8 @@ def build_parser() -> argparse.ArgumentParser:
     bench.add_argument("--suite", choices=("quick", "paper"), default="quick")
     bench.add_argument("--seed", type=int, default=_default_seed())
     bench.add_argument("--replicas", type=int, default=None)
-    bench.add_argument("--max-reps", type=int, default=10**7)
-    bench.add_argument("--time-limit", type=float, default=None,
+    bench.add_argument("--max-reps", type=_positive(int), default=10**7)
+    bench.add_argument("--time-limit", type=_positive(float), default=None,
                        help="wall-clock budget per instance in seconds")
     bench.add_argument("--csv", default=None, help="summary CSV output file")
     bench.set_defaults(func=cmd_bench)

@@ -328,7 +328,6 @@ def sweep(replica: Replica, beta: float, q_threshold: int | None = None,
             x = cols[hid]
             for h, c0, dh in stale:
                 cols[base + h] = c0 ^ (dh & x)
-    cache.out_col = cols[out >> 1] ^ (mask if out & 1 else 0)
     cache.error, cache.score = error, score
     return SweepStats(15 * len(codes), proposed, accepted, deltas, best)
 
@@ -481,11 +480,12 @@ def run(target: TruthTable, constraints: NetworkConstraints,
                 if st.best_exact is not None:
                     consider(st.best_exact[0], st.best_exact[1],
                              st.best_exact[2])
+            # No consider for exact replicas: each is in its last accepted
+            # state, which the sweep snapshotted if q < threshold (consider
+            # drops any other q), or in a state an earlier pass covered.
             for replica in replicas:
-                if replica.cache.error == 0:
-                    consider(replica.score + budget, replica.network.codes,
-                             replica.network.output_code)
-                elif best_score is None or replica.score < best_score:
+                if replica.cache.error and (best_score is None
+                                            or replica.score < best_score):
                     best_score = replica.score
             record_improvement(repetition)
 
@@ -526,21 +526,20 @@ def _check_replicas(replicas: list[Replica], target: TruthTable) -> None:
 
 
 DEFAULT_REPLICAS = 51  # ladder size when the configuration sets none
+# estimated acceptance of the warm-up's uphill moves at the four anchors
+ANCHOR_RATES = (0.99, 0.60, 0.01, 1e-6)
+BETA_MAX = 100.0  # upper end of anchor_beta's bisection
+TOLERANCE = 1e-6  # interval width at which that bisection stops
 
 
 @dataclass
 class CalibrationConfig:
-    """Knobs for the warm-up/anchor/in-fill temperature selection."""
+    """Warm-up sweeps and ladder size (``DEFAULT_REPLICAS`` when None)."""
 
     warmup_sweeps: int = 200
-    anchor_rates: tuple[float, float, float, float] = (0.99, 0.60, 0.01, 1e-6)
-    beta_max: float = 100.0
-    tolerance: float = 1e-6
     replicas: int | None = None
 
     def __post_init__(self) -> None:
-        if sorted(self.anchor_rates, reverse=True) != list(self.anchor_rates):
-            raise ValueError("anchor rates must be strictly decreasing")
         if self.replicas is not None and self.replicas < 4:
             raise ValueError("the two-segment ladder needs at least 4 "
                              f"replicas, got {self.replicas}")
@@ -551,16 +550,15 @@ def _mean_acceptance(deltas: Counter, beta: float) -> float:
     return sum(count * math.exp(-beta * d) for d, count in deltas.items()) / total
 
 
-def anchor_beta(deltas: Counter, rate: float, beta_max: float = 100.0,
-                tolerance: float = 1e-6) -> float:
+def anchor_beta(deltas: Counter, rate: float) -> float:
     """Solve mean(exp(-beta * delta)) == rate for beta by bisection."""
     if not deltas:
         raise CalibrationError("no energy-increasing updates to calibrate on")
-    if _mean_acceptance(deltas, beta_max) > rate:
+    if _mean_acceptance(deltas, BETA_MAX) > rate:
         raise CalibrationError(f"acceptance target {rate} unreachable below "
-                               f"beta={beta_max}")
-    lo, hi = 0.0, beta_max
-    while hi - lo > tolerance:
+                               f"beta={BETA_MAX}")
+    lo, hi = 0.0, BETA_MAX
+    while hi - lo > TOLERANCE:
         mid = (lo + hi) / 2
         if _mean_acceptance(deltas, mid) > rate:
             lo = mid
@@ -599,15 +597,14 @@ def ladder_from_deltas(deltas: Counter,
     """Build the two-segment linear-in-beta ladder from warm-up statistics.
 
     Four anchor temperatures are chosen so the estimated acceptance of the
-    observed uphill moves is roughly 99%, 60%, 1% and 1e-6; replicas are
+    observed uphill moves is roughly ``ANCHOR_RATES``; replicas are
     inserted linearly in beta between the middle anchors until the ladder
     reaches the configured size.
     """
     if not deltas:
         raise CalibrationError(
             "warm-up saw no energy-increasing updates; increase warmup_sweeps")
-    b1, b2, bk, bl = (anchor_beta(deltas, r, config.beta_max, config.tolerance)
-                      for r in config.anchor_rates)
+    b1, b2, bk, bl = (anchor_beta(deltas, r) for r in ANCHOR_RATES)
     if not b1 < b2 < bk < bl:
         raise CalibrationError(f"degenerate anchors {b1}, {b2}, {bk}, {bl}; "
                                "increase warmup_sweeps")

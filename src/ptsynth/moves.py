@@ -183,4 +183,3 @@ def revert_proposal(net: LogicNetwork, cache: EvalCache, undo: tuple) -> None:
     cols = cache.cols
     for sid, col in reversed(undo_cols):
         cols[sid] = col
-    cache.out_col = cache.literal_column(net.output_code)

@@ -54,10 +54,6 @@ class Literal:
         return f"{prefix}g{self.index}"
 
 
-CONST0 = Literal(CONST, 0)
-CONST1 = Literal(CONST, 1)
-
-
 @dataclass(frozen=True)
 class Gate:
     """Three-input majority gate over literals."""
@@ -234,13 +230,12 @@ class EvalCache:
     output cone, is cached, so a code write leaves nothing else to drop.
     """
 
-    __slots__ = ("cols", "mask", "target_bits", "out_col", "error", "score")
+    __slots__ = ("cols", "mask", "target_bits", "error", "score")
 
     def __init__(self, cols: list[int], mask: int, target: TruthTable) -> None:
         self.cols = cols
         self.mask = mask
         self.target_bits = target.bits
-        self.out_col = 0
         self.error = 0
         self.score = 0
 
@@ -248,10 +243,6 @@ class EvalCache:
         out = net.output_code
         col = self.cols[out >> 1]
         return col ^ self.mask if out & 1 else col
-
-    def literal_column(self, code: int) -> int:
-        col = self.cols[code >> 1]
-        return col ^ self.mask if code & 1 else col
 
 
 def _gate_column(cols: list[int], mask: int, row: list[int]) -> int:
@@ -272,8 +263,7 @@ def evaluate_full(net: LogicNetwork, target: TruthTable) -> EvalCache:
     cache = EvalCache(cols, mask, target)
     for row in net.codes:
         cols.append(_gate_column(cols, mask, row))
-    cache.out_col = cache.output_column(net)
-    cache.error = (cache.out_col ^ target.bits).bit_count()
+    cache.error = (cache.output_column(net) ^ target.bits).bit_count()
     cache.score = combined_score(net, cache)
     return cache
 
@@ -315,12 +305,7 @@ def recompute_from(net: LogicNetwork, cache: EvalCache, changed_gate: int,
                         undo.append((hid, cols[hid]))
                     cols[hid] = new
                     dirty.add(hid)
-    out = net.output_code
-    col = cols[out >> 1]
-    if out & 1:
-        col ^= mask
-    cache.out_col = col
-    cache.error = (col ^ cache.target_bits).bit_count()
+    cache.error = (cache.output_column(net) ^ cache.target_bits).bit_count()
     return cache.error
 
 
@@ -404,20 +389,6 @@ def output_cone(net: LogicNetwork) -> int:
     """Bitmask of the gates the output reaches through operand edges (bit g
     for gate g), found on the raw codes without any cleanup."""
     return _cone(net.codes, PI_BASE + net.n, net.output_code)
-
-
-def weighted_energy(cache: EvalCache, weights) -> float:
-    """Sum of weights over the mismatching input vectors."""
-    size = cache.mask.bit_length()
-    if len(weights) != size:
-        raise ValueError(f"need {size} weights, got {len(weights)}")
-    mismatch = (cache.out_col ^ cache.target_bits) & cache.mask
-    total = 0.0
-    while mismatch:
-        low = mismatch & -mismatch
-        total += weights[low.bit_length() - 1]
-        mismatch ^= low
-    return total
 
 
 def _reduce_codes(n: int, codes: list[list[int]], output_code: int):

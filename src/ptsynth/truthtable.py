@@ -2,14 +2,13 @@
 
 A table over n inputs stores all 2^n function values in one Python integer:
 bit i holds the value on the input vector encoded by i, with x0 as the
-least significant bit of i.  A table may carry per-vector weights; the
-search scores every vector with weight 1, and the command line rejects
-any other weight.
+least significant bit of i.  The search scores every input vector with
+weight 1, so a .tt file's optional ``weights:`` line must give weight 1 to
+every vector.
 """
 
 from __future__ import annotations
 
-import dataclasses
 from dataclasses import dataclass
 
 MAX_INPUTS = 20
@@ -25,7 +24,6 @@ class TruthTableError(ValueError):
 class TruthTable:
     n: int
     bits: int
-    weights: tuple[float, ...] | None = None
 
     def __post_init__(self) -> None:
         if not isinstance(self.n, int) or not 1 <= self.n <= MAX_INPUTS:
@@ -33,14 +31,6 @@ class TruthTable:
         size = 1 << self.n
         if not 0 <= self.bits < (1 << size):
             raise TruthTableError("bits do not fit in 2^n positions")
-        if self.weights is not None:
-            if len(self.weights) != size:
-                raise TruthTableError(
-                    f"need {size} weights for n={self.n}, got {len(self.weights)}"
-                )
-            if any(w < 0 for w in self.weights):
-                raise TruthTableError("weights must be non-negative")
-            object.__setattr__(self, "weights", tuple(float(w) for w in self.weights))
 
     @property
     def size(self) -> int:
@@ -63,11 +53,6 @@ def majority_truth_table(n: int) -> TruthTable:
         if v.bit_count() >= need:
             bits |= 1 << v
     return TruthTable(n, bits)
-
-
-def set_weights(tt: TruthTable, weights) -> TruthTable:
-    """Return a copy of ``tt`` carrying the given 2^n non-negative weights."""
-    return dataclasses.replace(tt, weights=tuple(weights))
 
 
 def parse_truth_table(text: str, n: int) -> TruthTable:
@@ -110,7 +95,8 @@ def emit_truth_table(tt: TruthTable) -> str:
 def parse_truth_table_file(text: str) -> TruthTable:
     """Read a .tt file: one table line, optional ``weights:`` line, # comments.
 
-    The input count is inferred from the digit count of the table line.
+    The input count is inferred from the digit count of the table line.  The
+    weights line, if present, must give weight 1 to each of the 2^n vectors.
     """
     lines = []
     for raw in text.splitlines():
@@ -139,12 +125,8 @@ def parse_truth_table_file(text: str) -> TruthTable:
             weights = [float(f) for f in fields]
         except ValueError as exc:
             raise TruthTableError(f"bad weight entry: {exc}") from None
-        tt = set_weights(tt, weights)
+        if len(weights) != tt.size:
+            raise TruthTableError(f"need {tt.size} weights for n={n}, got {len(weights)}")
+        if any(w != 1 for w in weights):
+            raise TruthTableError("weights other than 1 are not supported")
     return tt
-
-
-def emit_truth_table_file(tt: TruthTable) -> str:
-    lines = [emit_truth_table(tt)]
-    if tt.weights is not None:
-        lines.append("weights: " + " ".join(repr(w) for w in tt.weights))
-    return "\n".join(lines) + "\n"

@@ -153,6 +153,31 @@ def test_negative_zero_or_short_move_weights_exit_2(weights, capsys):
     assert "3 finite non-negative values" in capsys.readouterr().err
 
 
+SYNTH = ["synth", "--target", "maj:3", "--max-nodes", "1"]
+CALIBRATE = ["calibrate", "--target", "maj:3", "--max-nodes", "1"]
+
+
+@pytest.mark.parametrize("args, option", [
+    (SYNTH + ["--time-limit", "nan"], "--time-limit"),
+    (SYNTH + ["--time-limit", "-1"], "--time-limit"),
+    (SYNTH + ["--time-limit", "0"], "--time-limit"),
+    (SYNTH + ["--time-limit", "inf"], "--time-limit"),
+    (SYNTH + ["--max-reps", "-5"], "--max-reps"),
+    (SYNTH + ["--max-reps", "0"], "--max-reps"),
+    (SYNTH + ["--warmup-sweeps", "-1"], "--warmup-sweeps"),
+    (CALIBRATE + ["--warmup-sweeps", "0"], "--warmup-sweeps"),
+    (CALIBRATE + ["--probe", "--probe-reps", "-3"], "--probe-reps"),
+    (["bench", "--max-reps", "-1"], "--max-reps"),
+    (["bench", "--time-limit=-inf"], "--time-limit"),
+])
+def test_out_of_range_numeric_options_exit_2(args, option, capsys):
+    with pytest.raises(SystemExit) as err:
+        run_cli(args)
+    assert err.value.code == 2
+    last = capsys.readouterr().err.splitlines()[-1]
+    assert f"error: argument {option}: must be finite and above 0" in last
+
+
 def test_calibrate_replica_override(capsys):
     code = run_cli(["calibrate", "--target", "maj:3", "--gates", "maj",
                     "--max-nodes", "2", "--replicas", "8", "--seed", "1"])

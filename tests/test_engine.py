@@ -190,7 +190,8 @@ def test_sweep_matches_the_move_path(n, p, inverters, leafy, exact_start,
     cons = NetworkConstraints(p, inverters_allowed=inverters, leafy=leafy)
     rng = derived_rng(n * 100 + p, "differential")
     net = random_network(n, cons, rng)
-    target = TruthTable(n, evaluate_full(net, majority_truth_table(n)).out_col) \
+    target = TruthTable(n, evaluate_full(net, majority_truth_table(n))
+                        .output_column(net)) \
         if exact_start else majority_truth_table(n)
     ours = Replica(net.copy(), evaluate_full(net, target), rng, 0)
     ref_rng = random.Random()
@@ -225,8 +226,8 @@ def test_sweep_matches_the_move_path(n, p, inverters, leafy, exact_start,
     assert ([row[:] for row in ours.network.codes], rng.getstate()) == ref_states
     fresh = evaluate_full(ours.network, target)
     cache = ours.cache
-    assert (cache.cols, cache.out_col, cache.error, cache.score) == \
-        (fresh.cols, fresh.out_col, fresh.error, fresh.score)
+    assert (cache.cols, cache.error, cache.score) == \
+        (fresh.cols, fresh.error, fresh.score)
 
 
 @pytest.mark.parametrize("mix", [(1, 0, 0), (1, 1, 1), (0, 1, 0), (0, 0, 1)])
@@ -253,7 +254,8 @@ def test_sweep_takes_the_cone_once_and_no_cofactors_outside_it(
     rng = derived_rng(p, "cone")
     net = random_network(5, cons, rng)
     # MAJ-5 needs more than 3 gates, so the p=3 replica never turns exact
-    target = TruthTable(5, evaluate_full(net, majority_truth_table(5)).out_col) \
+    target = TruthTable(5, evaluate_full(net, majority_truth_table(5))
+                        .output_column(net)) \
         if exact_start else majority_truth_table(5)
     replica = Replica(net, evaluate_full(net, target), rng, 0)
     sweeps = 6

@@ -20,7 +20,6 @@ from ptsynth.network import (
     is_valid,
     random_network,
     recompute_from,
-    weighted_energy,
 )
 from ptsynth.truthtable import TruthTable, majority_truth_table
 
@@ -118,27 +117,6 @@ def test_constant_zero_network_vs_maj9():
     net.output_code = encode_literal(const(0), 9)
     cache = evaluate_full(net, majority_truth_table(9))
     assert cache.error == 256
-
-
-def test_weighted_energy_examples():
-    net = single_gate_net([x(0), x(1), const(0)])
-    tt = majority_truth_table(3)
-    cache = evaluate_full(net, tt)
-    assert weighted_energy(cache, [1.0] * 8) == cache.error
-    assert weighted_energy(cache, [0.0] * 8) == 0.0
-    # mismatches sit at inputs 5 and 6
-    assert weighted_energy(cache, [1, 1, 1, 1, 1, 3, 1, 1]) == 4.0
-    with pytest.raises(ValueError):
-        weighted_energy(cache, [1.0] * 4)
-
-
-def test_weighted_energy_with_dont_cares():
-    # AND(x0, x1) differs from MAJ-3 only on two-ones inputs; marking those
-    # as don't-cares certifies it
-    net = single_gate_net([x(0), x(1), const(0)])
-    cache = evaluate_full(net, majority_truth_table(3))
-    weights = [0.0 if v.bit_count() == 2 else 1.0 for v in range(8)]
-    assert weighted_energy(cache, weights) == 0.0
 
 
 def test_random_network_structure():
@@ -281,7 +259,8 @@ def test_cleanup_keeps_apart_gates_with_large_operand_codes():
     simplified, q = cleanup(net)
     assert q == 47  # the last gate and g0..g45
     tt = majority_truth_table(n)
-    assert evaluate_full(simplified, tt).out_col == evaluate_full(net, tt).out_col
+    assert evaluate_full(simplified, tt).output_column(simplified) \
+        == evaluate_full(net, tt).output_column(net)
 
 
 def test_cleanup_fuzz_preserves_function():

@@ -56,7 +56,7 @@ def networks(draw):
 
 def own_target(net):
     """The truth table the network computes, so it starts exact."""
-    col = evaluate_full(net, TruthTable(net.n, 0)).out_col
+    col = evaluate_full(net, TruthTable(net.n, 0)).output_column(net)
     return TruthTable(net.n, col)
 
 
@@ -87,7 +87,8 @@ def test_out_of_cone_edit_keeps_output_and_cleaned_count(drawn, kind):
     edited = net.copy()
     for g, s, c in edits:
         edited.codes[g][s] = c
-    assert evaluate_full(edited, target).out_col == before.out_col
+    assert evaluate_full(edited, target).output_column(edited) \
+        == before.output_column(net)
     assert cleanup(edited)[1] == count
     assert output_cone(edited) == cone
 
@@ -112,8 +113,8 @@ def test_cleanup_of_merging_networks_is_sound_and_idempotent(drawn, data):
     assert is_valid(simplified) == (True, None)
     assert cleanup(simplified) == (simplified, q)
     target = TruthTable(net.n, 0)
-    assert evaluate_full(simplified, target).out_col \
-        == evaluate_full(net, target).out_col
+    assert evaluate_full(simplified, target).output_column(simplified) \
+        == evaluate_full(net, target).output_column(net)
     assert cleaned_gate_count(net) == q
 
 
@@ -137,14 +138,15 @@ def test_apply_revert_is_exact_and_scores_stay_fresh(drawn, mix, exact_start,
         error, score = cache.error, cache.score
         delta, undo = apply_proposal(net, cache, edits)
         fresh = evaluate_full(net, target)
-        assert cache.cols == fresh.cols and cache.out_col == fresh.out_col
+        assert cache.cols == fresh.cols
         assert cache.error == fresh.error
         assert cache.score == fresh.score == score + delta
         if revert:
             revert_proposal(net, cache, undo)
             assert net.codes == codes and cache.cols == cols
             assert (cache.error, cache.score) == (error, score)
-            assert cache.out_col == evaluate_full(net, target).out_col
+            assert cache.output_column(net) \
+                == evaluate_full(net, target).output_column(net)
 
 
 def forced_columns(net, g, col):
@@ -185,7 +187,7 @@ def test_output_cofactors_predict_the_error_of_every_replacement(drawn,
                   for col in (0, mask))
         if not cone >> g & 1:
             # the output reads no gate outside the cone
-            assert o0 == o1 == cache.out_col
+            assert o0 == o1 == cache.output_column(net)
             continue
         e0, d, stale = output_cofactors(net, cache, g, cone)
         assert (e0, d) == (o0 ^ target.bits, o0 ^ o1)
@@ -198,7 +200,8 @@ def test_output_cofactors_predict_the_error_of_every_replacement(drawn,
         if edits is not None:
             edited = net.copy()
             edited.codes[g][s] = edits[0][2]
-            a, b, c = (cache.literal_column(code) for code in edited.codes[g])
+            a, b, c = (cache.cols[code >> 1] ^ (mask if code & 1 else 0)
+                       for code in edited.codes[g])
             x = (a & (b | c)) | (b & c)
             fresh = evaluate_full(edited, target)
             assert (e0 ^ (d & x)).bit_count() == fresh.error

@@ -6,11 +6,9 @@ from ptsynth.truthtable import (
     TruthTable,
     TruthTableError,
     emit_truth_table,
-    emit_truth_table_file,
     majority_truth_table,
     parse_truth_table,
     parse_truth_table_file,
-    set_weights,
 )
 
 
@@ -87,21 +85,12 @@ def test_roundtrip_random_tables():
         assert parse_truth_table(emit_truth_table(tt), n) == tt
 
 
-def test_set_weights_validation():
-    tt = majority_truth_table(3)
-    weighted = set_weights(tt, [1.0] * 8)
-    assert weighted.weights == (1.0,) * 8
-    assert tt.weights is None  # original untouched
-    with pytest.raises(TruthTableError):
-        set_weights(tt, [1.0] * 7)
-    with pytest.raises(TruthTableError):
-        set_weights(tt, [1.0] * 7 + [-0.5])
-
-
 def test_table_file_roundtrip():
-    tt = set_weights(majority_truth_table(3), [2.0, 0, 0, 0, 0, 0, 0, 0])
-    text = emit_truth_table_file(tt)
-    assert parse_truth_table_file(text) == tt
+    rng = random.Random(6)
+    for _ in range(50):
+        n = rng.randrange(1, 11)
+        tt = TruthTable(n, rng.getrandbits(1 << n))
+        assert parse_truth_table_file(emit_truth_table(tt) + "\n") == tt
     plain = parse_truth_table_file("# target\nE8\n")
     assert plain == majority_truth_table(3)
 
@@ -117,6 +106,14 @@ def test_table_file_errors():
         parse_truth_table_file("E8\nweights: 1 2 x\n")
     with pytest.raises(TruthTableError, match="no binary digits"):
         parse_truth_table_file("0b\n")
+    # the search counts every vector once, so only weight 1 is accepted
+    for weights in ("1 " * 7, "1 " * 9, "0 " + "1 " * 7, "-1 " + "1 " * 7,
+                    "1 " * 7 + "nan"):
+        with pytest.raises(TruthTableError):
+            parse_truth_table_file(f"E8\nweights: {weights}\n")
+    for one in ("1", "1.0"):
+        assert parse_truth_table_file(f"E8\nweights: {' '.join([one] * 8)}\n") \
+            == parse_truth_table_file("E8\n")
 
 
 def test_value_bounds():
