@@ -157,7 +157,7 @@ def cmd_synth(args) -> int:
     stop = engine.StopConditions(max_repetitions=args.max_reps,
                                  time_limit=args.time_limit, score_goal=goal)
     report = engine.run(target, constraints, ladder, stop, seed=args.seed,
-                        move_weights=args.move_weights,
+                        threads=args.threads, move_weights=args.move_weights,
                         wall_clock_trace=args.wall_clock_trace)
     if report.interrupted:
         print("interrupted; reporting best so far", file=sys.stderr)
@@ -344,10 +344,11 @@ def build_parser() -> argparse.ArgumentParser:
                        help="wall-clock budget in seconds")
     synth.add_argument("--score-goal", type=int, default=None,
                        help="stop when the best score reaches this value")
-    synth.add_argument("--threads", type=int, default=None,
-                       help="accepted and ignored: the search runs on one "
-                            "thread, since pure-Python sweeps cannot run in "
-                            "parallel under the interpreter lock")
+    synth.add_argument("--threads", type=_positive(int), default=1,
+                       help="processes that sweep the replicas (default 1); "
+                            "the output is the same for every value, and "
+                            "the run is serial where the platform cannot "
+                            "fork")
     synth.add_argument("--move-weights", type=_move_weights,
                        default=(1.0, 0.0, 0.0),
                        help="relative weights of reassign-one, "

@@ -3,7 +3,9 @@
 Runs M replicas at calibrated inverse temperatures.  A repetition is one
 Metropolis sweep per replica (five update attempts per gate input) followed
 by one odd-even swap phase between neighboring temperature slots.  The best
-exact network found, after cleanup, is tracked across the whole run.
+exact network found, after cleanup, is tracked across the whole run.  The
+sweeps of one repetition are independent, so ``run`` can spread them over
+worker processes (``threads``).
 """
 
 from __future__ import annotations
@@ -11,7 +13,9 @@ from __future__ import annotations
 import hashlib
 import math
 import random
+import signal
 import time
+import traceback
 from collections import Counter
 # unused; kept because perfbench/run.py patches it in its traced pass
 from concurrent.futures import ThreadPoolExecutor  # noqa: F401
@@ -102,9 +106,13 @@ class Replica:
 
 @dataclass
 class SweepStats:
+    """What one sweep did, and the replica's error and score after it."""
+
     steps: int
     proposed: int
     accepted: int
+    error: int
+    score: int
     uphill_deltas: list[int] | None = None
     best_exact: tuple[int, list[list[int]], int] | None = None
 
@@ -329,7 +337,8 @@ def sweep(replica: Replica, beta: float, q_threshold: int | None = None,
             for h, c0, dh in stale:
                 cols[base + h] = c0 ^ (dh & x)
     cache.error, cache.score = error, score
-    return SweepStats(15 * len(codes), proposed, accepted, deltas, best)
+    return SweepStats(15 * len(codes), proposed, accepted, error, score,
+                      deltas, best)
 
 
 def swap_phase(replicas: list[Replica], ladder: TemperatureLadder,
@@ -357,6 +366,121 @@ def check_move_weights(weights) -> tuple[float, float, float]:
         raise ValueError("move weights need 3 finite non-negative values, "
                          "not all 0")
     return parts
+
+
+class _Remote:
+    """A replica that a worker process sweeps, as the parent sees it: its
+    slot, which the swap phase permutes, and its score after the last sweep,
+    which the swap phase reads."""
+
+    __slots__ = ("slot", "score")
+
+    def __init__(self, slot: int, score: int) -> None:
+        self.slot = slot
+        self.score = score
+
+
+def _sweep_worker(pipes, index: int, share: list[Replica], betas: list[float],
+                  target: TruthTable, move_weights, debug_checks: bool) -> None:
+    """Body of sweep worker ``index``.  For each (slots, threshold) message
+    it sweeps its share of the replicas at those slots and replies with their
+    stats, or with the exception that stopped it and its traceback.  It
+    returns when the parent closes its end of the pipe."""
+    signal.signal(signal.SIGINT, signal.SIG_IGN)  # the parent handles Ctrl-C
+    conn = pipes[index][1]
+    # hold no other pipe end, so each side sees EOF when the other exits
+    for j, (parent_end, child_end) in enumerate(pipes):
+        parent_end.close()
+        if j != index:
+            child_end.close()
+    while True:
+        try:
+            slots, threshold = conn.recv()
+        except EOFError:
+            return
+        try:
+            stats = []
+            for replica, slot in zip(share, slots):
+                replica.slot = slot
+                stats.append(sweep(replica, betas[slot], threshold,
+                                   move_weights=move_weights))
+            if debug_checks:
+                _check_replicas(share, target)
+        except Exception as exc:
+            conn.send((exc, traceback.format_exc()))
+            return
+        conn.send(stats)
+
+
+class _SweepWorkers:
+    """Sweeps the replicas in ``shares`` fixed shares, one per process.
+
+    Share j holds replicas j, j + shares, j + 2 * shares, ... by identity
+    (their slots at the start of the run), with their RNG streams.  Worker
+    processes forked from the caller own every share but the last, which the
+    caller sweeps itself; in ``replicas`` a ``_Remote`` stands in for each
+    replica a worker owns from then on.  ``close`` ends the workers.
+    """
+
+    def __init__(self, replicas: list[Replica], betas: list[float],
+                 shares: int, context, target: TruthTable, move_weights,
+                 debug_checks: bool) -> None:
+        self.move_weights = move_weights
+        self.local = replicas[shares - 1::shares]
+        pipes = [context.Pipe() for _ in range(shares - 1)]
+        self.conns = [parent_end for parent_end, _ in pipes]
+        self.procs: list = []
+        try:
+            for w in range(shares - 1):
+                proc = context.Process(
+                    target=_sweep_worker, daemon=True,
+                    args=(pipes, w, replicas[w::shares], betas, target,
+                          move_weights, debug_checks))
+                proc.start()
+                self.procs.append(proc)
+        except BaseException:
+            self.close()
+            raise
+        finally:
+            for _, child_end in pipes:
+                child_end.close()
+        self.remotes = []
+        for w in range(shares - 1):
+            share = [_Remote(r.slot, r.score) for r in replicas[w::shares]]
+            for remote in share:
+                replicas[remote.slot] = remote
+            self.remotes.append(share)
+
+    def sweep_all(self, replicas: list, betas: list[float],
+                  threshold: int) -> list[SweepStats]:
+        """One sweep of every replica; the stats in slot order."""
+        for conn, share in zip(self.conns, self.remotes):
+            conn.send(([r.slot for r in share], threshold))
+        stats: list = [None] * len(replicas)
+        for replica in self.local:
+            stats[replica.slot] = sweep(replica, betas[replica.slot], threshold,
+                                        move_weights=self.move_weights)
+        for conn, share in zip(self.conns, self.remotes):
+            try:
+                reply = conn.recv()
+            except EOFError:
+                raise RuntimeError("a sweep worker process exited") from None
+            if isinstance(reply, tuple):
+                exc, text = reply
+                raise exc from RuntimeError(f"in a sweep worker:\n{text}")
+            for remote, st in zip(share, reply):
+                remote.score = st.score
+                stats[remote.slot] = st
+        return stats
+
+    def close(self) -> None:
+        """End every worker, busy or idle, and wait for it to exit."""
+        for conn in self.conns:
+            conn.close()
+        for proc in self.procs:
+            proc.terminate()
+        for proc in self.procs:
+            proc.join()
 
 
 @dataclass
@@ -400,16 +524,30 @@ def run(target: TruthTable, constraints: NetworkConstraints,
         debug_checks: bool = False) -> SynthesisReport:
     """Full parallel-tempering synthesis run.
 
-    Every sweep runs on the calling thread: the sweeps are pure Python and
-    hold the interpreter lock, so threads cannot run them in parallel.
-    ``threads`` is accepted for compatibility and ignored.
+    ``threads`` is the number of processes that sweep.  With 1, every sweep
+    runs on the calling thread.  With k > 1, after building the replicas,
+    ``run`` forks min(k, M) - 1 worker processes (M the ladder size); each
+    owns a fixed share of the replicas and their RNG streams, and the caller
+    sweeps the last share itself (``_SweepWorkers``).  Each repetition the
+    caller sends every worker its replicas' slots and reads back their sweep
+    stats; only the caller runs the swap phase.  The sweeps of a repetition
+    are independent, so the result is the same for every ``threads``.  The
+    workers are forked (the ``fork`` start method, named explicitly), so they
+    inherit the replicas; where the platform has no ``fork``, and so in any
+    case on Windows, the run is serial.  As with any fork, call it with
+    threads > 1 only from a process that runs no other threads.  Workers
+    ignore SIGINT; an exception in one is raised again in the caller with
+    its type and message, and every worker has exited when ``run`` returns
+    or raises.
 
     Deterministic for a fixed (target, constraints, ladder, stop, seed,
     move_weights), as long as no wall-clock stop or interrupt cuts the run
     short.  Raises ValueError on move weights that ``check_move_weights``
-    rejects.
+    rejects, and on threads < 1.
     """
     move_weights = check_move_weights(move_weights)
+    if threads < 1:
+        raise ValueError(f"threads must be at least 1, got {threads}")
     if stop is None:
         stop = StopConditions()
     start = time.perf_counter()
@@ -459,7 +597,23 @@ def run(target: TruthTable, constraints: NetworkConstraints,
     record_improvement(0)
 
     betas = ladder.betas
+    local = replicas  # the replicas this process sweeps
+    shares = min(threads, m)
+    workers = None
+
+    def sweep_all(replicas, betas, threshold):
+        return [sweep(replica, betas[replica.slot], threshold,
+                      move_weights=move_weights) for replica in replicas]
+
     try:
+        if shares > 1:
+            # imported here, so that a serial run does not load it
+            import multiprocessing
+            if "fork" in multiprocessing.get_all_start_methods():
+                workers = _SweepWorkers(replicas, betas, shares,
+                                        multiprocessing.get_context("fork"),
+                                        target, move_weights, debug_checks)
+                local, sweep_all = workers.local, workers.sweep_all
         while True:
             if stop.score_goal is not None and best_score is not None \
                     and best_score <= stop.score_goal:
@@ -471,22 +625,19 @@ def run(target: TruthTable, constraints: NetworkConstraints,
                 break
             repetition += 1
             threshold = best_q if best_q is not None else budget + 1
-            stats = [sweep(replica, betas[replica.slot], threshold,
-                           move_weights=move_weights) for replica in replicas]
+            stats = sweep_all(replicas, betas, threshold)
 
             for slot, st in enumerate(stats):
                 slot_proposed[slot] += st.proposed
                 slot_accepted[slot] += st.accepted
                 if st.best_exact is not None:
-                    consider(st.best_exact[0], st.best_exact[1],
-                             st.best_exact[2])
-            # No consider for exact replicas: each is in its last accepted
-            # state, which the sweep snapshotted if q < threshold (consider
-            # drops any other q), or in a state an earlier pass covered.
-            for replica in replicas:
-                if replica.cache.error and (best_score is None
-                                            or replica.score < best_score):
-                    best_score = replica.score
+                    consider(*st.best_exact)
+                # No consider for an exact replica: it is in its last
+                # accepted state, which the sweep snapshotted if q <
+                # threshold (consider drops any other q), or in a state an
+                # earlier pass covered.
+                if st.error and (best_score is None or st.score < best_score):
+                    best_score = st.score
             record_improvement(repetition)
 
             swap_phase(replicas, ladder, repetition & 1,
@@ -494,9 +645,12 @@ def run(target: TruthTable, constraints: NetworkConstraints,
             if swap_note_interval and repetition % swap_note_interval == 0:
                 swap_rate_log.append((repetition, ladder.swap_rates()))
             if debug_checks:
-                _check_replicas(replicas, target)
+                _check_replicas(local, target)
     except KeyboardInterrupt:
         interrupted = True
+    finally:
+        if workers is not None:
+            workers.close()
 
     return SynthesisReport(
         best_network=best_net,

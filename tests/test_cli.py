@@ -169,6 +169,8 @@ CALIBRATE = ["calibrate", "--target", "maj:3", "--max-nodes", "1"]
     (CALIBRATE + ["--probe", "--probe-reps", "-3"], "--probe-reps"),
     (["bench", "--max-reps", "-1"], "--max-reps"),
     (["bench", "--time-limit=-inf"], "--time-limit"),
+    (SYNTH + ["--threads", "0"], "--threads"),
+    (SYNTH + ["--threads", "-1"], "--threads"),
 ])
 def test_out_of_range_numeric_options_exit_2(args, option, capsys):
     with pytest.raises(SystemExit) as err:
@@ -176,6 +178,29 @@ def test_out_of_range_numeric_options_exit_2(args, option, capsys):
     assert err.value.code == 2
     last = capsys.readouterr().err.splitlines()[-1]
     assert f"error: argument {option}: must be finite and above 0" in last
+
+
+def test_non_integer_threads_exit_2(capsys):
+    with pytest.raises(SystemExit) as err:
+        run_cli(SYNTH + ["--threads", "abc"])
+    assert err.value.code == 2
+    last = capsys.readouterr().err.splitlines()[-1]
+    assert "error: argument --threads: invalid int value: 'abc'" in last
+
+
+def test_synth_passes_threads_to_the_engine(monkeypatch, capsys):
+    seen = []
+    real_run = engine.run
+
+    def recording_run(*args, **kwargs):
+        seen.append(kwargs["threads"])
+        return real_run(*args, **kwargs)
+
+    monkeypatch.setattr(engine, "run", recording_run)
+    for extra in ([], ["--threads", "3"]):
+        assert run_cli(SYNTH + ["--gates", "maj", "--seed", "1"] + extra) == 0
+    capsys.readouterr()
+    assert seen == [1, 3]
 
 
 def test_calibrate_replica_override(capsys):

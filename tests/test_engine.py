@@ -1,7 +1,10 @@
+import contextlib
 import hashlib
 import math
+import multiprocessing
+import os
 import random
-import threading
+import signal
 from collections import Counter
 
 import pytest
@@ -170,7 +173,8 @@ def move_path_sweep(replica, beta, q_threshold, move_weights):
                 if cache.score <= 0 and q < q_threshold \
                         and (best is None or q < best[0]):
                     best = (q, [row[:] for row in net.codes], net.output_code)
-    return SweepStats(steps, proposed, accepted, deltas, best)
+    return SweepStats(steps, proposed, accepted, cache.error, cache.score,
+                      deltas, best)
 
 
 @pytest.mark.parametrize("mix", [(1, 0, 0), (1, 1, 1), (0, 1, 0), (0, 0, 1),
@@ -456,20 +460,39 @@ def test_run_rng_stream_is_pinned(flags, mix, digest):
     assert h.hexdigest()[:32] == digest
 
 
+def report_fields(report):
+    """Everything a run reports that the RNG stream decides."""
+    best = report.best_network
+    return (best.codes if best is not None else None,
+            best.output_code if best is not None else None,
+            report.best_q, report.best_score, report.repetitions,
+            report.trace, report.swap_rate_log, report.swap_rates,
+            report.slot_acceptance)
+
+
 def test_run_deterministic_across_threads():
     target = majority_truth_table(5)
-    cons = NetworkConstraints(8, inverters_allowed=False)
-    ladder1 = TemperatureLadder([0.05, 0.3, 0.8, 1.5, 3.0, 6.0])
-    ladder2 = TemperatureLadder([0.05, 0.3, 0.8, 1.5, 3.0, 6.0])
     stop = StopConditions(max_repetitions=60)
-    r1 = run(target, cons, ladder1, stop, seed=9, threads=1)
-    r2 = run(target, cons, ladder2, stop, seed=9, threads=4)
-    assert r1.best_q == r2.best_q
-    assert r1.trace == r2.trace
-    assert r1.swap_rates == r2.swap_rates
-    assert r1.slot_acceptance == r2.slot_acceptance
-    if r1.best_network is not None:
-        assert r1.best_network == r2.best_network
+    for mix in ((1, 0, 0), (1, 1, 1)):
+        for inverters, leafy in ((False, False), (True, True)):
+            cons = NetworkConstraints(8, inverters_allowed=inverters,
+                                      leafy=leafy)
+            reports = {}
+            for threads in (1, 2, 4):
+                ladder = TemperatureLadder([0.05, 0.3, 0.8, 1.5, 3.0, 6.0])
+                reports[threads] = report_fields(
+                    run(target, cons, ladder, stop, seed=9, threads=threads,
+                        move_weights=mix, swap_note_interval=7))
+            assert reports[1][2] is not None, "expected an exact network"
+            assert reports[1] == reports[2] == reports[4], (mix, inverters)
+
+
+def test_run_rejects_fewer_than_one_thread():
+    ladder = TemperatureLadder([0.1, 1.0])
+    for threads in (0, -1):
+        with pytest.raises(ValueError, match="threads must be at least 1"):
+            run(majority_truth_table(3), NetworkConstraints(1), ladder,
+                StopConditions(max_repetitions=1), threads=threads)
 
 
 def test_run_trace_is_monotone_and_best_verifies():
@@ -519,51 +542,183 @@ def test_run_without_exact_solution_reports_positive_score():
 @pytest.mark.parametrize("inverters,leafy", [(False, False), (False, True),
                                              (True, False), (True, True)],
                          ids=["maj", "maj-leafy", "inv", "inv-leafy"])
-def test_run_debug_checks_hold(mix, inverters, leafy, monkeypatch):
+def test_run_debug_checks_hold(mix, inverters, leafy, tmp_path, monkeypatch):
     # _check_replicas compares every cached column with evaluate_full after
     # every repetition; the two seeds together take every case through
-    # both phases
-    phases = set()
-    accepted = 0
+    # both phases.  With threads=2 it also runs in the worker process, so
+    # the checks and sweeps are logged to a file, one line per call, with
+    # the process id.
     real_check, real_sweep = engine._check_replicas, engine.sweep
+    log = None
+
+    def write(line):
+        with open(log, "a", encoding="utf-8") as handle:
+            handle.write(f"{os.getpid()} {line}\n")
 
     def recording_check(replicas, target):
         real_check(replicas, target)
-        phases.update(replica.cache.error == 0 for replica in replicas)
+        for replica in replicas:
+            write(f"exact {int(replica.cache.error == 0)}")
 
     def counting_sweep(*args, **kwargs):
-        nonlocal accepted
         stats = real_sweep(*args, **kwargs)
-        accepted += stats.accepted
+        write(f"accepted {stats.accepted}")
         return stats
 
     monkeypatch.setattr(engine, "_check_replicas", recording_check)
     monkeypatch.setattr(engine, "sweep", counting_sweep)
     target = majority_truth_table(5)
     cons = NetworkConstraints(8, inverters_allowed=inverters, leafy=leafy)
-    for seed in (1, 4):
-        run(target, cons, TemperatureLadder([0.1, 0.6, 2.0, 5.0]),
-            StopConditions(max_repetitions=40), seed=seed,
-            move_weights=mix, debug_checks=True)
-    assert phases == {False, True}
-    assert accepted
+    for threads in (1, 2):
+        log = tmp_path / f"calls-{threads}.log"
+        for seed in (1, 4):
+            run(target, cons, TemperatureLadder([0.1, 0.6, 2.0, 5.0]),
+                StopConditions(max_repetitions=40), seed=seed,
+                threads=threads, move_weights=mix, debug_checks=True)
+        lines = [line.split() for line in log.read_text().splitlines()]
+        exact = {value for _, kind, value in lines if kind == "exact"}
+        assert exact == {"0", "1"}
+        assert sum(int(value) for _, kind, value in lines
+                   if kind == "accepted")
+        checked = {pid for pid, kind, _ in lines if kind == "exact"}
+        # every process that swept checked its own replicas
+        assert checked == {pid for pid, kind, _ in lines if kind == "accepted"}
+        assert len(checked) == (1 if threads == 1 else 3)
 
 
-def test_run_sweeps_on_the_calling_thread(monkeypatch):
-    callers = set()
-    real_sweep = engine.sweep
+def test_run_forks_one_process_per_extra_share(monkeypatch):
+    started = []
+    real_start = multiprocessing.process.BaseProcess.start
 
-    def recording_sweep(*args, **kwargs):
-        callers.add(threading.get_ident())
-        return real_sweep(*args, **kwargs)
+    def recording_start(self):
+        started.append(self)
+        real_start(self)
 
-    monkeypatch.setattr(engine, "sweep", recording_sweep)
+    monkeypatch.setattr(multiprocessing.process.BaseProcess, "start",
+                        recording_start)
     target = majority_truth_table(5)
     cons = NetworkConstraints(8, inverters_allowed=False)
     ladder = TemperatureLadder([0.05, 0.3, 0.8, 1.5, 3.0, 6.0])
+    for threads in (1, 2, 4, 9):
+        started.clear()
+        run(target, cons, ladder, StopConditions(max_repetitions=3), seed=9,
+            threads=threads)
+        # threads=1 starts none; beyond the 6 replicas, threads start none
+        assert len(started) == min(threads, ladder.size) - 1
+        assert not any(proc.is_alive() for proc in started)
+        assert multiprocessing.active_children() == []
+    # without the fork start method the run is serial
+    started.clear()
+    monkeypatch.setattr(multiprocessing, "get_all_start_methods",
+                        lambda: ["spawn"])
     run(target, cons, ladder, StopConditions(max_repetitions=3), seed=9,
         threads=4)
-    assert callers == {threading.get_ident()}
+    assert started == []
+
+
+@contextlib.contextmanager
+def alarm_after(seconds):
+    """Raise TimeoutError in the test if its body takes longer than
+    ``seconds``, so a hung worker fails the test instead of hanging it."""
+    def expire(_signum, _frame):
+        raise TimeoutError(f"still running after {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(seconds)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+def test_run_raises_a_worker_exception_in_the_caller(monkeypatch):
+    real_sweep = engine.sweep
+    parent = os.getpid()
+
+    def sweep_failing_in_workers(replica, *args, **kwargs):
+        if os.getpid() != parent:
+            raise ValueError(f"sweep of slot {replica.slot} failed")
+        return real_sweep(replica, *args, **kwargs)
+
+    monkeypatch.setattr(engine, "sweep", sweep_failing_in_workers)
+    target = majority_truth_table(5)
+    cons = NetworkConstraints(8, inverters_allowed=False)
+    ladder = TemperatureLadder([0.05, 0.3, 0.8, 1.5, 3.0, 6.0])
+    with alarm_after(60), \
+            pytest.raises(ValueError, match=r"sweep of slot \d+ failed") as err:
+        run(target, cons, ladder, StopConditions(max_repetitions=5), seed=9,
+            threads=2)
+    assert "in a sweep worker" in str(err.value.__cause__)
+    assert multiprocessing.active_children() == []
+
+
+def test_run_reports_a_worker_that_exits(monkeypatch):
+    real_sweep = engine.sweep
+    parent = os.getpid()
+
+    def exiting_sweep(replica, *args, **kwargs):
+        if os.getpid() != parent:
+            os._exit(1)
+        return real_sweep(replica, *args, **kwargs)
+
+    monkeypatch.setattr(engine, "sweep", exiting_sweep)
+    target = majority_truth_table(5)
+    cons = NetworkConstraints(8, inverters_allowed=False)
+    ladder = TemperatureLadder([0.05, 0.3, 0.8, 1.5, 3.0, 6.0])
+    with alarm_after(60), \
+            pytest.raises(RuntimeError, match="sweep worker process exited"):
+        run(target, cons, ladder, StopConditions(max_repetitions=5), seed=9,
+            threads=2)
+    assert multiprocessing.active_children() == []
+
+
+def test_run_raises_a_worker_cache_drift(monkeypatch):
+    # debug_checks run in the worker: a drift there is reported with the
+    # type and message of _check_replicas
+    real_sweep = engine.sweep
+    parent = os.getpid()
+
+    def drifting_sweep(replica, *args, **kwargs):
+        stats = real_sweep(replica, *args, **kwargs)
+        if os.getpid() != parent:
+            replica.cache.error += 1
+        return stats
+
+    monkeypatch.setattr(engine, "sweep", drifting_sweep)
+    target = majority_truth_table(5)
+    cons = NetworkConstraints(8, inverters_allowed=False)
+    ladder = TemperatureLadder([0.05, 0.3, 0.8, 1.5, 3.0, 6.0])
+    with alarm_after(60), \
+            pytest.raises(RuntimeError, match="cache error drifted") as err:
+        run(target, cons, ladder, StopConditions(max_repetitions=5), seed=9,
+            threads=3, debug_checks=True)
+    assert "in a sweep worker" in str(err.value.__cause__)
+    assert multiprocessing.active_children() == []
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+def test_run_interrupt_reports_the_best_so_far(threads, monkeypatch):
+    real_swap = engine.swap_phase
+    calls = 0
+
+    def interrupting_swap(*args, **kwargs):
+        nonlocal calls
+        calls += 1
+        if calls == 3:
+            raise KeyboardInterrupt
+        return real_swap(*args, **kwargs)
+
+    monkeypatch.setattr(engine, "swap_phase", interrupting_swap)
+    target = majority_truth_table(5)
+    cons = NetworkConstraints(8, inverters_allowed=False)
+    ladder = TemperatureLadder([0.05, 0.3, 0.8, 1.5, 3.0, 6.0])
+    report = run(target, cons, ladder, StopConditions(max_repetitions=50),
+                 seed=9, threads=threads)
+    assert report.interrupted
+    assert report.repetitions == 3
+    assert report.best_score is not None
+    assert multiprocessing.active_children() == []
 
 
 def test_run_raises_when_cleanup_disagrees_with_score(monkeypatch):
