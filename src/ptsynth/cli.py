@@ -111,6 +111,9 @@ def _constraints(args, target: TruthTable, label: str) -> NetworkConstraints:
 
 
 def _calibration_config(**options) -> engine.CalibrationConfig:
+    # an option left unset (None) keeps the config's default
+    options = {name: value for name, value in options.items()
+               if value is not None}
     try:
         return engine.CalibrationConfig(**options)
     except ValueError as exc:
@@ -132,6 +135,12 @@ def _score_goal(args, target: TruthTable, label: str,
 def _make_ladder(args, target: TruthTable,
                  constraints: NetworkConstraints) -> engine.TemperatureLadder:
     if args.ladder != "auto":
+        # a ladder file fixes the replicas and skips calibration
+        for option, value in (("--replicas", args.replicas),
+                              ("--warmup-sweeps", args.warmup_sweeps)):
+            if value is not None:
+                raise CliError(f"{option} cannot be used with a ladder file",
+                               EXIT_USAGE)
         try:
             return formats.parse_ladder(_read_text(args.ladder))
         except formats.NetworkParseError as exc:
@@ -324,8 +333,9 @@ def _add_target_options(parser: argparse.ArgumentParser, with_budget: bool = Tru
                             help="RNG seed (default $PTSYNTH_SEED or 0)")
         parser.add_argument("--replicas", type=int, default=None,
                             help="override the calibrated replica count")
-        parser.add_argument("--warmup-sweeps", type=_positive(int), default=200,
-                            help="calibration warm-up sweeps")
+        parser.add_argument("--warmup-sweeps", type=_positive(int), default=None,
+                            help="calibration warm-up sweeps (default "
+                                 f"{engine.CalibrationConfig.warmup_sweeps})")
 
 
 def build_parser() -> argparse.ArgumentParser:

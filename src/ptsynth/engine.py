@@ -142,9 +142,12 @@ def sweep(replica: Replica, beta: float, q_threshold: int | None = None,
 
     A reassign-one attempt draws from the slot's replacement pool without
     building it: ``moves.pool_layout`` gives the pool's size and the two
-    index blocks it skips, once per slot, and the drawn index
-    ``rng._randbelow(size)`` (the draws of ``randrange(size)``) becomes a
-    code by a few integer operations.  As in ``moves.propose_reassign_one``
+    index blocks it skips, once per slot, and the drawn index becomes a code
+    by a few integer operations.  The index is drawn by the bounded
+    ``getrandbits`` loop of ``randrange(size)``, inline: ``getrandbits(k)``
+    until the result is below ``size``, with ``k = size.bit_length()`` taken
+    once per slot, so the draws and the RNG stream are those of
+    ``randrange(size)``.  As in ``moves.propose_reassign_one``
     it redraws while the code is the current one, and skips the attempt
     without drawing when the pool holds fewer than two codes.
 
@@ -168,7 +171,8 @@ def sweep(replica: Replica, beta: float, q_threshold: int | None = None,
     w1, w2, w3 = move_weights
     mixed = w2 or w3
     w12, total = w1 + w2, w1 + w2 + w3
-    randbelow = rng._randbelow  # the draws of rng.randrange(size)
+    # drawn as randrange(size) does (_randbelow_with_getrandbits)
+    getrandbits = rng.getrandbits
     random, exp = rng.random, math.exp
     # pool index j >= cut holds code j + PI_BASE (see moves.pool_layout)
     cut = PI_BASE if net.constraints.inverters_allowed else len(cols)
@@ -198,6 +202,7 @@ def sweep(replica: Replica, beta: float, q_threshold: int | None = None,
                         if size is None:
                             size, first, e1, skip1, e2, skip2 = \
                                 moves.pool_layout(net, g, s)
+                            k = size.bit_length()
                             if inside:
                                 cb, cc = row[s - 2], row[s - 1]
                                 b = cols[cb >> 1] ^ (mask if cb & 1 else 0)
@@ -208,7 +213,10 @@ def sweep(replica: Replica, beta: float, q_threshold: int | None = None,
                             continue
                         cur = row[s]
                         while True:
-                            j = first + randbelow(size)
+                            j = getrandbits(k)
+                            while j >= size:
+                                j = getrandbits(k)
+                            j += first
                             if j >= e1:
                                 j += skip1
                             if j >= e2:

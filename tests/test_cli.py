@@ -278,6 +278,16 @@ def test_malformed_ladder_file_exit_2(text, expected, tmp_path, capsys):
                         "--ladder", str(ladder)], capsys, expected)
 
 
+@pytest.mark.parametrize("option", [["--replicas", "9"],
+                                    ["--warmup-sweeps", "50"]])
+def test_calibration_option_with_a_ladder_file_exit_2(option, tmp_path,
+                                                      capsys):
+    ladder = tmp_path / "ladder.txt"
+    ladder.write_text("0.5\n1.0\n")
+    assert_usage_error(SYNTH + ["--ladder", str(ladder)] + option, capsys,
+                       f"{option[0]} cannot be used with a ladder file")
+
+
 def test_synth_threads_option_is_accepted_and_changes_nothing(tmp_path, capsys):
     artifacts = []
     for threads in ("1", "3"):

@@ -272,11 +272,15 @@ def test_sweep_takes_the_cone_once_and_no_cofactors_outside_it(
 
 
 class NoRandrange(random.Random):
-    """A stream whose randrange must not be called; ``_randbelow`` is
+    """A stream whose ``randrange`` and ``_randbelow`` must not be called,
+    so a reassign-one draw has to go through ``getrandbits``, which is
     inherited unchanged."""
 
     def randrange(self, *args, **kwargs):
         raise AssertionError("randrange called")
+
+    def _randbelow(self, *args, **kwargs):
+        raise AssertionError("_randbelow called")
 
 
 @pytest.mark.parametrize("inverters,leafy", [(False, False), (True, False),

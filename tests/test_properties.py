@@ -295,11 +295,20 @@ def test_pool_layout_maps_every_index_to_the_pool_entry(net):
 
 
 @SETTINGS
-@given(st.integers(0, 2**64), st.one_of(st.integers(1, 70),
-                                        st.integers(1, 2**70)))
-def test_randbelow_draws_as_randrange(seed, size):
-    # the sweep draws with rng._randbelow(size) in place of randrange(size)
+@given(st.integers(0, 2**64), st.one_of(st.integers(2, 70),
+                                        st.integers(2, 2**70)))
+def test_inline_draw_matches_randrange(seed, size):
+    # engine.sweep draws a pool index with this loop in place of
+    # randrange(size); it relies on CPython's _randbelow_with_getrandbits
+    # having the same body, so this runs on every interpreter CI tests
     ours, ref = random.Random(seed), random.Random(seed)
-    assert [ours._randbelow(size) for _ in range(8)] \
-        == [ref.randrange(size) for _ in range(8)]
+    getrandbits = ours.getrandbits
+    k = size.bit_length()
+    drawn = []
+    for _ in range(8):
+        j = getrandbits(k)
+        while j >= size:
+            j = getrandbits(k)
+        drawn.append(j)
+    assert drawn == [ref.randrange(size) for _ in range(8)]
     assert ours.getstate() == ref.getstate()
