@@ -271,21 +271,28 @@ def cmd_bench(args) -> int:
             p = DEFAULT_MAX_NODES.get((n, inverters), BENCH_MAX_NODES.get(n))
             constraints = NetworkConstraints(p, inverters_allowed=inverters)
             goal_q = BEST_KNOWN[(n, inverters, False)]
-            ladder = engine.calibrate_ladder(target, constraints, config,
-                                             seed=args.seed)
-            stop = engine.StopConditions(max_repetitions=args.max_reps,
-                                         time_limit=args.time_limit,
-                                         score_goal=goal_q - p)
-            start = time.perf_counter()
-            report = engine.run(target, constraints, ladder, stop,
-                                seed=args.seed)
-            wall = time.perf_counter() - start
-            status = "ok" if report.best_q is not None and report.best_q <= goal_q \
-                else "partial"
-            q = report.best_q if report.best_q is not None else "-"
+            try:
+                ladder = engine.calibrate_ladder(target, constraints, config,
+                                                 seed=args.seed)
+            except engine.CalibrationError as exc:
+                # no run for this instance; the others still run
+                print(f"calibration failed: {exc}", file=sys.stderr)
+                q, reps, wall, status = "-", 0, 0.0, "partial"
+            else:
+                stop = engine.StopConditions(max_repetitions=args.max_reps,
+                                             time_limit=args.time_limit,
+                                             score_goal=goal_q - p)
+                start = time.perf_counter()
+                report = engine.run(target, constraints, ladder, stop,
+                                    seed=args.seed)
+                wall = time.perf_counter() - start
+                reps = report.repetitions
+                status = "ok" if report.best_q is not None \
+                    and report.best_q <= goal_q else "partial"
+                q = report.best_q if report.best_q is not None else "-"
             print(f"{n:>3} {gates:>8} {p:>3} {goal_q:>4} {q:>3} "
-                  f"{report.repetitions:>8} {wall:>8.2f} {status}")
-            rows.append((n, gates, p, goal_q, q, report.repetitions, wall, status))
+                  f"{reps:>8} {wall:>8.2f} {status}")
+            rows.append((n, gates, p, goal_q, q, reps, wall, status))
     if args.csv:
         lines = ["n,gates,p,goal_q,q,repetitions,wall_seconds,status"]
         lines += [",".join(str(v) for v in row) for row in rows]

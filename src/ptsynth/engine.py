@@ -63,6 +63,9 @@ class TemperatureLadder:
     def __post_init__(self) -> None:
         if len(self.betas) < 2:
             raise ValueError("a ladder needs at least two temperatures")
+        if not all(math.isfinite(beta) for beta in self.betas):
+            # a NaN beta would fail every uphill move and swap unnoticed
+            raise ValueError("inverse temperatures must be finite")
         if self.betas[0] < 0:
             raise ValueError("inverse temperatures must be non-negative")
         for lo, hi in zip(self.betas, self.betas[1:]):
@@ -133,32 +136,45 @@ def sweep(replica: Replica, beta: float, q_threshold: int | None = None,
     the cone bit of the gate it is made at or of any gate above it, and the
     bit of the visited gate is exact.  A one-gate move (reassign-one or
     reassign-all at gate g) at a gate outside the cone keeps both error and
-    score, so it is accepted with delta 0 and only its codes are written;
-    gate g's column is recomputed once, as the sweep leaves the gate.  At a
-    cone gate the move is scored from gate g's output cofactors
-    (``output_cofactors``), which evaluate only the later cone gates that
-    read gate g.  A swap, which also rewires a gate g2, is scored by
-    evaluating gates ``min(g, g2)..`` on a copy of the columns before them.
+    score, so it is accepted with delta 0 and only its codes are written.
+    At a cone gate the move is scored from gate g's output cofactors
+    (``output_cofactors``, taken once per gate on first use), which
+    evaluate only the later cone gates that read gate g.  A swap, which
+    also rewires a gate g2, is scored by evaluating gates ``min(g, g2)..``
+    on a copy of the columns before them.
 
-    A reassign-one attempt draws from the slot's replacement pool without
+    Reassign-one attempts run per slot: a run of them shares the slot's
+    pool layout and residuals, which are taken once per slot and again
+    only after an accepted swap or reassign-all.  With only reassign-one
+    weighted, the run is all five attempts; with any other mix each attempt
+    draws its kind first, and a reassign-one attempt is a run of one.  A
+    reassign-one attempt draws from the slot's replacement pool without
     building it: ``moves.pool_layout`` gives the pool's size and the two
-    index blocks it skips, once per slot, and the drawn index becomes a code
-    by a few integer operations.  The index is drawn by the bounded
-    ``getrandbits`` loop of ``randrange(size)``, inline: ``getrandbits(k)``
-    until the result is below ``size``, with ``k = size.bit_length()`` taken
-    once per slot, so the draws and the RNG stream are those of
-    ``randrange(size)``.  As in ``moves.propose_reassign_one``
-    it redraws while the code is the current one, and skips the attempt
-    without drawing when the pool holds fewer than two codes.
+    index blocks it skips, and the drawn index becomes a code by a few
+    integer operations.  The index is drawn by the bounded ``getrandbits``
+    loop of ``randrange(size)``, inline: ``getrandbits(k)`` until the result
+    is below ``size``, with ``k = size.bit_length()``, so the draws and the
+    RNG stream are those of ``randrange(size)``.  As in
+    ``moves.propose_reassign_one`` it redraws while the code is the current
+    one, and skips the attempt without drawing when the pool holds fewer
+    than two codes.  Outside the cone an attempt is only that draw.  At a
+    cone gate, with the slot's other operands b and c, gate g's column is
+    ``(b & c) ^ (a & (b ^ c))`` for the new operand a, so with
+    ``free = d & (b ^ c)`` and ``r0 = e0 ^ (d & b & c)`` its error is
+    ``(r0 ^ (a & free)).bit_count()``; a complemented literal's column is
+    ``col ^ mask``, which flips ``free``, so the attempt reads ``r0`` or
+    ``r1 = r0 ^ free`` and scores with three operations on columns.
 
     When the sweep visits gate g, the columns of every gate below g and of
     every cone gate are fresh; the cone is closed under operand edges, so a
-    cone gate reads no gate outside it.  An accepted one-gate move at a cone
-    gate writes only gate g's column; as the sweep leaves the gate, it
-    refreshes the later cone gates that read gate g from their cofactor
-    columns if gate g's column changed.  An accepted swap copies back every
-    column it evaluated.  So the cache is fresh again when the sweep ends;
-    the error and score live in locals until then.
+    cone gate reads no gate outside it.  Within the visit nothing reads
+    gate g's column, so a one-gate move writes only codes.  As the sweep
+    leaves the gate, it rebuilds gate g's column if the gate is outside the
+    cone or a move there was accepted, and if that changed a cone gate's
+    column it refreshes the later cone gates that read gate g from their
+    cofactor columns.  An accepted swap copies back every column it
+    evaluated.  So the cache is fresh again when the sweep ends; the error
+    and score live in locals until then.
 
     When ``q_threshold`` is given, any visited exact network that cleans up
     to fewer than that many gates is snapshotted into the returned stats.
@@ -181,7 +197,6 @@ def sweep(replica: Replica, beta: float, q_threshold: int | None = None,
     proposed = accepted = 0
     best: tuple[int, list[list[int]], int] | None = None
     base = PI_BASE + net.n
-    kind = 0  # reassign-one, unless the mix draws a kind per attempt
     cone = output_cone(net)
     # set once an accepted move may have changed cone bits below the
     # visited gate; bits from the visited gate up stay exact
@@ -191,42 +206,106 @@ def sweep(replica: Replica, beta: float, q_threshold: int | None = None,
         inside = cone >> g & 1
         entry = cols[hid]  # fresh if inside the cone
         e0 = None  # gate g's output cofactors, computed on first use
+        accepted_before = accepted
         for s in range(3):
-            size = None  # the slot's pool layout and fixed operands
-            for _ in range(5):
+            size = None  # the slot's pool layout and residuals
+            tries = 5
+            while tries:
+                run = tries  # reassign-one attempts in a row
                 if mixed:
-                    r = rng.random() * total
-                    kind = 0 if r < w1 else 1 if r < w12 else 2
-                if kind != 1:
-                    if kind == 0:
-                        if size is None:
-                            size, first, e1, skip1, e2, skip2 = \
-                                moves.pool_layout(net, g, s)
-                            k = size.bit_length()
+                    r = random() * total
+                    if r >= w1:
+                        tries -= 1
+                        if r < w12:
+                            edits = moves.propose_swap_between_gates(
+                                net, rng, g, s)
+                            if edits is None:
+                                continue
+                            (_, _, l2), (g2, s2, l1) = edits
+                            row[s], codes[g2][s2] = l2, l1
+                            lo = base + min(g, g2)
+                            fresh = cols[:lo]
+                            for ca, cb, cc in codes[lo - base:]:
+                                a = fresh[ca >> 1] ^ (mask if ca & 1 else 0)
+                                b = fresh[cb >> 1] ^ (mask if cb & 1 else 0)
+                                c = fresh[cc >> 1] ^ (mask if cc & 1 else 0)
+                                fresh.append((a & (b | c)) | (b & c))
+                            new_error = (fresh[out >> 1]
+                                         ^ (mask if out & 1 else 0)
+                                         ^ cache.target_bits).bit_count()
+                            if new_error:
+                                new_score = new_error
+                            # Both gates outside the cone: as for a one-gate
+                            # edit there.  With gate g outside, gate g2 is
+                            # outside the cone before the swap exactly when
+                            # it is outside it after, and the cone is then
+                            # the same.  Gate g2's cached bit is exact above
+                            # gate g, and below it until a move is accepted;
+                            # after that the swapped codes are walked.
+                            elif not (error or inside
+                                      or (output_cone(net) if moved and g2 < g
+                                          else cone) >> g2 & 1):
+                                new_score = score
+                            else:
+                                new_score = \
+                                    network.cleaned_gate_count(net) - budget
+                            row[s], codes[g2][s2] = l1, l2
+                        else:
+                            edits = moves.propose_reassign_all(net, rng, g)
                             if inside:
-                                cb, cc = row[s - 2], row[s - 1]
+                                (_, _, ca), (_, _, cb), (_, _, cc) = edits
+                                a = cols[ca >> 1] ^ (mask if ca & 1 else 0)
                                 b = cols[cb >> 1] ^ (mask if cb & 1 else 0)
                                 c = cols[cc >> 1] ^ (mask if cc & 1 else 0)
-                                bc_or, bc_and = b | c, b & c
-                        # the current literal is in the pool: size - 1 choices
-                        if size < 2:
-                            continue
-                        cur = row[s]
-                        while True:
-                            j = getrandbits(k)
-                            while j >= size:
-                                j = getrandbits(k)
-                            j += first
-                            if j >= e1:
-                                j += skip1
-                            if j >= e2:
-                                j += skip2
-                            new = j << 1 if j < cut else j + PI_BASE
-                            if new != cur:
-                                break
-                    else:
-                        edits = moves.propose_reassign_all(net, rng, g)
-                    proposed += 1
+                                if e0 is None:
+                                    e0, d, stale = output_cofactors(
+                                        net, cache, g, cone)
+                                new_error = (e0 ^ (d & ((a & (b | c))
+                                                        | (b & c)))).bit_count()
+                                if new_error:
+                                    new_score = new_error
+                                else:
+                                    old = row[:]
+                                    for _, t, code in edits:
+                                        row[t] = code
+                                    new_score = \
+                                        network.cleaned_gate_count(net) - budget
+                                    row[:] = old
+                            else:
+                                # the output does not read gate g; see the
+                                # note on reassign-one outside the cone
+                                new_error, new_score = error, score
+                        proposed += 1
+                        delta = new_score - score
+                        if delta > 0:
+                            if deltas is not None:
+                                deltas.append(delta)
+                            if not random() < exp(-beta * delta):
+                                continue
+                        for eg, t, code in edits:
+                            codes[eg][t] = code
+                        if r < w12:
+                            cols[lo:] = fresh[lo:]
+                            entry = cols[hid]
+                            e0 = None
+                            moved = True
+                        elif inside:
+                            moved = True
+                        size = None
+                        error, score = new_error, new_score
+                        accepted += 1
+                        if score <= 0 and q_threshold is not None:
+                            q = score + budget
+                            if q < q_threshold and (best is None or q < best[0]):
+                                best = (q, [r[:] for r in codes], out)
+                        continue
+                    run = 1
+                tries -= run
+                if size is None:
+                    size, first, e1, skip1, e2, skip2 = \
+                        moves.pool_layout(net, g, s)
+                    k = size.bit_length()
+                    cur = row[s]
                     if not inside:
                         # The output does not read gate g: error and score
                         # stand.  The cleaned count stands too: cleanup's
@@ -236,114 +315,83 @@ def sweep(replica: Replica, beta: float, q_threshold: int | None = None,
                         # number of distinct hash-consed nodes reachable
                         # from the output, and a node's hash-consed form
                         # depends only on its own fan-in cone, that is, only
-                        # on operands of cone gates.
-                        if kind == 0:
-                            row[s] = new
+                        # on operands of cone gates.  So the first accepted
+                        # attempt here is the only one to snapshot.
+                        q = score + budget
+                        snap = (score <= 0 and q_threshold is not None
+                                and q < q_threshold
+                                and (best is None or q < best[0]))
+                    elif size > 1:
+                        if e0 is None:
+                            e0, d, stale = output_cofactors(net, cache, g, cone)
+                        cb, cc = row[s - 2], row[s - 1]
+                        b = cols[cb >> 1] ^ (mask if cb & 1 else 0)
+                        c = cols[cc >> 1] ^ (mask if cc & 1 else 0)
+                        free = d & (b ^ c)
+                        r0 = e0 ^ (d & b & c)
+                        r1 = r0 ^ free
+                # the current literal is in the pool: size - 1 choices
+                if size < 2:
+                    continue
+                proposed += run
+                for _ in range(run):
+                    while True:
+                        j = getrandbits(k)
+                        while j >= size:
+                            j = getrandbits(k)
+                        j += first
+                        if j >= e1:
+                            j += skip1
+                        if j >= e2:
+                            j += skip2
+                        new = j << 1 if j < cut else j + PI_BASE
+                        if new != cur:
+                            break
+                    if inside:
+                        new_error = ((r1 if new & 1 else r0)
+                                     ^ (cols[new >> 1] & free)).bit_count()
+                        if new_error:
+                            new_score = new_error
                         else:
-                            for _, t, code in edits:
-                                row[t] = code
-                            size = None
+                            row[s] = new
+                            # called through the module, so a wrapper there
+                            # sees it
+                            new_score = network.cleaned_gate_count(net) - budget
+                            row[s] = cur
+                        delta = new_score - score
+                        if delta > 0:
+                            if deltas is not None:
+                                deltas.append(delta)
+                            if not random() < exp(-beta * delta):  # accept_uphill
+                                continue
+                        error, score = new_error, new_score
                         accepted += 1
+                        moved = True
                         if score <= 0 and q_threshold is not None:
                             q = score + budget
                             if q < q_threshold and (best is None or q < best[0]):
+                                row[s] = new
                                 best = (q, [r[:] for r in codes], out)
-                        continue
-                    if kind == 0:
-                        x = ((cols[new >> 1] ^ (mask if new & 1 else 0))
-                             & bc_or) | bc_and
-                    else:
-                        (_, _, ca), (_, _, cb), (_, _, cc) = edits
-                        a = cols[ca >> 1] ^ (mask if ca & 1 else 0)
-                        b = cols[cb >> 1] ^ (mask if cb & 1 else 0)
-                        c = cols[cc >> 1] ^ (mask if cc & 1 else 0)
-                        x = (a & (b | c)) | (b & c)
-                    if e0 is None:
-                        e0, d, stale = output_cofactors(net, cache, g, cone)
-                    new_error = (e0 ^ (d & x)).bit_count()
-                    if new_error:
-                        new_score = new_error
-                    else:
-                        old = row[:]
-                        if kind == 0:
-                            row[s] = new
-                        else:
-                            for _, t, code in edits:
-                                row[t] = code
-                        # called through the module, so a wrapper there sees it
-                        new_score = network.cleaned_gate_count(net) - budget
-                        row[:] = old
-                else:
-                    edits = moves.propose_swap_between_gates(net, rng, g, s)
-                    if edits is None:
-                        continue
-                    proposed += 1
-                    (_, _, l2), (g2, s2, l1) = edits
-                    row[s], codes[g2][s2] = l2, l1
-                    lo = base + min(g, g2)
-                    fresh = cols[:lo]
-                    for ca, cb, cc in codes[lo - base:]:
-                        a = fresh[ca >> 1] ^ (mask if ca & 1 else 0)
-                        b = fresh[cb >> 1] ^ (mask if cb & 1 else 0)
-                        c = fresh[cc >> 1] ^ (mask if cc & 1 else 0)
-                        fresh.append((a & (b | c)) | (b & c))
-                    new_error = (fresh[out >> 1] ^ (mask if out & 1 else 0)
-                                 ^ cache.target_bits).bit_count()
-                    if new_error:
-                        new_score = new_error
-                    # Both gates outside the cone: as for a one-gate edit
-                    # there.  With gate g outside, gate g2 is outside the
-                    # cone before the swap exactly when it is outside it
-                    # after, and the cone is then the same.  Gate g2's
-                    # cached bit is exact above gate g, and below it until
-                    # a move is accepted; after that the swapped codes are
-                    # walked.
-                    elif not (error or cone >> g & 1
-                              or (output_cone(net) if moved and g2 < g
-                                  else cone) >> g2 & 1):
-                        new_score = score
-                    else:
-                        new_score = network.cleaned_gate_count(net) - budget
-                    row[s], codes[g2][s2] = l1, l2
-                delta = new_score - score
-                if delta > 0:
-                    if deltas is not None:
-                        deltas.append(delta)
-                    if not random() < exp(-beta * delta):  # accept_uphill
-                        continue
-                if kind == 0:
-                    row[s] = new
-                    cols[hid] = x
-                    moved = True
-                else:
-                    for eg, t, code in edits:
-                        codes[eg][t] = code
-                    if kind == 1:
-                        cols[lo:] = fresh[lo:]
-                        entry = cols[hid]
-                        e0 = None
-                    else:
-                        cols[hid] = x
-                    moved = True
-                    size = None
-                error, score = new_error, new_score
-                accepted += 1
-                if score <= 0 and q_threshold is not None:
-                    q = score + budget
-                    if q < q_threshold and (best is None or q < best[0]):
+                    elif snap:
+                        row[s] = new
                         best = (q, [r[:] for r in codes], out)
-        if not inside:
+                        snap = False
+                    cur = new
+                row[s] = cur
+                if not inside:
+                    accepted += run
+        if not inside or accepted != accepted_before:
             ca, cb, cc = row
             a = cols[ca >> 1] ^ (mask if ca & 1 else 0)
             b = cols[cb >> 1] ^ (mask if cb & 1 else 0)
             c = cols[cc >> 1] ^ (mask if cc & 1 else 0)
             cols[hid] = (a & (b | c)) | (b & c)
-        elif cols[hid] != entry:
-            # only an accepted one-gate move, scored after e0 was taken,
-            # changes gate g's column
-            x = cols[hid]
-            for h, c0, dh in stale:
-                cols[base + h] = c0 ^ (dh & x)
+            if inside and cols[hid] != entry:
+                # only an accepted one-gate move, scored after e0 was
+                # taken, changes gate g's column
+                x = cols[hid]
+                for h, c0, dh in stale:
+                    cols[base + h] = c0 ^ (dh & x)
     cache.error, cache.score = error, score
     return SweepStats(15 * len(codes), proposed, accepted, error, score,
                       deltas, best)

@@ -270,6 +270,8 @@ def test_non_positive_max_nodes_exit_2(command, budget, capsys):
 @pytest.mark.parametrize("text, expected", [
     ("0.1\nwarm\n", "line 2: bad inverse temperature 'warm'"),
     ("0.5\n0.2\n", "inverse temperatures must strictly increase"),
+    ("0.1\nnan\n2.0\n", "inverse temperatures must be finite"),
+    ("0.1\n1e400\n", "inverse temperatures must be finite"),
 ])
 def test_malformed_ladder_file_exit_2(text, expected, tmp_path, capsys):
     ladder = tmp_path / "ladder.txt"
@@ -351,6 +353,26 @@ def test_target_file_with_unit_weights_runs(tmp_path, capsys):
     out = capsys.readouterr().out
     assert code == 0
     assert "found exact network: q=1" in out
+
+
+def test_bench_reports_a_calibration_failure_and_goes_on(tmp_path, capsys,
+                                                        monkeypatch):
+    def failing(target, constraints, config=None, seed=0):
+        raise engine.CalibrationError(f"no ladder for n={target.n}")
+
+    monkeypatch.setattr(engine, "calibrate_ladder", failing)
+    summary = tmp_path / "bench.csv"
+    code = run_cli(["bench", "--suite", "quick", "--seed", "1",
+                    "--csv", str(summary)])
+    err = capsys.readouterr().err
+    assert code == 3
+    assert "Traceback" not in err
+    assert err.splitlines() == [f"calibration failed: no ladder for n={n}"
+                                for n in (3, 3, 5, 5, 7, 7)]
+    rows = [line.split(",") for line in summary.read_text().splitlines()[1:]]
+    assert [(row[0], row[1], row[4], row[5], row[7]) for row in rows] == [
+        (str(n), gates, "-", "0", "partial")
+        for n in (3, 5, 7) for gates in ("maj", "maj-inv")]
 
 
 @pytest.mark.slow

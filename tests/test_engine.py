@@ -177,10 +177,16 @@ def move_path_sweep(replica, beta, q_threshold, move_weights):
                       deltas, best)
 
 
-@pytest.mark.parametrize("mix", [(1, 0, 0), (1, 1, 1), (0, 1, 0), (0, 0, 1),
-                                 (2, 1, 0)],
-                         ids=lambda mix: "mix" + "".join(map(str, mix)))
+@pytest.mark.parametrize("mix,beta", [
+    pytest.param(mix, beta, id="mix" + "".join(map(str, mix))
+                 + ("" if beta == 1.0 else f"-beta{beta:g}"))
+    for beta in (1.0, 0.0, 8.0)
+    for mix in ((1, 0, 0), (1, 1, 1), (0, 1, 0), (0, 0, 1), (2, 1, 0),
+                (3, 0, 0))])
 @pytest.mark.parametrize("n,p,inverters,leafy,exact_start", [
+    # gate 0's pools hold under two codes, but for one slot with inverters
+    (1, 3, False, False, False),
+    (1, 3, True, False, True),
     (3, 4, False, False, False),
     (5, 6, True, False, False),
     (5, 8, False, False, True),
@@ -190,7 +196,7 @@ def move_path_sweep(replica, beta, q_threshold, move_weights):
     (7, 10, True, True, False),
 ])
 def test_sweep_matches_the_move_path(n, p, inverters, leafy, exact_start,
-                                     mix, monkeypatch):
+                                     mix, beta, monkeypatch):
     cons = NetworkConstraints(p, inverters_allowed=inverters, leafy=leafy)
     rng = derived_rng(n * 100 + p, "differential")
     net = random_network(n, cons, rng)
@@ -202,8 +208,9 @@ def test_sweep_matches_the_move_path(n, p, inverters, leafy, exact_start,
     ref_rng.setstate(rng.getstate())
     ref = Replica(net.copy(), evaluate_full(net, target), ref_rng, 0)
     threshold = p + 1
-    expected = [move_path_sweep(ref, 1.0, threshold, mix) for _ in range(4)]
-    if exact_start:
+    expected = [move_path_sweep(ref, beta, threshold, mix) for _ in range(4)]
+    if exact_start and beta >= 1:
+        # at beta 0 the walk may leave the exact networks before any snapshot
         assert any(st.best_exact is not None for st in expected)
     ref_states = ([row[:] for row in ref.network.codes], ref_rng.getstate())
 
@@ -223,7 +230,7 @@ def test_sweep_matches_the_move_path(n, p, inverters, leafy, exact_start,
                         counting("recompute", network.recompute_from))
     monkeypatch.setattr(moves, "recompute_from",
                         counting("recompute", moves.recompute_from))
-    got = [sweep(ours, 1.0, threshold, collect_deltas=True, move_weights=mix)
+    got = [sweep(ours, beta, threshold, collect_deltas=True, move_weights=mix)
            for _ in range(4)]
     assert calls == Counter()
     assert got == expected
@@ -370,6 +377,11 @@ def test_ladder_validation():
         TemperatureLadder([1.0, 1.0])
     with pytest.raises(ValueError):
         TemperatureLadder([-0.5, 1.0])
+    for bad in (math.nan, math.inf):
+        with pytest.raises(ValueError, match="must be finite"):
+            TemperatureLadder([0.1, bad, 2.0])
+        with pytest.raises(ValueError, match="must be finite"):
+            TemperatureLadder([0.1, 2.0, bad])
     ladder = TemperatureLadder([0.0, 1.0, 2.0])
     assert ladder.size == 3
     assert ladder.swap_rates() == [0.0, 0.0]

@@ -1,6 +1,6 @@
 """Property tests for cleanup, the output-cone shortcut and the cone bits a
-move keeps, the move path, the output cofactors that score the sweep and the
-pool layout it draws from.
+move keeps, the move path, the output cofactors and slot residuals that
+score the sweep and the pool layout it draws from.
 
 Networks are drawn over n in {3, 5, 7}, every budget up to 12 gates, both
 gate sets, leafy or not, and an output that may sit on any gate (inverted
@@ -218,6 +218,36 @@ def test_output_cofactors_predict_the_error_of_every_replacement(drawn,
             if h == g or not cone >> h & 1:
                 scrambled.cols[base + h] = rng.getrandbits(1 << net.n)
         assert output_cofactors(net, scrambled, g, cone) == (e0, d, stale)
+
+
+@SETTINGS
+@given(networks(), st.booleans())
+def test_slot_residuals_score_every_reassign_one_literal(drawn, exact_start):
+    # engine.sweep scores a reassign-one attempt at a cone gate from the
+    # slot's residuals, taken once per slot from the other two operands
+    net, rng = drawn
+    target = own_target(net) if exact_start \
+        else TruthTable(net.n, rng.getrandbits(1 << net.n))
+    cache = evaluate_full(net, target)
+    cols, mask = cache.cols, cache.mask
+    cone = output_cone(net)
+    for g in range(net.num_gates):
+        if not cone >> g & 1:
+            continue
+        e0, d, _ = output_cofactors(net, cache, g, cone)
+        row = net.codes[g]
+        for s in range(3):
+            b, c = (cols[code >> 1] ^ (mask if code & 1 else 0)
+                    for code in (row[s - 2], row[s - 1]))
+            free = d & (b ^ c)
+            r0 = e0 ^ (d & b & c)
+            r1 = r0 ^ free
+            for new in replacement_pool(net, g, s):
+                edited = net.copy()
+                edited.codes[g][s] = new
+                assert ((r1 if new & 1 else r0)
+                        ^ (cols[new >> 1] & free)).bit_count() == \
+                    evaluate_full(edited, target).error
 
 
 @SETTINGS
