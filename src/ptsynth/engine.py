@@ -122,59 +122,58 @@ class SweepStats:
 
 def sweep(replica: Replica, beta: float, q_threshold: int | None = None,
           collect_deltas: bool = False,
-          move_weights=(1.0, 0.0, 0.0)) -> SweepStats:
+          move_weights=(1.0, 0.0)) -> SweepStats:
     """Five Metropolis attempts per gate input, gate-major and slot-minor.
 
-    Each attempt draws its move kind by ``move_weights`` (reassign-one,
-    swap-between-gates, reassign-all; no draw when only reassign-one has
-    weight) and is scored before it is written.
+    ``move_weights`` weighs reassign-one against swap-between-gates.  With
+    swap weighted, each attempt draws its kind first (``random() * total``,
+    a swap from ``w1`` up); every attempt is scored before it is written.
 
     The sweep takes the output cone (``output_cone``) once.  A gate's cone
     bit depends only on the operands of later gates, and every literal a
     move at gate g writes or overwrites names a source below gate g (a
     swap's partner literal must be legal at gate g too).  So no move changes
     the cone bit of the gate it is made at or of any gate above it, and the
-    bit of the visited gate is exact.  A one-gate move (reassign-one or
-    reassign-all at gate g) at a gate outside the cone keeps both error and
-    score, so it is accepted with delta 0 and only its codes are written.
-    At a cone gate the move is scored from gate g's output cofactors
-    (``output_cofactors``, taken once per gate on first use), which
-    evaluate only the later cone gates that read gate g.  A swap, which
-    also rewires a gate g2, is scored by evaluating gates ``min(g, g2)..``
-    on a copy of the columns before them.
+    bit of the visited gate is exact.  A reassign-one move at a gate outside
+    the cone keeps both error and score, so it is accepted with delta 0 and
+    only its code is written.  At a cone gate it is scored from gate g's
+    output cofactors (``output_cofactors``, taken once per gate on first
+    use), which evaluate only the later cone gates that read gate g.  A
+    swap, which also rewires a gate g2, is scored by evaluating gates
+    ``min(g, g2)..`` on a copy of the columns before them.
 
     Reassign-one attempts run per slot: a run of them shares the slot's
     pool layout and residuals, which are taken once per slot and again
-    only after an accepted swap or reassign-all.  With only reassign-one
-    weighted, the run is all five attempts; with any other mix each attempt
-    draws its kind first, and a reassign-one attempt is a run of one.  A
-    reassign-one attempt draws from the slot's replacement pool without
-    building it: ``moves.pool_layout`` gives the pool's size and the two
-    index blocks it skips, and the drawn index becomes a code by a few
-    integer operations.  The index is drawn by the bounded ``getrandbits``
-    loop of ``randrange(size)``, inline: ``getrandbits(k)`` until the result
-    is below ``size``, with ``k = size.bit_length()``, so the draws and the
-    RNG stream are those of ``randrange(size)``.  As in
-    ``moves.propose_reassign_one`` it redraws while the code is the current
-    one, and skips the attempt without drawing when the pool holds fewer
-    than two codes.  Outside the cone an attempt is only that draw.  At a
-    cone gate, with the slot's other operands b and c, gate g's column is
-    ``(b & c) ^ (a & (b ^ c))`` for the new operand a, so with
-    ``free = d & (b ^ c)`` and ``r0 = e0 ^ (d & b & c)`` its error is
-    ``(r0 ^ (a & free)).bit_count()``; a complemented literal's column is
-    ``col ^ mask``, which flips ``free``, so the attempt reads ``r0`` or
-    ``r1 = r0 ^ free`` and scores with three operations on columns.
+    only after an accepted swap.  Without swap the run is all five
+    attempts; with it each attempt draws its kind first, and a reassign-one
+    attempt is a run of one.  A reassign-one attempt draws from the slot's
+    replacement pool without building it: ``moves.pool_layout`` gives the
+    pool's size and the two index blocks it skips, and the drawn index
+    becomes a code by a few integer operations.  The index is drawn by the
+    bounded ``getrandbits`` loop of ``randrange(size)``, inline:
+    ``getrandbits(k)`` until the result is below ``size``, with
+    ``k = size.bit_length()``, so the draws and the RNG stream are those of
+    ``randrange(size)``.  As in ``moves.propose_reassign_one`` it redraws
+    while the code is the current one, and skips the attempt without
+    drawing when the pool holds fewer than two codes.  Outside the cone an
+    attempt is only that draw.  At a cone gate, with the slot's other
+    operands b and c, gate g's column is ``(b & c) ^ (a & (b ^ c))`` for the
+    new operand a, so with ``free = d & (b ^ c)`` and
+    ``r0 = e0 ^ (d & b & c)`` its error is ``(r0 ^ (a & free)).bit_count()``;
+    a complemented literal's column is ``col ^ mask``, which flips ``free``,
+    so the attempt reads ``r0`` or ``r1 = r0 ^ free`` and scores with three
+    operations on columns.
 
     When the sweep visits gate g, the columns of every gate below g and of
     every cone gate are fresh; the cone is closed under operand edges, so a
     cone gate reads no gate outside it.  Within the visit nothing reads
-    gate g's column, so a one-gate move writes only codes.  As the sweep
-    leaves the gate, it rebuilds gate g's column if the gate is outside the
-    cone or a move there was accepted, and if that changed a cone gate's
-    column it refreshes the later cone gates that read gate g from their
-    cofactor columns.  An accepted swap copies back every column it
-    evaluated.  So the cache is fresh again when the sweep ends; the error
-    and score live in locals until then.
+    gate g's column, so a reassign-one move writes only its code.  As the
+    sweep leaves the gate, it rebuilds gate g's column if the gate is
+    outside the cone or a move there was accepted, and if that changed a
+    cone gate's column it refreshes the later cone gates that read gate g
+    from their cofactor columns.  An accepted swap copies back every column
+    it evaluated.  So the cache is fresh again when the sweep ends; the
+    error and score live in locals until then.
 
     When ``q_threshold`` is given, any visited exact network that cleans up
     to fewer than that many gates is snapshotted into the returned stats.
@@ -184,9 +183,8 @@ def sweep(replica: Replica, beta: float, q_threshold: int | None = None,
     cols, mask = cache.cols, cache.mask
     budget = net.constraints.max_nodes
     out = net.output_code
-    w1, w2, w3 = move_weights
-    mixed = w2 or w3
-    w12, total = w1 + w2, w1 + w2 + w3
+    w1, w2 = move_weights
+    total = w1 + w2
     # drawn as randrange(size) does (_randbelow_with_getrandbits)
     getrandbits = rng.getrandbits
     random, exp = rng.random, math.exp
@@ -212,85 +210,50 @@ def sweep(replica: Replica, beta: float, q_threshold: int | None = None,
             tries = 5
             while tries:
                 run = tries  # reassign-one attempts in a row
-                if mixed:
-                    r = random() * total
-                    if r >= w1:
+                if w2:
+                    if random() * total >= w1:
                         tries -= 1
-                        if r < w12:
-                            edits = moves.propose_swap_between_gates(
-                                net, rng, g, s)
-                            if edits is None:
-                                continue
-                            (_, _, l2), (g2, s2, l1) = edits
-                            row[s], codes[g2][s2] = l2, l1
-                            lo = base + min(g, g2)
-                            fresh = cols[:lo]
-                            for ca, cb, cc in codes[lo - base:]:
-                                a = fresh[ca >> 1] ^ (mask if ca & 1 else 0)
-                                b = fresh[cb >> 1] ^ (mask if cb & 1 else 0)
-                                c = fresh[cc >> 1] ^ (mask if cc & 1 else 0)
-                                fresh.append((a & (b | c)) | (b & c))
-                            new_error = (fresh[out >> 1]
-                                         ^ (mask if out & 1 else 0)
-                                         ^ cache.target_bits).bit_count()
-                            if new_error:
-                                new_score = new_error
-                            # Both gates outside the cone: as for a one-gate
-                            # edit there.  With gate g outside, gate g2 is
-                            # outside the cone before the swap exactly when
-                            # it is outside it after, and the cone is then
-                            # the same.  Gate g2's cached bit is exact above
-                            # gate g, and below it until a move is accepted;
-                            # after that the swapped codes are walked.
-                            elif not (error or inside
-                                      or (output_cone(net) if moved and g2 < g
-                                          else cone) >> g2 & 1):
-                                new_score = score
-                            else:
-                                new_score = \
-                                    network.cleaned_gate_count(net) - budget
-                            row[s], codes[g2][s2] = l1, l2
+                        edits = moves.propose_swap_between_gates(net, rng, g, s)
+                        if edits is None:
+                            continue
+                        (_, _, l2), (g2, s2, l1) = edits
+                        row[s], codes[g2][s2] = l2, l1
+                        lo = base + min(g, g2)
+                        fresh = cols[:lo]
+                        for ca, cb, cc in codes[lo - base:]:
+                            a = fresh[ca >> 1] ^ (mask if ca & 1 else 0)
+                            b = fresh[cb >> 1] ^ (mask if cb & 1 else 0)
+                            c = fresh[cc >> 1] ^ (mask if cc & 1 else 0)
+                            fresh.append((a & (b | c)) | (b & c))
+                        new_error = (fresh[out >> 1] ^ (mask if out & 1 else 0)
+                                     ^ cache.target_bits).bit_count()
+                        if new_error:
+                            new_score = new_error
+                        # Both gates outside the cone: as for a reassign-one
+                        # edit there.  With gate g outside, gate g2 is
+                        # outside the cone before the swap exactly when it
+                        # is outside it after, and the cone is then the
+                        # same.  Gate g2's cached bit is exact above gate g,
+                        # and below it until a move is accepted; after that
+                        # the swapped codes are walked.
+                        elif not (error or inside
+                                  or (output_cone(net) if moved and g2 < g
+                                      else cone) >> g2 & 1):
+                            new_score = score
                         else:
-                            edits = moves.propose_reassign_all(net, rng, g)
-                            if inside:
-                                (_, _, ca), (_, _, cb), (_, _, cc) = edits
-                                a = cols[ca >> 1] ^ (mask if ca & 1 else 0)
-                                b = cols[cb >> 1] ^ (mask if cb & 1 else 0)
-                                c = cols[cc >> 1] ^ (mask if cc & 1 else 0)
-                                if e0 is None:
-                                    e0, d, stale = output_cofactors(
-                                        net, cache, g, cone)
-                                new_error = (e0 ^ (d & ((a & (b | c))
-                                                        | (b & c)))).bit_count()
-                                if new_error:
-                                    new_score = new_error
-                                else:
-                                    old = row[:]
-                                    for _, t, code in edits:
-                                        row[t] = code
-                                    new_score = \
-                                        network.cleaned_gate_count(net) - budget
-                                    row[:] = old
-                            else:
-                                # the output does not read gate g; see the
-                                # note on reassign-one outside the cone
-                                new_error, new_score = error, score
+                            new_score = network.cleaned_gate_count(net) - budget
                         proposed += 1
                         delta = new_score - score
                         if delta > 0:
                             if deltas is not None:
                                 deltas.append(delta)
                             if not random() < exp(-beta * delta):
+                                row[s], codes[g2][s2] = l1, l2
                                 continue
-                        for eg, t, code in edits:
-                            codes[eg][t] = code
-                        if r < w12:
-                            cols[lo:] = fresh[lo:]
-                            entry = cols[hid]
-                            e0 = None
-                            moved = True
-                        elif inside:
-                            moved = True
+                        cols[lo:] = fresh[lo:]
+                        entry = cols[hid]
+                        e0 = None
+                        moved = True
                         size = None
                         error, score = new_error, new_score
                         accepted += 1
@@ -387,7 +350,7 @@ def sweep(replica: Replica, beta: float, q_threshold: int | None = None,
             c = cols[cc >> 1] ^ (mask if cc & 1 else 0)
             cols[hid] = (a & (b | c)) | (b & c)
             if inside and cols[hid] != entry:
-                # only an accepted one-gate move, scored after e0 was
+                # only an accepted reassign-one move, scored after e0 was
                 # taken, changes gate g's column
                 x = cols[hid]
                 for h, c0, dh in stale:
@@ -414,13 +377,14 @@ def swap_phase(replicas: list[Replica], ladder: TemperatureLadder,
     return swapped
 
 
-def check_move_weights(weights) -> tuple[float, float, float]:
-    """The move mix as three floats.  Raises ValueError unless there are
-    three non-negative weights, not all 0, with a finite sum."""
+def check_move_weights(weights) -> tuple[float, float]:
+    """The move mix (reassign-one, swap) as two floats.  Raises ValueError
+    unless there are two non-negative weights, not both 0, with a finite
+    sum."""
     parts = tuple(float(w) for w in weights)
-    if len(parts) != 3 or min(parts) < 0 or not 0 < sum(parts) < math.inf:
-        raise ValueError("move weights need 3 finite non-negative values, "
-                         "not all 0")
+    if len(parts) != 2 or min(parts) < 0 or not 0 < sum(parts) < math.inf:
+        raise ValueError("move weights need 2 finite non-negative values, "
+                         "not both 0")
     return parts
 
 
@@ -469,18 +433,29 @@ def _sweep_worker(pipes, index: int, share: list[Replica], betas: list[float],
 
 
 class _SweepWorkers:
-    """Sweeps the replicas in ``shares`` fixed shares, one per process.
+    """Sweeps the replicas in ``shares = min(threads, M)`` fixed shares, one
+    per process (M the number of replicas).
 
     Share j holds replicas j, j + shares, j + 2 * shares, ... by identity
     (their slots at the start of the run), with their RNG streams.  Worker
     processes forked from the caller own every share but the last, which the
     caller sweeps itself; in ``replicas`` a ``_Remote`` stands in for each
-    replica a worker owns from then on.  ``close`` ends the workers.
+    replica a worker owns from then on.  ``close`` ends the workers.  With
+    one share, or where the platform has no ``fork``, no process is forked:
+    the caller sweeps every replica and ``close`` has nothing to end.
     """
 
     def __init__(self, replicas: list[Replica], betas: list[float],
-                 shares: int, context, target: TruthTable, move_weights,
+                 threads: int, target: TruthTable, move_weights,
                  debug_checks: bool) -> None:
+        shares = min(threads, len(replicas))
+        if shares > 1:
+            # imported here, so that a serial run does not load it
+            import multiprocessing
+            if "fork" in multiprocessing.get_all_start_methods():
+                context = multiprocessing.get_context("fork")
+            else:
+                shares = 1
         self.move_weights = move_weights
         self.local = replicas[shares - 1::shares]
         pipes = [context.Pipe() for _ in range(shares - 1)]
@@ -575,10 +550,13 @@ class SynthesisReport:
 
 def run(target: TruthTable, constraints: NetworkConstraints,
         ladder: TemperatureLadder, stop: StopConditions | None = None,
-        seed=0, threads: int = 1, move_weights=(1.0, 0.0, 0.0),
+        seed=0, threads: int = 1, move_weights=(1.0, 0.0),
         wall_clock_trace: bool = False, swap_note_interval: int = 1000,
         debug_checks: bool = False) -> SynthesisReport:
     """Full parallel-tempering synthesis run.
+
+    ``move_weights`` is the (reassign-one, swap) mix every sweep draws its
+    attempts from (see ``sweep``).
 
     ``threads`` is the number of processes that sweep.  With 1, every sweep
     runs on the calling thread.  With k > 1, after building the replicas,
@@ -653,23 +631,10 @@ def run(target: TruthTable, constraints: NetworkConstraints,
     record_improvement(0)
 
     betas = ladder.betas
-    local = replicas  # the replicas this process sweeps
-    shares = min(threads, m)
     workers = None
-
-    def sweep_all(replicas, betas, threshold):
-        return [sweep(replica, betas[replica.slot], threshold,
-                      move_weights=move_weights) for replica in replicas]
-
     try:
-        if shares > 1:
-            # imported here, so that a serial run does not load it
-            import multiprocessing
-            if "fork" in multiprocessing.get_all_start_methods():
-                workers = _SweepWorkers(replicas, betas, shares,
-                                        multiprocessing.get_context("fork"),
-                                        target, move_weights, debug_checks)
-                local, sweep_all = workers.local, workers.sweep_all
+        workers = _SweepWorkers(replicas, betas, threads, target,
+                                move_weights, debug_checks)
         while True:
             if stop.score_goal is not None and best_score is not None \
                     and best_score <= stop.score_goal:
@@ -681,7 +646,7 @@ def run(target: TruthTable, constraints: NetworkConstraints,
                 break
             repetition += 1
             threshold = best_q if best_q is not None else budget + 1
-            stats = sweep_all(replicas, betas, threshold)
+            stats = workers.sweep_all(replicas, betas, threshold)
 
             for slot, st in enumerate(stats):
                 slot_proposed[slot] += st.proposed
@@ -701,7 +666,7 @@ def run(target: TruthTable, constraints: NetworkConstraints,
             if swap_note_interval and repetition % swap_note_interval == 0:
                 swap_rate_log.append((repetition, ladder.swap_rates()))
             if debug_checks:
-                _check_replicas(local, target)
+                _check_replicas(workers.local, target)
     except KeyboardInterrupt:
         interrupted = True
     finally:

@@ -1,20 +1,19 @@
 """Search moves: propose, apply, and exactly revert single-network updates.
 
-``engine.sweep`` draws swaps and reassign-all moves here and scores them
-without writing them through the cache.  It draws reassign-one moves from
-``pool_layout`` by index arithmetic.  ``replacement_pool`` with
-``propose_reassign_one``, and ``apply_proposal`` with ``revert_proposal``,
-are the plain reference the sweep is tested against: list the pool and
-draw from it, write the edits and recompute, then undo them.
+``engine.sweep`` draws swaps here and scores them without writing them
+through the cache.  It draws reassign-one moves from ``pool_layout`` by
+index arithmetic.  ``replacement_pool`` with ``propose_reassign_one``, and
+``apply_proposal`` with ``revert_proposal``, are the plain reference the
+sweep is tested against: list the pool and draw from it, write the edits
+and recompute, then undo them.
 
 A move is a tuple of ``(gate, slot, new_code)`` writes: reassign-one is
-``((g, s, c),)``, swap-between-gates ``((g1, s1, l2), (g2, s2, l1))`` and
-reassign-all ``((g, 0, a), (g, 1, b), (g, 2, c))``.  The first and last
-writes name every edited gate.  Proposals keep the network valid;
-``apply_proposal`` returns the score delta and a 4-field undo record: the
-old ``(gate, slot, code)`` triples, the overwritten ``(source, column)``
-pairs, and the old error and score.  ``revert_proposal`` restores network
-and cache bit-exactly from it.
+``((g, s, c),)`` and swap-between-gates ``((g1, s1, l2), (g2, s2, l1))``.
+The first and last writes name every edited gate.  Proposals keep the
+network valid; ``apply_proposal`` returns the score delta and a 4-field
+undo record: the old ``(gate, slot, code)`` triples, the overwritten
+``(source, column)`` pairs, and the old error and score.
+``revert_proposal`` restores network and cache bit-exactly from it.
 """
 
 from __future__ import annotations
@@ -28,7 +27,6 @@ from .network import (  # noqa: F401
     LogicNetwork,
     cleaned_gate_count,
     combined_score,
-    random_gate_codes,
     recompute_from,
 )
 
@@ -145,13 +143,6 @@ def propose_swap_between_gates(net: LogicNetwork, rng: random.Random,
         if _slot_accepts(net, gate, slot, l2) and _slot_accepts(net, g2, s2, l1):
             return ((gate, slot, l2), (g2, s2, l1))
     return None
-
-
-def propose_reassign_all(net: LogicNetwork, rng: random.Random,
-                         gate: int) -> Edits:
-    """Redraw all three operands of one gate as in network initialization."""
-    a, b, c = random_gate_codes(net.n, gate, net.constraints, rng)
-    return ((gate, 0, a), (gate, 1, b), (gate, 2, c))
 
 
 def apply_proposal(net: LogicNetwork, cache: EvalCache,

@@ -134,23 +134,45 @@ def test_non_integer_env_seed_exit_2(monkeypatch, fixtures_dir, capsys):
                        capsys, "PTSYNTH_SEED must be an integer, got 'abc'")
 
 
-@pytest.mark.parametrize("weights", ["nan,1,1", "1,inf,1", "0,0,inf",
-                                     "1e308,1e308,1"])
+# the three-value strings in these two tests are mixes of the former
+# three-move format, which is rejected like any other wrong count
+@pytest.mark.parametrize("weights", ["nan,1", "1,inf", "0,inf",
+                                     "1e308,1e308", "nan,1,1", "1,inf,1",
+                                     "0,0,inf", "1e308,1e308,1"])
 def test_non_finite_move_weights_exit_2(weights, capsys):
     with pytest.raises(SystemExit) as err:
         run_cli(["synth", "--target", "maj:3", "--max-nodes", "1",
                  "--move-weights", weights])
     assert err.value.code == 2
-    assert "3 finite non-negative values" in capsys.readouterr().err
+    assert "2 finite non-negative values" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("weights", ["0,0,0", "-1,0,0", "1,1"])
+@pytest.mark.parametrize("weights", ["0,0", "-1,0", "1", "0,0,0", "-1,0,0"])
 def test_negative_zero_or_short_move_weights_exit_2(weights, capsys):
     with pytest.raises(SystemExit) as err:
         run_cli(["synth", "--target", "maj:3", "--max-nodes", "1",
                  f"--move-weights={weights}"])
     assert err.value.code == 2
-    assert "3 finite non-negative values" in capsys.readouterr().err
+    assert "2 finite non-negative values" in capsys.readouterr().err
+
+
+def test_three_move_weights_exit_2(capsys):
+    with pytest.raises(SystemExit) as err:
+        run_cli(["synth", "--target", "maj:3", "--max-nodes", "1",
+                 "--move-weights=1,1,1"])
+    assert err.value.code == 2
+    assert "2 finite non-negative values" in capsys.readouterr().err
+
+
+def test_synth_with_swap_weighted_runs(tmp_path, capsys):
+    out = tmp_path / "net.mig"
+    code = run_cli(["synth", "--target", "maj:5", "--gates", "maj",
+                    "-p", "8", "--seed", "1", "--move-weights", "1,1",
+                    "--max-reps", "500", "--out", str(out)])
+    capsys.readouterr()
+    assert code == 0
+    net = parse_network(out.read_text())
+    assert evaluate_full(net, majority_truth_table(5)).error == 0
 
 
 SYNTH = ["synth", "--target", "maj:3", "--max-nodes", "1"]
