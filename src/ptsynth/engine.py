@@ -120,7 +120,7 @@ class SweepStats:
     best_exact: tuple[int, list[list[int]], int] | None = None
 
 
-def sweep(replica: Replica, beta: float, q_threshold: int | None = None,
+def sweep(replica: Replica, beta: float, q_threshold: int = 0,
           collect_deltas: bool = False,
           move_weights=(1.0, 0.0)) -> SweepStats:
     """Five Metropolis attempts per gate input, gate-major and slot-minor.
@@ -133,14 +133,18 @@ def sweep(replica: Replica, beta: float, q_threshold: int | None = None,
     bit depends only on the operands of later gates, and every literal a
     move at gate g writes or overwrites names a source below gate g (a
     swap's partner literal must be legal at gate g too).  So no move changes
-    the cone bit of the gate it is made at or of any gate above it, and the
-    bit of the visited gate is exact.  A reassign-one move at a gate outside
+    the cone bit of the gate it is made at or of any gate above it: the
+    cached bits of the visited gate and of every gate above it are exact,
+    and those below it may be stale.  A reassign-one move at a gate outside
     the cone keeps both error and score, so it is accepted with delta 0 and
     only its code is written.  At a cone gate it is scored from gate g's
     output cofactors (``output_cofactors``, taken once per gate on first
     use), which evaluate only the later cone gates that read gate g.  A
     swap, which also rewires a gate g2, is scored by evaluating gates
-    ``min(g, g2)..`` on a copy of the columns before them.
+    ``min(g, g2)..`` on a copy of the columns before them.  If it keeps the
+    network exact and neither gate is in the cone, it keeps the score too;
+    gate g2's cached cone bit says so when g2 > g, and for g2 < g the
+    swapped codes are walked.
 
     Reassign-one attempts run per slot: a run of them shares the slot's
     pool layout and residuals, which are taken once per slot and again
@@ -175,8 +179,11 @@ def sweep(replica: Replica, beta: float, q_threshold: int | None = None,
     it evaluated.  So the cache is fresh again when the sweep ends; the
     error and score live in locals until then.
 
-    When ``q_threshold`` is given, any visited exact network that cleans up
-    to fewer than that many gates is snapshotted into the returned stats.
+    The first visited exact network with the fewest cleaned gates below
+    ``q_threshold`` (0 by default, which admits none) is snapshotted into
+    the returned stats.  The sweep checks its start state once, and after
+    that the state after each accepted swap and each accepted reassign-one
+    move at a cone gate; one outside the cone keeps the cleaned count.
     """
     net, cache, rng = replica.network, replica.cache, replica.rng
     codes = net.codes
@@ -194,11 +201,10 @@ def sweep(replica: Replica, beta: float, q_threshold: int | None = None,
     deltas: list[int] | None = [] if collect_deltas else None
     proposed = accepted = 0
     best: tuple[int, list[list[int]], int] | None = None
+    if score <= 0 and score + budget < q_threshold:
+        best = (score + budget, [r[:] for r in codes], out)
     base = PI_BASE + net.n
     cone = output_cone(net)
-    # set once an accepted move may have changed cone bits below the
-    # visited gate; bits from the visited gate up stay exact
-    moved = False
     for g, row in enumerate(codes):
         hid = base + g
         inside = cone >> g & 1
@@ -233,12 +239,11 @@ def sweep(replica: Replica, beta: float, q_threshold: int | None = None,
                         # edit there.  With gate g outside, gate g2 is
                         # outside the cone before the swap exactly when it
                         # is outside it after, and the cone is then the
-                        # same.  Gate g2's cached bit is exact above gate g,
-                        # and below it until a move is accepted; after that
-                        # the swapped codes are walked.
+                        # same.  Gate g2's cached bit is exact above gate g;
+                        # below it the swapped codes are walked.
                         elif not (error or inside
-                                  or (output_cone(net) if moved and g2 < g
-                                      else cone) >> g2 & 1):
+                                  or (cone if g2 > g else output_cone(net))
+                                  >> g2 & 1):
                             new_score = score
                         else:
                             new_score = network.cleaned_gate_count(net) - budget
@@ -253,11 +258,10 @@ def sweep(replica: Replica, beta: float, q_threshold: int | None = None,
                         cols[lo:] = fresh[lo:]
                         entry = cols[hid]
                         e0 = None
-                        moved = True
                         size = None
                         error, score = new_error, new_score
                         accepted += 1
-                        if score <= 0 and q_threshold is not None:
+                        if score <= 0:
                             q = score + budget
                             if q < q_threshold and (best is None or q < best[0]):
                                 best = (q, [r[:] for r in codes], out)
@@ -269,22 +273,7 @@ def sweep(replica: Replica, beta: float, q_threshold: int | None = None,
                         moves.pool_layout(net, g, s)
                     k = size.bit_length()
                     cur = row[s]
-                    if not inside:
-                        # The output does not read gate g: error and score
-                        # stand.  The cleaned count stands too: cleanup's
-                        # one pass in gate order rewrites each gate from its
-                        # operands' final codes, so every live gate ends
-                        # irreducible with a distinct key, the count is the
-                        # number of distinct hash-consed nodes reachable
-                        # from the output, and a node's hash-consed form
-                        # depends only on its own fan-in cone, that is, only
-                        # on operands of cone gates.  So the first accepted
-                        # attempt here is the only one to snapshot.
-                        q = score + budget
-                        snap = (score <= 0 and q_threshold is not None
-                                and q < q_threshold
-                                and (best is None or q < best[0]))
-                    elif size > 1:
+                    if inside and size > 1:
                         if e0 is None:
                             e0, d, stale = output_cofactors(net, cache, g, cone)
                         cb, cc = row[s - 2], row[s - 1]
@@ -329,19 +318,24 @@ def sweep(replica: Replica, beta: float, q_threshold: int | None = None,
                                 continue
                         error, score = new_error, new_score
                         accepted += 1
-                        moved = True
-                        if score <= 0 and q_threshold is not None:
+                        if score <= 0:
                             q = score + budget
                             if q < q_threshold and (best is None or q < best[0]):
                                 row[s] = new
                                 best = (q, [r[:] for r in codes], out)
-                    elif snap:
-                        row[s] = new
-                        best = (q, [r[:] for r in codes], out)
-                        snap = False
                     cur = new
                 row[s] = cur
                 if not inside:
+                    # The output does not read gate g: error and score
+                    # stand.  The cleaned count stands too: cleanup's one
+                    # pass in gate order rewrites each gate from its
+                    # operands' final codes, so every live gate ends
+                    # irreducible with a distinct key, the count is the
+                    # number of distinct hash-consed nodes reachable from
+                    # the output, and a node's hash-consed form depends
+                    # only on its own fan-in cone, that is, only on operands
+                    # of cone gates.  So every attempt here is accepted with
+                    # delta 0, and none has a state to snapshot.
                     accepted += run
         if not inside or accepted != accepted_before:
             ca, cb, cc = row
@@ -548,10 +542,13 @@ class SynthesisReport:
         return self.best_q is not None
 
 
+SWAP_NOTE_INTERVAL = 1000  # repetitions between swap-rate notes in a report
+
+
 def run(target: TruthTable, constraints: NetworkConstraints,
         ladder: TemperatureLadder, stop: StopConditions | None = None,
         seed=0, threads: int = 1, move_weights=(1.0, 0.0),
-        wall_clock_trace: bool = False, swap_note_interval: int = 1000,
+        wall_clock_trace: bool = False,
         debug_checks: bool = False) -> SynthesisReport:
     """Full parallel-tempering synthesis run.
 
@@ -663,7 +660,7 @@ def run(target: TruthTable, constraints: NetworkConstraints,
 
             swap_phase(replicas, ladder, repetition & 1,
                        derived_rng(seed, "swap", repetition))
-            if swap_note_interval and repetition % swap_note_interval == 0:
+            if repetition % SWAP_NOTE_INTERVAL == 0:
                 swap_rate_log.append((repetition, ladder.swap_rates()))
             if debug_checks:
                 _check_replicas(workers.local, target)

@@ -146,6 +146,9 @@ def move_path_sweep(replica, beta, q_threshold, move_weights):
     w1, w2 = move_weights
     steps = proposed = accepted = 0
     deltas, best = [], None
+    q = cache.score + budget
+    if cache.score <= 0 and q < q_threshold:
+        best = (q, [row[:] for row in net.codes], net.output_code)
     for g in range(net.num_gates):
         for s in range(3):
             for _ in range(5):
@@ -488,7 +491,8 @@ def report_fields(report):
             report.slot_acceptance)
 
 
-def test_run_deterministic_across_threads():
+def test_run_deterministic_across_threads(monkeypatch):
+    monkeypatch.setattr(engine, "SWAP_NOTE_INTERVAL", 7)
     target = majority_truth_table(5)
     stop = StopConditions(max_repetitions=60)
     for mix in ((1, 0), (1, 1)):
@@ -500,7 +504,7 @@ def test_run_deterministic_across_threads():
                 ladder = TemperatureLadder([0.05, 0.3, 0.8, 1.5, 3.0, 6.0])
                 reports[threads] = report_fields(
                     run(target, cons, ladder, stop, seed=9, threads=threads,
-                        move_weights=mix, swap_note_interval=7))
+                        move_weights=mix))
             assert reports[1][2] is not None, "expected an exact network"
             assert reports[1] == reports[2] == reports[4], (mix, inverters)
 

@@ -184,16 +184,25 @@ def test_apply_delta_matches_score_change():
     assert delta2 == -2
 
 
-def test_out_of_cone_edit_skips_the_cleanup_count(monkeypatch):
-    # g0 = maj(x0, x1, x2) = MAJ-3 is the output and g1..g3 are dead.  At
-    # infinite beta the sweep stays exact, so no edit of g1..g3 needs the
-    # cleanup count.  Nor does a move touching g0: any other operand makes
-    # g0 inexact, and a swap can only hand g0 a constant.
+DEAD_GATE_ROWS = [[x(0), x(1), x(2)],
+                  [x(0), x(1), Literal(GATE, 0)],
+                  [x(2), Literal(GATE, 0), Literal(GATE, 1)],
+                  [x(0), Literal(GATE, 1), Literal(GATE, 2)]]
+
+
+def dead_gate_replica(rng):
+    """g0 = maj(x0, x1, x2) = MAJ-3 is the output and g1..g3 are dead."""
     cons = NetworkConstraints(4, inverters_allowed=False)
-    g0, g1, g2 = (Literal(GATE, i) for i in range(3))
-    rows = [[x(0), x(1), x(2)], [x(0), x(1), g0], [x(2), g0, g1],
-            [x(0), g1, g2]]
-    target = majority_truth_table(3)
+    net = LogicNetwork(3, cons, [codes_of(row, 3) for row in DEAD_GATE_ROWS],
+                       output_code=encode_literal(Literal(GATE, 0), 3))
+    return Replica(net, evaluate_full(net, majority_truth_table(3)), rng, 0)
+
+
+def test_out_of_cone_edit_skips_the_cleanup_count(monkeypatch):
+    # At infinite beta the sweep of the dead-gate network stays exact, so
+    # no edit of g1..g3 needs the cleanup count.  Nor does a move touching
+    # g0: any other operand makes g0 inexact, and a swap can only hand g0 a
+    # constant.
     calls = 0
     real_count = network.cleaned_gate_count
 
@@ -204,17 +213,28 @@ def test_out_of_cone_edit_skips_the_cleanup_count(monkeypatch):
 
     monkeypatch.setattr(network, "cleaned_gate_count", counting)
     for mix in ((1, 0), (1, 1), (0, 1)):
-        net = LogicNetwork(3, cons, [codes_of(row, 3) for row in rows],
-                           output_code=encode_literal(g0, 3))
-        replica = Replica(net, evaluate_full(net, target), random.Random(1), 0)
+        replica = dead_gate_replica(random.Random(1))
+        net = replica.network
         calls = 0
         for _ in range(3):
             sweep(replica, math.inf, move_weights=mix)
             assert (replica.cache.error, replica.score) == (0, 1 - 4)
         # the dead gates were rewired, yet nothing was counted
-        assert net.codes[1:] != [codes_of(row, 3) for row in rows[1:]]
+        assert net.codes[1:] != [codes_of(row, 3)
+                                 for row in DEAD_GATE_ROWS[1:]]
         assert calls == 0, mix
-        assert evaluate_full(net, target).score == replica.score
+        assert evaluate_full(net, majority_truth_table(3)).score == \
+            replica.score
+
+
+def test_sweep_snapshots_its_exact_start_state():
+    # the sweep rewires the dead gates, but it snapshots the network it
+    # started from, which already cleans up to one gate
+    replica = dead_gate_replica(random.Random(1))
+    start = [row[:] for row in replica.network.codes]
+    stats = sweep(replica, math.inf, 2)
+    assert replica.network.codes != start
+    assert stats.best_exact == (1, start, replica.network.output_code)
 
 
 @pytest.mark.slow
