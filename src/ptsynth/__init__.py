@@ -1,7 +1,6 @@
 """Minimal majority-gate logic networks by parallel tempering Monte Carlo."""
 
 from .engine import (
-    CalibrationConfig,
     CalibrationError,
     StopConditions,
     SynthesisReport,
@@ -41,7 +40,6 @@ from .truthtable import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "CalibrationConfig",
     "CalibrationError",
     "Gate",
     "Literal",

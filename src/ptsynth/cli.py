@@ -110,12 +110,12 @@ def _constraints(args, target: TruthTable, label: str) -> NetworkConstraints:
         raise CliError(f"--max-nodes {max_nodes}: {exc}", EXIT_USAGE) from None
 
 
-def _calibration_config(**options) -> engine.CalibrationConfig:
-    # an option left unset (None) keeps the config's default
-    options = {name: value for name, value in options.items()
-               if value is not None}
+def _replicas(args) -> int:
+    """--replicas, ``engine.DEFAULT_REPLICAS`` when unset; checked before
+    any warm-up sweep."""
+    replicas = engine.DEFAULT_REPLICAS if args.replicas is None else args.replicas
     try:
-        return engine.CalibrationConfig(**options)
+        return engine.check_replica_count(replicas)
     except ValueError as exc:
         raise CliError(f"--replicas: {exc}", EXIT_USAGE) from None
 
@@ -145,9 +145,10 @@ def _make_ladder(args, target: TruthTable,
             return formats.parse_ladder(_read_text(args.ladder))
         except formats.NetworkParseError as exc:
             raise CliError(f"{args.ladder}: {exc}", EXIT_USAGE) from None
-    config = _calibration_config(replicas=args.replicas,
-                                 warmup_sweeps=args.warmup_sweeps)
-    return engine.calibrate_ladder(target, constraints, config, seed=args.seed)
+    return engine.calibrate_ladder(target, constraints, seed=args.seed,
+                                   replicas=_replicas(args),
+                                   warmup_sweeps=args.warmup_sweeps
+                                   or engine.WARMUP_SWEEPS)
 
 
 def cmd_synth(args) -> int:
@@ -228,13 +229,12 @@ def cmd_simplify(args) -> int:
 def cmd_calibrate(args) -> int:
     target, label = _load_target(args.target)
     constraints = _constraints(args, target, label)
-    config = _calibration_config(replicas=args.replicas,
-                                 warmup_sweeps=args.warmup_sweeps)
+    replicas = _replicas(args)
     try:
         deltas = engine.collect_uphill_deltas(
             target, constraints, engine.derived_rng(args.seed, "calibrate"),
-            config.warmup_sweeps)
-        ladder = engine.ladder_from_deltas(deltas, config)
+            args.warmup_sweeps or engine.WARMUP_SWEEPS)
+        ladder = engine.ladder_from_deltas(deltas, replicas)
     except engine.CalibrationError as exc:
         print(f"calibration failed: {exc}", file=sys.stderr)
         return EXIT_NO_GOAL
@@ -257,7 +257,7 @@ def cmd_calibrate(args) -> int:
 
 def cmd_bench(args) -> int:
     sizes = [3, 5, 7] if args.suite == "quick" else [3, 5, 7, 9, 11, 13]
-    config = _calibration_config(replicas=args.replicas)
+    replicas = _replicas(args)
     rows = []
     print(f"{'n':>3} {'gates':>8} {'p':>3} {'goal':>4} {'q':>3} "
           f"{'reps':>8} {'wall_s':>8} status")
@@ -269,8 +269,9 @@ def cmd_bench(args) -> int:
             constraints = NetworkConstraints(p, inverters_allowed=inverters)
             goal_q = BEST_KNOWN[(n, inverters, False)]
             try:
-                ladder = engine.calibrate_ladder(target, constraints, config,
-                                                 seed=args.seed)
+                ladder = engine.calibrate_ladder(target, constraints,
+                                                 seed=args.seed,
+                                                 replicas=replicas)
             except engine.CalibrationError as exc:
                 # no run for this instance; the others still run
                 print(f"calibration failed: {exc}", file=sys.stderr)
@@ -309,16 +310,18 @@ def _move_weights(text: str) -> tuple[float, float]:
         raise argparse.ArgumentTypeError(str(err)) from None
 
 
-def _positive(convert):
-    """An argparse type: ``convert(text)``, which must be finite and above 0."""
+def _positive(convert, low=0):
+    """An argparse type: ``convert(text)``, which must be finite and above
+    ``low``."""
     def parse(text: str):
         try:
             value = convert(text)
         except ValueError:
             raise argparse.ArgumentTypeError(
                 f"invalid {convert.__name__} value: {text!r}") from None
-        if not 0 < value < math.inf:
-            raise argparse.ArgumentTypeError(f"must be finite and above 0, got {text}")
+        if not low < value < math.inf:
+            raise argparse.ArgumentTypeError(
+                f"must be finite and above {low}, got {text}")
         return value
     return parse
 
@@ -339,7 +342,7 @@ def _add_target_options(parser: argparse.ArgumentParser, with_budget: bool = Tru
                             help="override the calibrated replica count")
         parser.add_argument("--warmup-sweeps", type=_positive(int), default=None,
                             help="calibration warm-up sweeps (default "
-                                 f"{engine.CalibrationConfig.warmup_sweeps})")
+                                 f"{engine.WARMUP_SWEEPS})")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -387,7 +390,9 @@ def build_parser() -> argparse.ArgumentParser:
     _add_target_options(calibrate)
     calibrate.add_argument("--probe", action="store_true",
                            help="measure swap rates with a probe run")
-    calibrate.add_argument("--probe-reps", type=_positive(int), default=1000)
+    calibrate.add_argument("--probe-reps", type=_positive(int, 1), default=1000,
+                           help="probe repetitions, at least 2 so that every "
+                                "pair is tried (default 1000)")
     calibrate.add_argument("--out", default=None, help="ladder output file")
     calibrate.set_defaults(func=cmd_calibrate)
 

@@ -19,7 +19,7 @@ import traceback
 from collections import Counter
 # unused; kept because perfbench/run.py patches it in its traced pass
 from concurrent.futures import ThreadPoolExecutor  # noqa: F401
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from . import moves, network
 from .network import (
@@ -54,11 +54,9 @@ def accept_uphill(delta: float, beta: float, rng: random.Random) -> bool:
 
 @dataclass
 class TemperatureLadder:
-    """Strictly increasing inverse temperatures plus per-pair swap counters."""
+    """Strictly increasing, finite, non-negative inverse temperatures."""
 
     betas: list[float]
-    swap_attempts: list[int] = field(default_factory=list)
-    swap_accepts: list[int] = field(default_factory=list)
 
     def __post_init__(self) -> None:
         if len(self.betas) < 2:
@@ -71,23 +69,10 @@ class TemperatureLadder:
         for lo, hi in zip(self.betas, self.betas[1:]):
             if hi <= lo:
                 raise ValueError("inverse temperatures must strictly increase")
-        pairs = len(self.betas) - 1
-        if not self.swap_attempts:
-            self.swap_attempts = [0] * pairs
-        if not self.swap_accepts:
-            self.swap_accepts = [0] * pairs
 
     @property
     def size(self) -> int:
         return len(self.betas)
-
-    def swap_rates(self) -> list[float]:
-        return [acc / att if att else 0.0
-                for acc, att in zip(self.swap_accepts, self.swap_attempts)]
-
-    def reset_counters(self) -> None:
-        self.swap_attempts = [0] * (self.size - 1)
-        self.swap_accepts = [0] * (self.size - 1)
 
 
 class Replica:
@@ -355,20 +340,30 @@ def sweep(replica: Replica, beta: float, q_threshold: int = 0,
 
 
 def swap_phase(replicas: list[Replica], ladder: TemperatureLadder,
-               parity: int, rng: random.Random) -> int:
-    """Attempt swaps between each adjacent slot pair of the given parity."""
+               parity: int, rng: random.Random,
+               counts: list[list[int]]) -> int:
+    """Attempt swaps between each adjacent slot pair of the given parity.
+
+    ``counts[i]`` is pair i's ``[attempts, accepts]``; each attempt adds 1
+    to the first and each accepted swap to the second.  Returns the number
+    of swaps made."""
     betas = ladder.betas
     swapped = 0
     for i in range(parity, ladder.size - 1, 2):
-        ladder.swap_attempts[i] += 1
+        counts[i][0] += 1
         a, b = replicas[i], replicas[i + 1]
         exponent = (betas[i] - betas[i + 1]) * (a.score - b.score)
         if exponent >= 0 or rng.random() < math.exp(exponent):
             replicas[i], replicas[i + 1] = b, a
             a.slot, b.slot = i + 1, i
-            ladder.swap_accepts[i] += 1
+            counts[i][1] += 1
             swapped += 1
     return swapped
+
+
+def _rates(counts) -> list[float]:
+    """``hits / tries`` for each (tries, hits) pair, 0.0 where never tried."""
+    return [hits / tries if tries else 0.0 for tries, hits in counts]
 
 
 def check_move_weights(weights) -> tuple[float, float]:
@@ -555,6 +550,11 @@ def run(target: TruthTable, constraints: NetworkConstraints,
     ``move_weights`` is the (reassign-one, swap) mix every sweep draws its
     attempts from (see ``sweep``).
 
+    ``run`` does not modify ``ladder``.  It counts each adjacent pair's swap
+    attempts and accepts itself (see ``swap_phase``), and reports their
+    ratio, 0.0 for a pair never tried, in ``swap_rates`` at the end and in
+    ``swap_rate_log`` every ``SWAP_NOTE_INTERVAL`` repetitions.
+
     ``threads`` is the number of processes that sweep.  With 1, every sweep
     runs on the calling thread.  With k > 1, after building the replicas,
     ``run`` forks min(k, M) - 1 worker processes (M the ladder size); each
@@ -582,7 +582,6 @@ def run(target: TruthTable, constraints: NetworkConstraints,
     if stop is None:
         stop = StopConditions()
     start = time.perf_counter()
-    ladder.reset_counters()
     m = ladder.size
     budget = constraints.max_nodes
     replicas = []
@@ -597,6 +596,7 @@ def run(target: TruthTable, constraints: NetworkConstraints,
     trace: list[TraceRow] = []
     last_traced_q: int | None = None
     swap_rate_log: list[tuple[int, list[float]]] = []
+    swap_counts = [[0, 0] for _ in range(m - 1)]  # [attempts, accepts]
     slot_proposed = [0] * m
     slot_accepted = [0] * m
     interrupted = False
@@ -659,9 +659,9 @@ def run(target: TruthTable, constraints: NetworkConstraints,
             record_improvement(repetition)
 
             swap_phase(replicas, ladder, repetition & 1,
-                       derived_rng(seed, "swap", repetition))
+                       derived_rng(seed, "swap", repetition), swap_counts)
             if repetition % SWAP_NOTE_INTERVAL == 0:
-                swap_rate_log.append((repetition, ladder.swap_rates()))
+                swap_rate_log.append((repetition, _rates(swap_counts)))
             if debug_checks:
                 _check_replicas(workers.local, target)
     except KeyboardInterrupt:
@@ -676,10 +676,9 @@ def run(target: TruthTable, constraints: NetworkConstraints,
         best_score=best_score,
         repetitions=repetition,
         wall_time=time.perf_counter() - start,
-        swap_rates=ladder.swap_rates(),
+        swap_rates=_rates(swap_counts),
         trace=trace,
-        slot_acceptance=[acc / prop if prop else 0.0
-                         for acc, prop in zip(slot_accepted, slot_proposed)],
+        slot_acceptance=_rates(zip(slot_proposed, slot_accepted)),
         swap_rate_log=swap_rate_log,
         replicas=m,
         interrupted=interrupted,
@@ -697,24 +696,21 @@ def _check_replicas(replicas: list[Replica], target: TruthTable) -> None:
             raise RuntimeError(f"slot {replica.slot}: cached score drifted")
 
 
-DEFAULT_REPLICAS = 51  # ladder size when the configuration sets none
+DEFAULT_REPLICAS = 51  # ladder size when the caller sets none
+WARMUP_SWEEPS = 200  # calibration warm-up sweeps when the caller sets none
 # estimated acceptance of the warm-up's uphill moves at the four anchors
 ANCHOR_RATES = (0.99, 0.60, 0.01, 1e-6)
 BETA_MAX = 100.0  # upper end of anchor_beta's bisection
 TOLERANCE = 1e-6  # interval width at which that bisection stops
 
 
-@dataclass
-class CalibrationConfig:
-    """Warm-up sweeps and ladder size (``DEFAULT_REPLICAS`` when None)."""
-
-    warmup_sweeps: int = 200
-    replicas: int | None = None
-
-    def __post_init__(self) -> None:
-        if self.replicas is not None and self.replicas < 4:
-            raise ValueError("the two-segment ladder needs at least 4 "
-                             f"replicas, got {self.replicas}")
+def check_replica_count(replicas: int) -> int:
+    """The ladder size, unchanged.  Raises ValueError below 4, the fewest
+    the two-segment ladder of ``ladder_from_deltas`` can hold."""
+    if replicas < 4:
+        raise ValueError("the two-segment ladder needs at least 4 "
+                         f"replicas, got {replicas}")
+    return replicas
 
 
 def _mean_acceptance(deltas: Counter, beta: float) -> float:
@@ -752,27 +748,29 @@ def collect_uphill_deltas(target: TruthTable, constraints: NetworkConstraints,
 
 
 def calibrate_ladder(target: TruthTable, constraints: NetworkConstraints,
-                     config: CalibrationConfig | None = None,
-                     seed=0) -> TemperatureLadder:
-    """Warm up at infinite temperature, then build the ladder from the
-    observed uphill deltas (see ``ladder_from_deltas``)."""
-    if config is None:
-        config = CalibrationConfig()
+                     seed=0, replicas: int = DEFAULT_REPLICAS,
+                     warmup_sweeps: int = WARMUP_SWEEPS) -> TemperatureLadder:
+    """Warm up for ``warmup_sweeps`` sweeps at infinite temperature, then
+    build a ladder of ``replicas`` temperatures from the observed uphill
+    deltas (see ``ladder_from_deltas``).  Raises ValueError, before any
+    warm-up sweep, on a ladder size that ``check_replica_count`` rejects."""
+    check_replica_count(replicas)
     deltas = collect_uphill_deltas(target, constraints,
                                    derived_rng(seed, "calibrate"),
-                                   config.warmup_sweeps)
-    return ladder_from_deltas(deltas, config)
+                                   warmup_sweeps)
+    return ladder_from_deltas(deltas, replicas)
 
 
-def ladder_from_deltas(deltas: Counter,
-                       config: CalibrationConfig) -> TemperatureLadder:
+def ladder_from_deltas(deltas: Counter, replicas: int) -> TemperatureLadder:
     """Build the two-segment linear-in-beta ladder from warm-up statistics.
 
     Four anchor temperatures are chosen so the estimated acceptance of the
     observed uphill moves is roughly ``ANCHOR_RATES``; replicas are
     inserted linearly in beta between the middle anchors until the ladder
-    reaches the configured size.
+    holds ``replicas`` temperatures.  Raises ValueError on a ladder size
+    that ``check_replica_count`` rejects.
     """
+    check_replica_count(replicas)
     if not deltas:
         raise CalibrationError(
             "warm-up saw no energy-increasing updates; increase warmup_sweeps")
@@ -780,8 +778,7 @@ def ladder_from_deltas(deltas: Counter,
     if not b1 < b2 < bk < bl:
         raise CalibrationError(f"degenerate anchors {b1}, {b2}, {bk}, {bl}; "
                                "increase warmup_sweeps")
-    m = config.replicas if config.replicas is not None else DEFAULT_REPLICAS
-    interior = m - 2
+    interior = replicas - 2
     a = round(interior * (bk - b2) / (bl - b2))
     a = max(1, min(interior - 1, a))
     b = interior - a
@@ -795,6 +792,5 @@ def probe_swap_rates(target: TruthTable, constraints: NetworkConstraints,
                      ladder: TemperatureLadder, seed=0,
                      repetitions: int = 1000) -> list[float]:
     """Measure per-pair swap rates over a bounded probe run."""
-    run(target, constraints, ladder,
-        StopConditions(max_repetitions=repetitions), seed=seed)
-    return ladder.swap_rates()
+    return run(target, constraints, ladder,
+               StopConditions(max_repetitions=repetitions), seed=seed).swap_rates

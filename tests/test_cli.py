@@ -193,13 +193,16 @@ CALIBRATE = ["calibrate", "--target", "maj:3", "--max-nodes", "1"]
     (["bench", "--time-limit=-inf"], "--time-limit"),
     (SYNTH + ["--threads", "0"], "--threads"),
     (SYNTH + ["--threads", "-1"], "--threads"),
+    # one repetition tries only the even pairs
+    (CALIBRATE + ["--probe", "--probe-reps", "1"], "--probe-reps"),
 ])
 def test_out_of_range_numeric_options_exit_2(args, option, capsys):
     with pytest.raises(SystemExit) as err:
         run_cli(args)
     assert err.value.code == 2
     last = capsys.readouterr().err.splitlines()[-1]
-    assert f"error: argument {option}: must be finite and above 0" in last
+    low = 1 if option == "--probe-reps" else 0
+    assert f"error: argument {option}: must be finite and above {low}" in last
 
 
 def test_non_integer_threads_exit_2(capsys):
@@ -256,7 +259,7 @@ def test_calibrate_runs_the_warmup_once(monkeypatch, tmp_path, capsys):
     # the written ladder is the one the library call builds
     ladder = engine.calibrate_ladder(
         majority_truth_table(3), NetworkConstraints(2, inverters_allowed=False),
-        engine.CalibrationConfig(replicas=8), seed=1)
+        seed=1, replicas=8)
     assert out.read_text() == emit_ladder(ladder)
 
 
@@ -379,7 +382,8 @@ def test_target_file_with_unit_weights_runs(tmp_path, capsys):
 
 def test_bench_reports_a_calibration_failure_and_goes_on(tmp_path, capsys,
                                                         monkeypatch):
-    def failing(target, constraints, config=None, seed=0):
+    def failing(target, constraints, seed=0, replicas=engine.DEFAULT_REPLICAS,
+                warmup_sweeps=engine.WARMUP_SWEEPS):
         raise engine.CalibrationError(f"no ladder for n={target.n}")
 
     monkeypatch.setattr(engine, "calibrate_ladder", failing)

@@ -1,4 +1,5 @@
 import contextlib
+import copy
 import hashlib
 import math
 import multiprocessing
@@ -11,7 +12,6 @@ import pytest
 
 from ptsynth import engine, moves, network
 from ptsynth.engine import (
-    CalibrationConfig,
     CalibrationError,
     Replica,
     StopConditions,
@@ -334,7 +334,7 @@ def test_swap_phase_equal_energies_always_swap():
     ladder = TemperatureLadder([0.5, 1.5])
     replicas = two_fixed_replicas(7, 7)
     first, second = replicas
-    swapped = swap_phase(replicas, ladder, 0, derived_rng(0, "swap"))
+    swapped = swap_phase(replicas, ladder, 0, derived_rng(0, "swap"), [[0, 0]])
     assert swapped == 1
     assert replicas == [second, first]
     assert (replicas[0].slot, replicas[1].slot) == (0, 1)
@@ -343,7 +343,7 @@ def test_swap_phase_equal_energies_always_swap():
 def test_swap_phase_good_state_moves_cold():
     ladder = TemperatureLadder([0.5, 1.5])
     replicas = two_fixed_replicas(3, 9)  # lower energy sits at the hotter slot
-    swapped = swap_phase(replicas, ladder, 0, derived_rng(1, "swap"))
+    swapped = swap_phase(replicas, ladder, 0, derived_rng(1, "swap"), [[0, 0]])
     assert swapped == 1
 
 
@@ -356,7 +356,7 @@ def test_swap_phase_uphill_rate_matches_formula():
     for _ in range(trials):
         replicas = two_fixed_replicas(9, 6)
         ladder_local = TemperatureLadder([1.0, 2.0])
-        hits += swap_phase(replicas, ladder_local, 0, rng)
+        hits += swap_phase(replicas, ladder_local, 0, rng, [[0, 0]])
     assert abs(hits / trials - math.exp(-3)) < 0.01
 
 
@@ -366,10 +366,11 @@ def test_swap_phase_parity_pairing():
     for i, replica in enumerate(replicas):
         replica.cache.score = 5
         replica.slot = i
-    swap_phase(replicas, ladder, 0, derived_rng(3, "swap"))
-    assert ladder.swap_attempts == [1, 0, 1]
-    swap_phase(replicas, ladder, 1, derived_rng(4, "swap"))
-    assert ladder.swap_attempts == [1, 1, 1]
+    counts = [[0, 0] for _ in range(3)]
+    swap_phase(replicas, ladder, 0, derived_rng(3, "swap"), counts)
+    assert counts == [[1, 1], [0, 0], [1, 1]]  # equal scores always swap
+    swap_phase(replicas, ladder, 1, derived_rng(4, "swap"), counts)
+    assert counts == [[1, 1], [1, 1], [1, 1]]
     # the multiset of replica states is preserved by swapping
     assert sorted(id(replica) for replica in replicas) == \
         sorted(id(replica) for replica in replicas)
@@ -389,7 +390,6 @@ def test_ladder_validation():
             TemperatureLadder([0.1, 2.0, bad])
     ladder = TemperatureLadder([0.0, 1.0, 2.0])
     assert ladder.size == 3
-    assert ladder.swap_rates() == [0.0, 0.0]
 
 
 def test_anchor_beta_closed_forms():
@@ -417,9 +417,20 @@ def test_calibrate_ladder_structure():
     ladder = calibrate_ladder(target, cons, seed=1)
     assert 41 <= ladder.size <= 61
     assert all(b2 > b1 for b1, b2 in zip(ladder.betas, ladder.betas[1:]))
-    small = calibrate_ladder(target, cons,
-                             CalibrationConfig(replicas=8), seed=1)
+    small = calibrate_ladder(target, cons, seed=1, replicas=8)
     assert small.size == 8
+
+
+def test_calibrate_ladder_rejects_too_few_replicas_before_the_warmup(
+        monkeypatch):
+    def no_warmup(*args, **kwargs):
+        raise AssertionError("warm-up ran")
+
+    monkeypatch.setattr(engine, "collect_uphill_deltas", no_warmup)
+    with pytest.raises(ValueError, match="at least 4 replicas, got 3"):
+        calibrate_ladder(majority_truth_table(3),
+                         NetworkConstraints(2, inverters_allowed=False),
+                         seed=1, replicas=3)
 
 
 def test_calibrate_ladder_degenerate_case():
@@ -507,6 +518,20 @@ def test_run_deterministic_across_threads(monkeypatch):
                         move_weights=mix))
             assert reports[1][2] is not None, "expected an exact network"
             assert reports[1] == reports[2] == reports[4], (mix, inverters)
+
+
+def test_run_leaves_its_ladder_unchanged(monkeypatch):
+    monkeypatch.setattr(engine, "SWAP_NOTE_INTERVAL", 7)
+    target = majority_truth_table(5)
+    cons = NetworkConstraints(8, inverters_allowed=False)
+    stop = StopConditions(max_repetitions=30)
+    ladder = TemperatureLadder([0.05, 0.3, 0.8, 1.5, 3.0, 6.0])
+    before = copy.deepcopy(ladder)
+    first = report_fields(run(target, cons, ladder, stop, seed=9))
+    assert ladder == before
+    # a reused ladder runs as a fresh one does
+    assert report_fields(run(target, cons, ladder, stop, seed=9)) == first
+    assert report_fields(run(target, cons, before, stop, seed=9)) == first
 
 
 def test_run_rejects_fewer_than_one_thread():
