@@ -123,9 +123,10 @@ def sweep(replica: Replica, beta: float, q_threshold: int = 0,
     and those below it may be stale.  A reassign-one move at a gate outside
     the cone keeps both error and score, so it is accepted with delta 0 and
     only its code is written.  At a cone gate it is scored from gate g's
-    output cofactors (``output_cofactors``, taken once per gate on first
-    use), which evaluate only the later cone gates that read gate g.  A
-    swap, which also rewires a gate g2, is scored by evaluating gates
+    output cofactors (``output_cofactors``, taken on first use at gate g's
+    column ``entry`` as the visit began or the last accepted swap left it),
+    which evaluate the later cone gates that read gate g once.  A swap,
+    which also rewires a gate g2, is scored by evaluating gates
     ``min(g, g2)..`` on a copy of the columns before them.  If it keeps the
     network exact and neither gate is in the cone, it keeps the score too;
     gate g2's cached cone bit says so when g2 > g, and for g2 < g the
@@ -158,11 +159,12 @@ def sweep(replica: Replica, beta: float, q_threshold: int = 0,
     cone gate reads no gate outside it.  Within the visit nothing reads
     gate g's column, so a reassign-one move writes only its code.  As the
     sweep leaves the gate, it rebuilds gate g's column if the gate is
-    outside the cone or a move there was accepted, and if that changed a
-    cone gate's column it refreshes the later cone gates that read gate g
-    from their cofactor columns.  An accepted swap copies back every column
-    it evaluated.  So the cache is fresh again when the sweep ends; the
-    error and score live in locals until then.
+    outside the cone or a move there was accepted.  If that changed a cone
+    gate's column, each later cone gate h that reads gate g, still fresh at
+    ``entry``, flips by ``dh & (entry ^ cols[hid])`` (``dh`` from the
+    cofactors).  An accepted swap copies back every column it evaluated.
+    So the cache is fresh again when the sweep ends; the error and score
+    live in locals until then.
 
     The first visited exact network with the fewest cleaned gates below
     ``q_threshold`` (0 by default, which admits none) is snapshotted into
@@ -260,7 +262,8 @@ def sweep(replica: Replica, beta: float, q_threshold: int = 0,
                     cur = row[s]
                     if inside and size > 1:
                         if e0 is None:
-                            e0, d, stale = output_cofactors(net, cache, g, cone)
+                            e0, d, readers = output_cofactors(net, cache, g,
+                                                              cone, entry)
                         cb, cc = row[s - 2], row[s - 1]
                         b = cols[cb >> 1] ^ (mask if cb & 1 else 0)
                         c = cols[cc >> 1] ^ (mask if cc & 1 else 0)
@@ -330,10 +333,10 @@ def sweep(replica: Replica, beta: float, q_threshold: int = 0,
             cols[hid] = (a & (b | c)) | (b & c)
             if inside and cols[hid] != entry:
                 # only an accepted reassign-one move, scored after e0 was
-                # taken, changes gate g's column
-                x = cols[hid]
-                for h, c0, dh in stale:
-                    cols[base + h] = c0 ^ (dh & x)
+                # taken at entry, changes gate g's column
+                flip = entry ^ cols[hid]
+                for h, dh in readers:
+                    cols[base + h] ^= dh & flip
     cache.error, cache.score = error, score
     return SweepStats(15 * len(codes), proposed, accepted, error, score,
                       deltas, best)
@@ -791,6 +794,10 @@ def ladder_from_deltas(deltas: Counter, replicas: int) -> TemperatureLadder:
 def probe_swap_rates(target: TruthTable, constraints: NetworkConstraints,
                      ladder: TemperatureLadder, seed=0,
                      repetitions: int = 1000) -> list[float]:
-    """Measure per-pair swap rates over a bounded probe run."""
+    """Measure per-pair swap rates over a bounded probe run.  Raises
+    ValueError below 2 repetitions, as one tries only the even pairs."""
+    if repetitions < 2:
+        raise ValueError("a swap-rate probe needs at least 2 repetitions, "
+                         f"got {repetitions}")
     return run(target, constraints, ladder,
                StopConditions(max_repetitions=repetitions), seed=seed).swap_rates

@@ -309,26 +309,28 @@ def recompute_from(net: LogicNetwork, cache: EvalCache, changed_gate: int,
     return cache.error
 
 
-def output_cofactors(net: LogicNetwork, cache: EvalCache, g: int,
-                     cone: int) -> tuple[int, int, list[tuple[int, int, int]]]:
+def output_cofactors(net: LogicNetwork, cache: EvalCache, g: int, cone: int,
+                     x: int) -> tuple[int, int, list[tuple[int, int]]]:
     """Score every possible column of gate ``g`` at once.
 
     Majority gates act bitwise, so on each input vector the output bit is a
-    function of gate g's bit on that vector alone.  With ``o0`` and ``o1``
-    the output columns when gate g's column is forced to 0 and to ``mask``,
-    this returns ``(e0, d, stale)``: ``e0 = o0 ^ target`` and
-    ``d = o0 ^ o1``, so giving gate g the column ``x`` makes the error
-    ``(e0 ^ (d & x)).bit_count()``.  ``stale`` lists, in gate order, the
-    gates after g in ``cone`` (``output_cone(net)``) that read gate g
-    through operand edges, as ``(h, c0, dh)``: gate h's column is
-    ``c0 ^ (dh & x)`` once gate g's column is ``x``.
+    function of gate g's bit there alone.  With ``o0`` and ``o1`` the output
+    columns when gate g's column is 0 and ``mask``, this returns
+    ``(e0, d, readers)``: ``e0 = o0 ^ target`` and ``d = o0 ^ o1``, so gate
+    g's column ``y`` makes the error ``(e0 ^ (d & y)).bit_count()``.
+    ``readers`` lists, in gate order, the gates h after g in ``cone``
+    (``output_cone(net)``) that read gate g through operand edges, as
+    ``(h, dh)``: moving gate g's column from ``x`` to ``y`` flips gate h's
+    column by ``dh & (x ^ y)``.
 
-    Only those gates are evaluated.  Every other column is read from the
-    cache: the sources before gate g, and the cone gates after it that do
-    not read it, must be fresh.  A cone gate reads only cone gates and
-    sources before it, so the columns of gate g and of the gates outside
-    the cone are never read and may be stale.  For a gate outside the cone
-    ``d`` is 0 and ``stale`` is empty.
+    ``x`` is gate g's current column.  Only the readers are evaluated, once,
+    with gate g's column forced to ``x ^ mask``; ``dh`` and ``d`` are the
+    cached columns XOR the forced ones.  Every other column is read from the
+    cache: the sources before gate g, and the cone gates after it, must be
+    fresh at ``x``.  A cone gate reads only cone gates and sources before
+    it, so the columns of gate g and of the gates outside the cone are never
+    read and may be stale.  For a gate outside the cone ``d`` is 0 and
+    ``readers`` is empty.
     """
     codes = net.codes
     if not 0 <= g < len(codes):
@@ -337,15 +339,16 @@ def output_cofactors(net: LogicNetwork, cache: EvalCache, g: int,
     base = PI_BASE + net.n
     hid = base + g
     out = net.output_code
-    top = (out >> 1) - base  # the highest cone gate, if the output is a gate
-    c0 = cols[:]
-    c0[hid] = 0
-    c1 = c0[:]
-    c1[hid] = mask
-    stale = []
+    sid = out >> 1
+    inv = mask if out & 1 else 0
+    if sid == hid:
+        return inv ^ cache.target_bits, mask, []
+    forced = cols[:]
+    forced[hid] = x ^ mask
+    readers = []
     reads = 1 << hid  # source-id bits of gate g and of the gates that read it
     later = cone >> g
-    for h in range(g + 1, top + 1):
+    for h in range(g + 1, sid - base + 1):  # up to the output, if a gate
         later >>= 1
         if not later & 1:
             continue
@@ -353,20 +356,15 @@ def output_cofactors(net: LogicNetwork, cache: EvalCache, g: int,
         ia, ib, ic = ca >> 1, cb >> 1, cc >> 1
         if not (reads >> ia | reads >> ib | reads >> ic) & 1:
             continue
-        sid = base + h
-        reads |= 1 << sid
-        a = c0[ia] ^ (mask if ca & 1 else 0)
-        b = c0[ib] ^ (mask if cb & 1 else 0)
-        c = c0[ic] ^ (mask if cc & 1 else 0)
-        x0 = c0[sid] = (a & (b | c)) | (b & c)
-        a = c1[ia] ^ (mask if ca & 1 else 0)
-        b = c1[ib] ^ (mask if cb & 1 else 0)
-        c = c1[ic] ^ (mask if cc & 1 else 0)
-        x1 = c1[sid] = (a & (b | c)) | (b & c)
-        stale.append((h, x0, x0 ^ x1))
-    sid = out >> 1
-    o0 = c0[sid] ^ (mask if out & 1 else 0)
-    return o0 ^ cache.target_bits, c0[sid] ^ c1[sid], stale
+        hs = base + h
+        reads |= 1 << hs
+        a = forced[ia] ^ (mask if ca & 1 else 0)
+        b = forced[ib] ^ (mask if cb & 1 else 0)
+        c = forced[ic] ^ (mask if cc & 1 else 0)
+        forced[hs] = (a & (b | c)) | (b & c)
+        readers.append((h, cols[hs] ^ forced[hs]))
+    d = cols[sid] ^ forced[sid]
+    return cols[sid] ^ (d & x) ^ inv ^ cache.target_bits, d, readers
 
 
 def _cone(codes, base: int, out: int) -> int:
@@ -394,6 +392,12 @@ def output_cone(net: LogicNetwork) -> int:
 def _reduce_codes(n: int, codes: list[list[int]], output_code: int):
     """Shared cleanup core: trivial-gate and duplicate elimination.
 
+    Each gate's substituted operands are sorted, so a source's two codes
+    sit side by side and the constants come first.  The gate then reduces
+    by the majority axiom, M(x, x, y) = x and M(x, ~x, y) = y, or by two
+    constants passing the third operand; any other gate is hash-consed on
+    its sorted operands, so duplicates merge.
+
     One pass in gate order reaches the fixpoint: gate g reads only earlier
     sources, whose substitutions are final when g is visited, so a second
     pass would find the same operands and keys.  Substitutions live in a
@@ -411,31 +415,19 @@ def _reduce_codes(n: int, codes: list[list[int]], output_code: int):
     for g, (a, b, c) in enumerate(codes):
         a, b, c = table[a], table[b], table[c]
         lits.append((a, b, c))
-        if a == b or a == c:
-            red = a
-        elif b == c:
-            red = b
-        elif a >> 1 == b >> 1:
-            red = c
-        elif a >> 1 == c >> 1:
-            red = b
+        if a > b:
+            a, b = b, a
+        if b > c:
+            b, c = c, b
+        if a > b:
+            a, b = b, a
+        if a >> 1 == b >> 1:
+            red = a if a == b else c
         elif b >> 1 == c >> 1:
-            red = a
-        # two distinct constants pass the third operand through
-        elif a < 4 and b < 4:
+            red = b if b == c else a
+        elif b < 4:
             red = c
-        elif a < 4 and c < 4:
-            red = b
-        elif b < 4 and c < 4:
-            red = a
         else:
-            # irreducible: merge gates computing the same function
-            if a > b:
-                a, b = b, a
-            if b > c:
-                b, c = c, b
-            if a > b:
-                a, b = b, a
             key = (a << width | b) << width | c
             other = seen.get(key)
             if other is None:

@@ -22,6 +22,7 @@ from ptsynth.engine import (
     calibrate_ladder,
     collect_uphill_deltas,
     derived_rng,
+    probe_swap_rates,
     run,
     swap_phase,
     sweep,
@@ -259,10 +260,10 @@ def test_sweep_takes_the_cone_once_and_no_cofactors_outside_it(
         cones += 1
         return real_cone(net)
 
-    def checked_cofactors(net, cache, g, cone):
+    def checked_cofactors(net, cache, g, cone, x):
         assert network.output_cone(net) >> g & 1, f"gate {g} is outside"
         cofactor_gates.append(g)
-        return real_cofactors(net, cache, g, cone)
+        return real_cofactors(net, cache, g, cone, x)
 
     monkeypatch.setattr(engine, "output_cone", counting_cone)
     monkeypatch.setattr(engine, "output_cofactors", checked_cofactors)
@@ -431,6 +432,21 @@ def test_calibrate_ladder_rejects_too_few_replicas_before_the_warmup(
         calibrate_ladder(majority_truth_table(3),
                          NetworkConstraints(2, inverters_allowed=False),
                          seed=1, replicas=3)
+
+
+@pytest.mark.parametrize("repetitions", [1, 0])
+def test_probe_swap_rates_rejects_fewer_than_two_repetitions_before_a_run(
+        repetitions, monkeypatch):
+    # one repetition tries only the even pairs, so every odd rate reads 0.0
+    def no_run(*args, **kwargs):
+        raise AssertionError("probe ran")
+
+    monkeypatch.setattr(engine, "run", no_run)
+    ladder = TemperatureLadder([0.05, 0.3, 0.8, 1.5, 3.0, 6.0])
+    with pytest.raises(ValueError, match="at least 2 repetitions"):
+        probe_swap_rates(majority_truth_table(5),
+                         NetworkConstraints(8, inverters_allowed=False),
+                         ladder, seed=1, repetitions=repetitions)
 
 
 def test_calibrate_ladder_degenerate_case():

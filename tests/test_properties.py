@@ -1,6 +1,7 @@
-"""Property tests for cleanup, the output-cone shortcut and the cone bits a
-move keeps, the move path, the output cofactors and slot residuals that
-score the sweep and the pool layout it draws from.
+"""Property tests for cleanup and its sorted-operand rules, the output-cone
+shortcut and the cone bits a move keeps, the move path, the output
+cofactors and slot residuals that score the sweep and the pool layout it
+draws from.
 
 Networks are drawn over n in {3, 5, 7}, every budget up to 12 gates, both
 gate sets, leafy or not, and an output that may sit on any gate (inverted
@@ -23,6 +24,8 @@ from ptsynth.network import (
     PI_BASE,
     LogicNetwork,
     NetworkConstraints,
+    _cone,
+    _reduce_codes,
     cleaned_gate_count,
     cleanup,
     evaluate_full,
@@ -115,6 +118,104 @@ def test_cleanup_of_merging_networks_is_sound_and_idempotent(drawn, data):
     assert cleaned_gate_count(net) == q
 
 
+def ladder_reduce_codes(n, codes, output_code):
+    """``network._reduce_codes`` as it was before it sorted the operands
+    first: the pattern ladder, kept as the reference."""
+    base = PI_BASE + n
+    table = list(range((base + len(codes)) << 1))
+    width = len(table).bit_length()  # every code fits in one key field
+    seen: dict[int, int] = {}
+    lits = []
+    removed = 0
+    for g, (a, b, c) in enumerate(codes):
+        a, b, c = table[a], table[b], table[c]
+        lits.append((a, b, c))
+        if a == b or a == c:
+            red = a
+        elif b == c:
+            red = b
+        elif a >> 1 == b >> 1:
+            red = c
+        elif a >> 1 == c >> 1:
+            red = b
+        elif b >> 1 == c >> 1:
+            red = a
+        # two distinct constants pass the third operand through
+        elif a < 4 and b < 4:
+            red = c
+        elif a < 4 and c < 4:
+            red = b
+        elif b < 4 and c < 4:
+            red = a
+        else:
+            # irreducible: merge gates computing the same function
+            if a > b:
+                a, b = b, a
+            if b > c:
+                b, c = c, b
+            if a > b:
+                a, b = b, a
+            key = (a << width | b) << width | c
+            other = seen.get(key)
+            if other is None:
+                seen[key] = g
+                continue
+            red = (base + other) << 1
+        sid = (base + g) << 1
+        table[sid] = red
+        # inverted constants normalize to the opposite constant
+        table[sid | 1] = red ^ 2 if red < 4 else red ^ 1
+        removed |= 1 << g
+    out = table[output_code]
+    cone = _cone(lits, base, out)
+    bad = cone & removed
+    if bad:
+        # only a gate reading a later one can reach a replaced gate
+        raise RuntimeError("cleanup reached the removed gate "
+                           f"g{(bad & -bad).bit_length() - 1}")
+    return lits, out, cone
+
+
+@st.composite
+def reducible_codes(draw):
+    """Operand rows over earlier sources in which reducible gates are
+    common: an operand may be overwritten with a constant, or with another
+    operand of its row or that operand's complement, and a row may start as
+    a permutation of an earlier one."""
+    n = draw(st.sampled_from((3, 5, 7)))
+    base = PI_BASE + n
+    codes = []
+    for g in range(draw(st.integers(1, 12))):
+        if codes and draw(st.booleans()):
+            row = draw(st.permutations(draw(st.sampled_from(codes))))
+        else:
+            row = [draw(st.integers(0, ((base + g) << 1) - 1))
+                   for _ in range(3)]
+        for s in range(3):
+            kind = draw(st.sampled_from(("keep", "keep", "keep", "const 0",
+                                         "const 1", "copy", "complement")))
+            other = row[draw(st.integers(0, 2))]
+            if kind == "const 0":
+                row[s] = 0
+            elif kind == "const 1":
+                row[s] = 2
+            elif kind == "copy":
+                row[s] = other
+            elif kind == "complement":
+                row[s] = other ^ 1
+        codes.append(row)
+    output_code = draw(st.integers(0, ((base + len(codes)) << 1) - 1))
+    return n, codes, output_code
+
+
+@settings(max_examples=300, deadline=None)
+@given(reducible_codes())
+def test_sorted_operand_rules_match_the_pattern_ladder(drawn):
+    n, codes, output_code = drawn
+    assert _reduce_codes(n, codes, output_code) == \
+        ladder_reduce_codes(n, codes, output_code)
+
+
 @SETTINGS
 @given(networks(), st.sampled_from(MIXES), st.booleans(),
        st.lists(st.booleans(), min_size=1, max_size=40))
@@ -186,10 +287,10 @@ def test_output_cofactors_predict_the_error_of_every_replacement(drawn,
             # the output reads no gate outside the cone
             assert o0 == o1 == cache.output_column(net)
             continue
-        e0, d, stale = output_cofactors(net, cache, g, cone)
+        e0, d, stale = output_cofactors(net, cache, g, cone, cache.cols[hid])
         assert (e0, d) == (o0 ^ target.bits, o0 ^ o1)
-        assert [h for h, _, _ in stale] == [h for h in readers(net, g)
-                                            if cone >> h & 1]
+        assert [h for h, _ in stale] == [h for h in readers(net, g)
+                                         if cone >> h & 1]
         # the current column of gate g reproduces the current error
         assert (e0 ^ (d & cache.cols[hid])).bit_count() == cache.error
         s = rng.randrange(3)
@@ -205,8 +306,8 @@ def test_output_cofactors_predict_the_error_of_every_replacement(drawn,
             # refreshing the stale gates makes every later cone column fresh
             cols = cache.cols[:]
             cols[hid] = x
-            for h, c0, dh in stale:
-                cols[base + h] = c0 ^ (dh & x)
+            for h, dh in stale:
+                cols[base + h] ^= dh & (cache.cols[hid] ^ x)
             assert all(cols[base + h] == fresh.cols[base + h]
                        for h in range(g, net.num_gates) if cone >> h & 1)
         # the columns of gate g and of the gates outside the cone are not read
@@ -214,7 +315,8 @@ def test_output_cofactors_predict_the_error_of_every_replacement(drawn,
         for h in range(net.num_gates):
             if h == g or not cone >> h & 1:
                 scrambled.cols[base + h] = rng.getrandbits(1 << net.n)
-        assert output_cofactors(net, scrambled, g, cone) == (e0, d, stale)
+        assert output_cofactors(net, scrambled, g, cone, cache.cols[hid]) \
+            == (e0, d, stale)
 
 
 @SETTINGS
@@ -231,7 +333,8 @@ def test_slot_residuals_score_every_reassign_one_literal(drawn, exact_start):
     for g in range(net.num_gates):
         if not cone >> g & 1:
             continue
-        e0, d, _ = output_cofactors(net, cache, g, cone)
+        e0, d, _ = output_cofactors(net, cache, g, cone,
+                                    cols[PI_BASE + net.n + g])
         row = net.codes[g]
         for s in range(3):
             b, c = (cols[code >> 1] ^ (mask if code & 1 else 0)
