@@ -13,7 +13,13 @@ import sys
 import time
 
 from . import engine, formats
-from .network import INPUT, NetworkConstraints, cleanup, evaluate_full
+from .network import (
+    INPUT,
+    LogicNetwork,
+    NetworkConstraints,
+    cleanup,
+    evaluate_full,
+)
 from .truthtable import (
     TruthTable,
     TruthTableError,
@@ -84,6 +90,13 @@ def _load_target(label: str) -> tuple[TruthTable, str]:
     except TruthTableError as exc:
         raise CliError(f"{label}: {exc}", EXIT_USAGE) from None
     return target, label
+
+
+def _load_network(path: str) -> LogicNetwork:
+    try:
+        return formats.parse_network(_read_text(path))
+    except formats.NetworkParseError as exc:
+        raise CliError(f"{path}: {exc}", EXIT_USAGE) from None
 
 
 def _default_seed() -> int:
@@ -193,11 +206,7 @@ def cmd_synth(args) -> int:
 
 def cmd_verify(args) -> int:
     target, label = _load_target(args.target)
-    try:
-        net = formats.parse_network(_read_text(args.network))
-    except formats.NetworkParseError as exc:
-        print(f"{args.network}: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+    net = _load_network(args.network)
     if net.n != target.n:
         print(f"network has {net.n} inputs, target {label} has {target.n}",
               file=sys.stderr)
@@ -216,12 +225,7 @@ def cmd_verify(args) -> int:
 
 
 def cmd_simplify(args) -> int:
-    try:
-        net = formats.parse_network(_read_text(args.network))
-    except formats.NetworkParseError as exc:
-        print(f"{args.network}: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    simplified, _ = cleanup(net)
+    simplified, _ = cleanup(_load_network(args.network))
     sys.stdout.write(formats.emit_network(simplified))
     return EXIT_OK
 

@@ -126,11 +126,12 @@ def sweep(replica: Replica, beta: float, q_threshold: int = 0,
     output cofactors (``output_cofactors``, taken on first use at gate g's
     column ``entry`` as the visit began or the last accepted swap left it),
     which evaluate the later cone gates that read gate g once.  A swap,
-    which also rewires a gate g2, is scored by evaluating gates
-    ``min(g, g2)..`` on a copy of the columns before them.  If it keeps the
-    network exact and neither gate is in the cone, it keeps the score too;
-    gate g2's cached cone bit says so when g2 > g, and for g2 < g the
-    swapped codes are walked.
+    which also rewires a gate g2, is scored by ``network.propagate`` on a
+    copy of the columns: gates g and g2 and the gates that read them, from
+    ``min(g, g2)``, skipping the gates at or above g outside the cone.  If
+    it keeps the network exact and neither gate is in the cone, it keeps
+    the score too; gate g2's cached cone bit says so when g2 > g, and for
+    g2 < g the swapped codes are walked.
 
     Reassign-one attempts run per slot: a run of them shares the slot's
     pool layout and residuals, which are taken once per slot and again
@@ -154,17 +155,19 @@ def sweep(replica: Replica, beta: float, q_threshold: int = 0,
     so the attempt reads ``r0`` or ``r1 = r0 ^ free`` and scores with three
     operations on columns.
 
-    When the sweep visits gate g, the columns of every gate below g and of
-    every cone gate are fresh; the cone is closed under operand edges, so a
-    cone gate reads no gate outside it.  Within the visit nothing reads
-    gate g's column, so a reassign-one move writes only its code.  As the
-    sweep leaves the gate, it rebuilds gate g's column if the gate is
-    outside the cone or a move there was accepted.  If that changed a cone
-    gate's column, each later cone gate h that reads gate g, still fresh at
-    ``entry``, flips by ``dh & (entry ^ cols[hid])`` (``dh`` from the
-    cofactors).  An accepted swap copies back every column it evaluated.
-    So the cache is fresh again when the sweep ends; the error and score
-    live in locals until then.
+    One freshness invariant serves both move kinds: when the sweep visits
+    gate g, and after each swap it accepts there, the columns of every gate
+    below g and of every cone gate are fresh; the cone is closed under
+    operand edges, so a cone gate reads no gate outside it.  An accepted
+    swap copies back the columns it evaluated.  Within the visit nothing
+    else reads gate g's column, so a reassign-one move writes only its
+    code, and the columns of gate g and its cone readers keep their values
+    at ``entry``.  As the sweep leaves the gate, it rebuilds gate g's column
+    if the gate is outside the cone or a move there was accepted.  If that
+    changed a cone gate's column, each later cone gate h that reads gate g
+    flips by ``dh & (entry ^ cols[hid])`` (``dh`` from the cofactors).  So
+    the cache is fresh again when the sweep ends; the error and score live
+    in locals until then.
 
     The first visited exact network with the fewest cleaned gates below
     ``q_threshold`` (0 by default, which admits none) is snapshotted into
@@ -211,13 +214,9 @@ def sweep(replica: Replica, beta: float, q_threshold: int = 0,
                             continue
                         (_, _, l2), (g2, s2, l1) = edits
                         row[s], codes[g2][s2] = l2, l1
-                        lo = base + min(g, g2)
-                        fresh = cols[:lo]
-                        for ca, cb, cc in codes[lo - base:]:
-                            a = fresh[ca >> 1] ^ (mask if ca & 1 else 0)
-                            b = fresh[cb >> 1] ^ (mask if cb & 1 else 0)
-                            c = fresh[cc >> 1] ^ (mask if cc & 1 else 0)
-                            fresh.append((a & (b | c)) | (b & c))
+                        fresh = cols[:]
+                        network.propagate(codes, fresh, mask, base, min(g, g2),
+                                          0, 1 << g | 1 << g2, ~cone >> g << g)
                         new_error = (fresh[out >> 1] ^ (mask if out & 1 else 0)
                                      ^ cache.target_bits).bit_count()
                         if new_error:
@@ -242,7 +241,7 @@ def sweep(replica: Replica, beta: float, q_threshold: int = 0,
                             if not random() < exp(-beta * delta):
                                 row[s], codes[g2][s2] = l1, l2
                                 continue
-                        cols[lo:] = fresh[lo:]
+                        cols[:] = fresh
                         entry = cols[hid]
                         e0 = None
                         size = None

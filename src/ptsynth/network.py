@@ -268,43 +268,55 @@ def evaluate_full(net: LogicNetwork, target: TruthTable) -> EvalCache:
     return cache
 
 
+def propagate(codes: list[list[int]], cols: list[int], mask: int, base: int,
+              lo: int, reads: int, rewired: int, skip: int = 0) -> list:
+    """Re-evaluate in place, in gate order from gate ``lo``, the gates an
+    edit may change; returns ``(gate, old column ^ new column)`` per gate
+    evaluated.
+
+    Gate h is evaluated, unless bit h of ``skip`` is set, if bit h of
+    ``rewired`` is set or it reads a source whose bit is set in ``reads``
+    (by source id; gate 0 is ``base``).  Each evaluated gate joins
+    ``reads``, so the pass follows operand edges whether or not a column
+    changed."""
+    evaluated = []
+    # the majority is inlined here (see _gate_column): this is the hot loop
+    for h in range(lo, len(codes)):
+        if skip >> h & 1:
+            continue
+        ca, cb, cc = codes[h]
+        ia, ib, ic = ca >> 1, cb >> 1, cc >> 1
+        if not (rewired >> h | reads >> ia | reads >> ib | reads >> ic) & 1:
+            continue
+        hid = base + h
+        reads |= 1 << hid
+        a = cols[ia] ^ (mask if ca & 1 else 0)
+        b = cols[ib] ^ (mask if cb & 1 else 0)
+        c = cols[ic] ^ (mask if cc & 1 else 0)
+        new = (a & (b | c)) | (b & c)
+        evaluated.append((h, cols[hid] ^ new))
+        cols[hid] = new
+    return evaluated
+
+
 def recompute_from(net: LogicNetwork, cache: EvalCache, changed_gate: int,
                    undo: list | None = None) -> int:
     """Refresh the cache after a single-gate edit; returns the new error.
 
-    Only the changed gate and the part of its fanout whose columns actually
-    change are recomputed.  When ``undo`` is given, every overwritten
-    ``(source_id, old_column)`` pair is appended to it, oldest first.
+    The changed gate and its structural readers, the later gates that reach
+    it through operand edges, are recomputed (``propagate``).  When
+    ``undo`` is given, the ``(source_id, old_column)`` pair of every column
+    that changed is appended to it, oldest first.
     """
     codes = net.codes
-    p = len(codes)
-    if not 0 <= changed_gate < p:
+    if not 0 <= changed_gate < len(codes):
         raise ValueError(f"gate index {changed_gate} out of range")
-    cols, mask = cache.cols, cache.mask
-    hid = PI_BASE + net.n + changed_gate
-    # the majority is inlined here (see _gate_column): this is the hot loop
-    ca, cb, cc = codes[changed_gate]
-    a = cols[ca >> 1] ^ (mask if ca & 1 else 0)
-    b = cols[cb >> 1] ^ (mask if cb & 1 else 0)
-    c = cols[cc >> 1] ^ (mask if cc & 1 else 0)
-    new = (a & (b | c)) | (b & c)
-    if new != cols[hid]:
-        if undo is not None:
-            undo.append((hid, cols[hid]))
-        cols[hid] = new
-        dirty = {hid}
-        for ca, cb, cc in codes[changed_gate + 1:]:
-            hid += 1
-            if ca >> 1 in dirty or cb >> 1 in dirty or cc >> 1 in dirty:
-                a = cols[ca >> 1] ^ (mask if ca & 1 else 0)
-                b = cols[cb >> 1] ^ (mask if cb & 1 else 0)
-                c = cols[cc >> 1] ^ (mask if cc & 1 else 0)
-                new = (a & (b | c)) | (b & c)
-                if new != cols[hid]:
-                    if undo is not None:
-                        undo.append((hid, cols[hid]))
-                    cols[hid] = new
-                    dirty.add(hid)
+    cols, base = cache.cols, PI_BASE + net.n
+    evaluated = propagate(codes, cols, cache.mask, base, changed_gate, 0,
+                          1 << changed_gate)
+    if undo is not None:
+        undo.extend((base + h, cols[base + h] ^ flip) for h, flip in evaluated
+                    if flip)
     cache.error = (cache.output_column(net) ^ cache.target_bits).bit_count()
     return cache.error
 
@@ -323,14 +335,14 @@ def output_cofactors(net: LogicNetwork, cache: EvalCache, g: int, cone: int,
     ``(h, dh)``: moving gate g's column from ``x`` to ``y`` flips gate h's
     column by ``dh & (x ^ y)``.
 
-    ``x`` is gate g's current column.  Only the readers are evaluated, once,
-    with gate g's column forced to ``x ^ mask``; ``dh`` and ``d`` are the
-    cached columns XOR the forced ones.  Every other column is read from the
-    cache: the sources before gate g, and the cone gates after it, must be
-    fresh at ``x``.  A cone gate reads only cone gates and sources before
-    it, so the columns of gate g and of the gates outside the cone are never
-    read and may be stale.  For a gate outside the cone ``d`` is 0 and
-    ``readers`` is empty.
+    ``x`` is gate g's current column.  Only the readers are evaluated, once
+    (``propagate`` over the cone), with gate g's column forced to
+    ``x ^ mask``; ``dh`` and ``d`` are the cached columns XOR the forced
+    ones.  Every other column is read from the cache: the sources before
+    gate g, and the cone gates after it, must be fresh at ``x``.  A cone
+    gate reads only cone gates and sources before it, so the columns of
+    gate g and of the gates outside the cone are never read and may be
+    stale.  For a gate outside the cone ``d`` is 0 and ``readers`` is empty.
     """
     codes = net.codes
     if not 0 <= g < len(codes):
@@ -345,24 +357,7 @@ def output_cofactors(net: LogicNetwork, cache: EvalCache, g: int, cone: int,
         return inv ^ cache.target_bits, mask, []
     forced = cols[:]
     forced[hid] = x ^ mask
-    readers = []
-    reads = 1 << hid  # source-id bits of gate g and of the gates that read it
-    later = cone >> g
-    for h in range(g + 1, sid - base + 1):  # up to the output, if a gate
-        later >>= 1
-        if not later & 1:
-            continue
-        ca, cb, cc = codes[h]
-        ia, ib, ic = ca >> 1, cb >> 1, cc >> 1
-        if not (reads >> ia | reads >> ib | reads >> ic) & 1:
-            continue
-        hs = base + h
-        reads |= 1 << hs
-        a = forced[ia] ^ (mask if ca & 1 else 0)
-        b = forced[ib] ^ (mask if cb & 1 else 0)
-        c = forced[ic] ^ (mask if cc & 1 else 0)
-        forced[hs] = (a & (b | c)) | (b & c)
-        readers.append((h, cols[hs] ^ forced[hs]))
+    readers = propagate(codes, forced, mask, base, g + 1, 1 << hid, 0, ~cone)
     d = cols[sid] ^ forced[sid]
     return cols[sid] ^ (d & x) ^ inv ^ cache.target_bits, d, readers
 

@@ -1,7 +1,7 @@
 """Property tests for cleanup and its sorted-operand rules, the output-cone
 shortcut and the cone bits a move keeps, the move path, the output
-cofactors and slot residuals that score the sweep and the pool layout it
-draws from.
+cofactors, swap pass and slot residuals that score the sweep and the pool
+layout it draws from.
 
 Networks are drawn over n in {3, 5, 7}, every budget up to 12 gates, both
 gate sets, leafy or not, and an output that may sit on any gate (inverted
@@ -33,6 +33,7 @@ from ptsynth.network import (
     is_valid,
     output_cofactors,
     output_cone,
+    propagate,
     random_network,
 )
 from ptsynth.truthtable import TruthTable
@@ -317,6 +318,36 @@ def test_output_cofactors_predict_the_error_of_every_replacement(drawn,
                 scrambled.cols[base + h] = rng.getrandbits(1 << net.n)
         assert output_cofactors(net, scrambled, g, cone, cache.cols[hid]) \
             == (e0, d, stale)
+
+
+@SETTINGS
+@given(networks(), st.booleans())
+def test_swap_pass_refreshes_every_column_the_sweep_reads(drawn, exact_start):
+    # engine.sweep scores a swap at gate g with propagate on a copy of the
+    # columns, skipping the gates at or above g outside the cone, whose
+    # columns it may hold stale
+    net, rng = drawn
+    target = own_target(net) if exact_start \
+        else TruthTable(net.n, rng.getrandbits(1 << net.n))
+    g = rng.randrange(net.num_gates)
+    edits = propose_swap_between_gates(net, rng, g, rng.randrange(3))
+    if edits is None:
+        return
+    cache = evaluate_full(net, target)
+    cone = output_cone(net)
+    base = PI_BASE + net.n
+    for h in range(g, net.num_gates):
+        if not cone >> h & 1:
+            cache.cols[base + h] = rng.getrandbits(1 << net.n)
+    (_, _, l2), (g2, s2, l1) = edits
+    net.codes[g][edits[0][1]], net.codes[g2][s2] = l2, l1
+    propagate(net.codes, cache.cols, cache.mask, base, min(g, g2), 0,
+              1 << g | 1 << g2, ~cone >> g << g)
+    fresh = evaluate_full(net, target)
+    assert cache.output_column(net) == fresh.output_column(net)
+    swapped_cone = output_cone(net)
+    assert all(cache.cols[base + h] == fresh.cols[base + h]
+               for h in range(net.num_gates) if h < g or swapped_cone >> h & 1)
 
 
 @SETTINGS
