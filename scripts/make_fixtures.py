@@ -212,21 +212,31 @@ FIXTURES = {
 }
 
 
+def check(ok: bool, name: str, why: str) -> None:
+    """A verification step that ``python -O`` keeps, unlike ``assert``."""
+    if not ok:
+        raise RuntimeError(f"{name}: {why}")
+
+
 def main() -> None:
     outdir = pathlib.Path(__file__).resolve().parents[1] / "fixtures"
     outdir.mkdir(exist_ok=True)
     for name, (text, n, gates) in FIXTURES.items():
         net = parse_network(text)
         ok, why = is_valid(net)
-        assert ok, (name, why)
-        assert net.n == n and net.num_gates == gates, (name, net.num_gates)
+        check(ok, name, why)
+        check(net.n == n and net.num_gates == gates, name,
+              f"n={net.n} with {net.num_gates} gates, expected n={n} "
+              f"with {gates}")
         tt = majority_truth_table(n)
         cache = evaluate_full(net, tt)
-        assert cache.error == 0, (name, cache.error)
-        assert oracle.exhaustive_error(net, tt) == 0, name
+        check(cache.error == 0, name, f"error {cache.error}")
+        check(oracle.exhaustive_error(net, tt) == 0, name,
+              "the oracle finds an error")
         canonical = emit_network(net)
         reparsed = parse_network(canonical)
-        assert emit_network(reparsed) == canonical
+        check(emit_network(reparsed) == canonical, name,
+              "the canonical form does not round-trip")
         path = outdir / name
         path.write_text(canonical)
         digest = hashlib.sha256(canonical.encode()).hexdigest()

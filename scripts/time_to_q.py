@@ -140,7 +140,8 @@ def main(argv: list[str] | None = None) -> int:
         seeds = [int(s) for s in args.seeds.split(",")]
         weights = engine.check_move_weights(args.move_weights.split(","))
         replicas = engine.check_replica_count(
-            args.replicas or engine.DEFAULT_REPLICAS)
+            engine.DEFAULT_REPLICAS if args.replicas is None
+            else args.replicas)
         ladder = None if args.ladder is None else \
             formats.parse_ladder(pathlib.Path(args.ladder).read_text())
     except (OSError, ValueError, formats.NetworkParseError) as exc:

@@ -123,15 +123,16 @@ def sweep(replica: Replica, beta: float, q_threshold: int = 0,
     and those below it may be stale.  A reassign-one move at a gate outside
     the cone keeps both error and score, so it is accepted with delta 0 and
     only its code is written.  At a cone gate it is scored from gate g's
-    output cofactors (``output_cofactors``, taken on first use at gate g's
-    column ``entry`` as the visit began or the last accepted swap left it),
-    which evaluate the later cone gates that read gate g once.  A swap,
-    which also rewires a gate g2, is scored by ``network.propagate`` on a
-    copy of the columns: gates g and g2 and the gates that read them, from
-    ``min(g, g2)``, skipping the gates at or above g outside the cone.  If
-    it keeps the network exact and neither gate is in the cone, it keeps
-    the score too; gate g2's cached cone bit says so when g2 > g, and for
-    g2 < g the swapped codes are walked.
+    output cofactors (``output_cofactors``, taken on first use, at gate g's
+    column as the visit began or the last accepted swap left it), which
+    evaluate the later cone gates that read gate g once.  A swap, which
+    also rewires a gate g2, is evaluated in place by ``network.propagate``:
+    gates g and g2 and the gates that read them, from ``min(g, g2)``,
+    skipping the gates at or above g outside the cone.  A rejected swap
+    restores its two codes and XORs back each column change the pass
+    returned.  If it keeps the network exact and neither gate is in the
+    cone, it keeps the score too; gate g2's cached cone bit says so when
+    g2 > g, and for g2 < g the swapped codes are walked.
 
     Reassign-one attempts run per slot: a run of them shares the slot's
     pool layout and residuals, which are taken once per slot and again
@@ -158,22 +159,24 @@ def sweep(replica: Replica, beta: float, q_threshold: int = 0,
     One freshness invariant serves both move kinds: when the sweep visits
     gate g, and after each swap it accepts there, the columns of every gate
     below g and of every cone gate are fresh; the cone is closed under
-    operand edges, so a cone gate reads no gate outside it.  An accepted
-    swap copies back the columns it evaluated.  Within the visit nothing
-    else reads gate g's column, so a reassign-one move writes only its
-    code, and the columns of gate g and its cone readers keep their values
-    at ``entry``.  As the sweep leaves the gate, it rebuilds gate g's column
-    if the gate is outside the cone or a move there was accepted.  If that
-    changed a cone gate's column, each later cone gate h that reads gate g
-    flips by ``dh & (entry ^ cols[hid])`` (``dh`` from the cofactors).  So
-    the cache is fresh again when the sweep ends; the error and score live
-    in locals until then.
+    operand edges, so a cone gate reads no gate outside it.  Within the
+    visit nothing else reads gate g's column, so a reassign-one move writes
+    only its code, and the columns of gate g and its cone readers keep the
+    values the cofactors were taken at.  As the sweep leaves the gate, it
+    rebuilds gate g's column if the gate is outside the cone or a move
+    there was accepted.  If gate g is in the cone and its column flips by
+    ``flip``, each later cone gate h that reads gate g flips by
+    ``dh & flip`` (``dh`` from the cofactors).  So the cache is fresh again
+    when the sweep ends; the error and score live in locals until then.
 
     The first visited exact network with the fewest cleaned gates below
     ``q_threshold`` (0 by default, which admits none) is snapshotted into
-    the returned stats.  The sweep checks its start state once, and after
-    that the state after each accepted swap and each accepted reassign-one
-    move at a cone gate; one outside the cone keeps the cleaned count.
+    the returned stats: one bound, ``keep``, starts at ``q_threshold`` or
+    ``budget + 1``, whichever is lower, so no inexact state passes it, and
+    drops to each snapshot's count.  The sweep checks its start state once,
+    and after that the state after each accepted swap and each accepted
+    reassign-one move at a cone gate; one outside the cone keeps the
+    cleaned count.
     """
     net, cache, rng = replica.network, replica.cache, replica.rng
     codes = net.codes
@@ -191,14 +194,15 @@ def sweep(replica: Replica, beta: float, q_threshold: int = 0,
     deltas: list[int] | None = [] if collect_deltas else None
     proposed = accepted = 0
     best: tuple[int, list[list[int]], int] | None = None
-    if score <= 0 and score + budget < q_threshold:
-        best = (score + budget, [r[:] for r in codes], out)
+    keep = min(q_threshold, budget + 1)
+    if score + budget < keep:
+        keep = score + budget
+        best = (keep, [r[:] for r in codes], out)
     base = PI_BASE + net.n
     cone = output_cone(net)
     for g, row in enumerate(codes):
         hid = base + g
         inside = cone >> g & 1
-        entry = cols[hid]  # fresh if inside the cone
         e0 = None  # gate g's output cofactors, computed on first use
         accepted_before = accepted
         for s in range(3):
@@ -214,10 +218,10 @@ def sweep(replica: Replica, beta: float, q_threshold: int = 0,
                             continue
                         (_, _, l2), (g2, s2, l1) = edits
                         row[s], codes[g2][s2] = l2, l1
-                        fresh = cols[:]
-                        network.propagate(codes, fresh, mask, base, min(g, g2),
-                                          0, 1 << g | 1 << g2, ~cone >> g << g)
-                        new_error = (fresh[out >> 1] ^ (mask if out & 1 else 0)
+                        evaluated = network.propagate(
+                            codes, cols, mask, base, min(g, g2), 0,
+                            1 << g | 1 << g2, ~cone >> g << g)
+                        new_error = (cols[out >> 1] ^ (mask if out & 1 else 0)
                                      ^ cache.target_bits).bit_count()
                         if new_error:
                             new_score = new_error
@@ -240,17 +244,15 @@ def sweep(replica: Replica, beta: float, q_threshold: int = 0,
                                 deltas.append(delta)
                             if not random() < exp(-beta * delta):
                                 row[s], codes[g2][s2] = l1, l2
+                                for h, flip in evaluated:
+                                    cols[base + h] ^= flip
                                 continue
-                        cols[:] = fresh
-                        entry = cols[hid]
-                        e0 = None
-                        size = None
+                        e0 = size = None
                         error, score = new_error, new_score
                         accepted += 1
-                        if score <= 0:
-                            q = score + budget
-                            if q < q_threshold and (best is None or q < best[0]):
-                                best = (q, [r[:] for r in codes], out)
+                        if score + budget < keep:
+                            keep = score + budget
+                            best = (keep, [r[:] for r in codes], out)
                         continue
                     run = 1
                 tries -= run
@@ -262,7 +264,7 @@ def sweep(replica: Replica, beta: float, q_threshold: int = 0,
                     if inside and size > 1:
                         if e0 is None:
                             e0, d, readers = output_cofactors(net, cache, g,
-                                                              cone, entry)
+                                                              cone)
                         cb, cc = row[s - 2], row[s - 1]
                         b = cols[cb >> 1] ^ (mask if cb & 1 else 0)
                         c = cols[cc >> 1] ^ (mask if cc & 1 else 0)
@@ -305,11 +307,10 @@ def sweep(replica: Replica, beta: float, q_threshold: int = 0,
                                 continue
                         error, score = new_error, new_score
                         accepted += 1
-                        if score <= 0:
-                            q = score + budget
-                            if q < q_threshold and (best is None or q < best[0]):
-                                row[s] = new
-                                best = (q, [r[:] for r in codes], out)
+                        if score + budget < keep:
+                            keep = score + budget
+                            row[s] = new
+                            best = (keep, [r[:] for r in codes], out)
                     cur = new
                 row[s] = cur
                 if not inside:
@@ -325,15 +326,12 @@ def sweep(replica: Replica, beta: float, q_threshold: int = 0,
                     # delta 0, and none has a state to snapshot.
                     accepted += run
         if not inside or accepted != accepted_before:
-            ca, cb, cc = row
-            a = cols[ca >> 1] ^ (mask if ca & 1 else 0)
-            b = cols[cb >> 1] ^ (mask if cb & 1 else 0)
-            c = cols[cc >> 1] ^ (mask if cc & 1 else 0)
-            cols[hid] = (a & (b | c)) | (b & c)
-            if inside and cols[hid] != entry:
-                # only an accepted reassign-one move, scored after e0 was
-                # taken at entry, changes gate g's column
-                flip = entry ^ cols[hid]
+            y = network._gate_column(cols, mask, row)
+            flip = cols[hid] ^ y
+            cols[hid] = y
+            if inside and flip:
+                # only an accepted reassign-one move, scored after the
+                # cofactors were taken, changes a cone gate's column here
                 for h, dh in readers:
                     cols[base + h] ^= dh & flip
     cache.error, cache.score = error, score

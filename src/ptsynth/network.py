@@ -321,8 +321,8 @@ def recompute_from(net: LogicNetwork, cache: EvalCache, changed_gate: int,
     return cache.error
 
 
-def output_cofactors(net: LogicNetwork, cache: EvalCache, g: int, cone: int,
-                     x: int) -> tuple[int, int, list[tuple[int, int]]]:
+def output_cofactors(net: LogicNetwork, cache: EvalCache, g: int,
+                     cone: int) -> tuple[int, int, list[tuple[int, int]]]:
     """Score every possible column of gate ``g`` at once.
 
     Majority gates act bitwise, so on each input vector the output bit is a
@@ -332,17 +332,16 @@ def output_cofactors(net: LogicNetwork, cache: EvalCache, g: int, cone: int,
     g's column ``y`` makes the error ``(e0 ^ (d & y)).bit_count()``.
     ``readers`` lists, in gate order, the gates h after g in ``cone``
     (``output_cone(net)``) that read gate g through operand edges, as
-    ``(h, dh)``: moving gate g's column from ``x`` to ``y`` flips gate h's
-    column by ``dh & (x ^ y)``.
+    ``(h, dh)``: moving gate g's column from its cached value ``x`` to
+    ``y`` flips gate h's column by ``dh & (x ^ y)``.
 
-    ``x`` is gate g's current column.  Only the readers are evaluated, once
-    (``propagate`` over the cone), with gate g's column forced to
-    ``x ^ mask``; ``dh`` and ``d`` are the cached columns XOR the forced
-    ones.  Every other column is read from the cache: the sources before
-    gate g, and the cone gates after it, must be fresh at ``x``.  A cone
-    gate reads only cone gates and sources before it, so the columns of
-    gate g and of the gates outside the cone are never read and may be
-    stale.  For a gate outside the cone ``d`` is 0 and ``readers`` is empty.
+    Only the readers are evaluated, once (``propagate`` over the cone),
+    with gate g's column forced to ``x ^ mask``; ``dh`` and ``d`` are the
+    cached columns XOR the forced ones.  The other columns, gate g's among
+    them, are read from the cache and must be fresh, except the columns of
+    the gates outside the cone: a cone gate reads only cone gates and
+    sources before it, so those are never read.  For a gate outside the cone ``d`` is 0 and
+    ``readers`` is empty.
     """
     codes = net.codes
     if not 0 <= g < len(codes):
@@ -355,6 +354,7 @@ def output_cofactors(net: LogicNetwork, cache: EvalCache, g: int, cone: int,
     inv = mask if out & 1 else 0
     if sid == hid:
         return inv ^ cache.target_bits, mask, []
+    x = cols[hid]
     forced = cols[:]
     forced[hid] = x ^ mask
     readers = propagate(codes, forced, mask, base, g + 1, 1 << hid, 0, ~cone)

@@ -9,6 +9,7 @@ import signal
 from collections import Counter
 
 import pytest
+from hypothesis import given, strategies as st
 
 from ptsynth import engine, moves, network
 from ptsynth.engine import (
@@ -44,6 +45,7 @@ from ptsynth.network import (
     random_network,
 )
 from ptsynth.truthtable import TruthTable, majority_truth_table
+from test_properties import SETTINGS, networks, own_target
 
 
 def make_replica(n, p, seed, inverters=False, target=None):
@@ -247,6 +249,34 @@ def test_sweep_matches_the_move_path(n, p, inverters, leafy, exact_start,
         (fresh.cols, fresh.error, fresh.score)
 
 
+@SETTINGS
+@given(networks(), st.booleans(),
+       st.sampled_from(((1, 0), (1, 1), (0, 1), (2, 1))),
+       st.sampled_from((0.0, 0.5, 2.0, 8.0)), st.integers(-3, 5))
+def test_sweep_matches_the_move_path_on_any_network(drawn, exact_start, mix,
+                                                    beta, k):
+    # any output gate, inverted or not, and snapshot thresholds on both
+    # sides of budget + 1
+    net, rng = drawn
+    target = own_target(net) if exact_start \
+        else TruthTable(net.n, rng.getrandbits(1 << net.n))
+    threshold = net.constraints.max_nodes + 1 + k
+    ours = Replica(net.copy(), evaluate_full(net, target), rng, 0)
+    ref_rng = random.Random()
+    ref_rng.setstate(rng.getstate())
+    ref = Replica(net.copy(), evaluate_full(net, target), ref_rng, 0)
+    expected = [move_path_sweep(ref, beta, threshold, mix) for _ in range(2)]
+    got = [sweep(ours, beta, threshold, collect_deltas=True, move_weights=mix)
+           for _ in range(2)]
+    assert got == expected
+    assert (ours.network.codes, rng.getstate()) == \
+        (ref.network.codes, ref_rng.getstate())
+    fresh = evaluate_full(ours.network, target)
+    cache = ours.cache
+    assert (cache.cols, cache.error, cache.score) == \
+        (fresh.cols, fresh.error, fresh.score)
+
+
 @pytest.mark.parametrize("mix", [(1, 0), (1, 1), (0, 1), (2, 1)])
 @pytest.mark.parametrize("p,exact_start", [(3, False), (8, True)])
 def test_sweep_takes_the_cone_once_and_no_cofactors_outside_it(
@@ -260,10 +290,10 @@ def test_sweep_takes_the_cone_once_and_no_cofactors_outside_it(
         cones += 1
         return real_cone(net)
 
-    def checked_cofactors(net, cache, g, cone, x):
+    def checked_cofactors(net, cache, g, cone):
         assert network.output_cone(net) >> g & 1, f"gate {g} is outside"
         cofactor_gates.append(g)
-        return real_cofactors(net, cache, g, cone, x)
+        return real_cofactors(net, cache, g, cone)
 
     monkeypatch.setattr(engine, "output_cone", counting_cone)
     monkeypatch.setattr(engine, "output_cofactors", checked_cofactors)

@@ -288,7 +288,7 @@ def test_output_cofactors_predict_the_error_of_every_replacement(drawn,
             # the output reads no gate outside the cone
             assert o0 == o1 == cache.output_column(net)
             continue
-        e0, d, stale = output_cofactors(net, cache, g, cone, cache.cols[hid])
+        e0, d, stale = output_cofactors(net, cache, g, cone)
         assert (e0, d) == (o0 ^ target.bits, o0 ^ o1)
         assert [h for h, _ in stale] == [h for h in readers(net, g)
                                          if cone >> h & 1]
@@ -311,12 +311,12 @@ def test_output_cofactors_predict_the_error_of_every_replacement(drawn,
                 cols[base + h] ^= dh & (cache.cols[hid] ^ x)
             assert all(cols[base + h] == fresh.cols[base + h]
                        for h in range(g, net.num_gates) if cone >> h & 1)
-        # the columns of gate g and of the gates outside the cone are not read
+        # the columns of the gates outside the cone are not read
         scrambled = evaluate_full(net, target)
         for h in range(net.num_gates):
-            if h == g or not cone >> h & 1:
+            if not cone >> h & 1:
                 scrambled.cols[base + h] = rng.getrandbits(1 << net.n)
-        assert output_cofactors(net, scrambled, g, cone, cache.cols[hid]) \
+        assert output_cofactors(net, scrambled, g, cone) \
             == (e0, d, stale)
 
 
@@ -364,8 +364,7 @@ def test_slot_residuals_score_every_reassign_one_literal(drawn, exact_start):
     for g in range(net.num_gates):
         if not cone >> g & 1:
             continue
-        e0, d, _ = output_cofactors(net, cache, g, cone,
-                                    cols[PI_BASE + net.n + g])
+        e0, d, _ = output_cofactors(net, cache, g, cone)
         row = net.codes[g]
         for s in range(3):
             b, c = (cols[code >> 1] ^ (mask if code & 1 else 0)

@@ -1,6 +1,8 @@
 import importlib.util
 import json
 
+import pytest
+
 from conftest import REPO_ROOT
 
 
@@ -47,3 +49,17 @@ def test_time_to_q_censors_unsolved_seeds_at_the_cap(tmp_path, monkeypatch):
     written = json.loads((tmp_path / "BENCH_ttq_t.json").read_text())
     assert [run["seed"] for run in written["runs"]] == [1, 2]
     assert written["setup"]["max_reps"] == 300
+
+
+def test_time_to_q_rejects_zero_replicas(capsys, monkeypatch):
+    # 0 is a count, not "unset": it must not fall back to the default
+    script = load_script()
+
+    def search(**kwargs):
+        raise AssertionError(f"searched with {kwargs['replicas']} replicas")
+
+    monkeypatch.setattr(script, "time_to_q", search)
+    with pytest.raises(SystemExit) as exc:
+        script.main(["--replicas", "0", "--label", "t"])
+    assert exc.value.code == 2
+    assert "at least 4" in capsys.readouterr().err
