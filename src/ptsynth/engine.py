@@ -76,16 +76,16 @@ class TemperatureLadder:
 
 
 class Replica:
-    """One network walking at a temperature slot, with its own RNG stream."""
+    """One network with its cache and its own RNG stream; ``run`` keeps
+    which slot it is at (see ``swap_phase``)."""
 
-    __slots__ = ("network", "cache", "rng", "slot")
+    __slots__ = ("network", "cache", "rng")
 
-    def __init__(self, network: LogicNetwork, cache, rng: random.Random,
-                 slot: int) -> None:
+    def __init__(self, network: LogicNetwork, cache,
+                 rng: random.Random) -> None:
         self.network = network
         self.cache = cache
         self.rng = rng
-        self.slot = slot
 
     @property
     def score(self) -> int:
@@ -339,11 +339,13 @@ def sweep(replica: Replica, beta: float, q_threshold: int = 0,
                       deltas, best)
 
 
-def swap_phase(replicas: list[Replica], ladder: TemperatureLadder,
-               parity: int, rng: random.Random,
-               counts: list[list[int]]) -> int:
+def swap_phase(order: list[int], ladder: TemperatureLadder, parity: int,
+               rng: random.Random, counts: list[list[int]],
+               scores: list[int]) -> int:
     """Attempt swaps between each adjacent slot pair of the given parity.
 
+    ``order[i]`` is the identity of the replica at slot i, and ``scores[r]``
+    replica r's score; a swap exchanges two entries of ``order``.
     ``counts[i]`` is pair i's ``[attempts, accepts]``; each attempt adds 1
     to the first and each accepted swap to the second.  Returns the number
     of swaps made."""
@@ -351,11 +353,10 @@ def swap_phase(replicas: list[Replica], ladder: TemperatureLadder,
     swapped = 0
     for i in range(parity, ladder.size - 1, 2):
         counts[i][0] += 1
-        a, b = replicas[i], replicas[i + 1]
-        exponent = (betas[i] - betas[i + 1]) * (a.score - b.score)
+        a, b = order[i], order[i + 1]
+        exponent = (betas[i] - betas[i + 1]) * (scores[a] - scores[b])
         if exponent >= 0 or rng.random() < math.exp(exponent):
-            replicas[i], replicas[i + 1] = b, a
-            a.slot, b.slot = i + 1, i
+            order[i], order[i + 1] = b, a
             counts[i][1] += 1
             swapped += 1
     return swapped
@@ -377,24 +378,11 @@ def check_move_weights(weights) -> tuple[float, float]:
     return parts
 
 
-class _Remote:
-    """A replica that a worker process sweeps, as the parent sees it: its
-    slot, which the swap phase permutes, and its score after the last sweep,
-    which the swap phase reads."""
-
-    __slots__ = ("slot", "score")
-
-    def __init__(self, slot: int, score: int) -> None:
-        self.slot = slot
-        self.score = score
-
-
-def _sweep_worker(pipes, index: int, share: list[Replica], betas: list[float],
-                  target: TruthTable, move_weights, debug_checks: bool) -> None:
-    """Body of sweep worker ``index``.  For each (slots, threshold) message
-    it sweeps its share of the replicas at those slots and replies with their
-    stats, or with the exception that stopped it and its traceback.  It
-    returns when the parent closes its end of the pipe."""
+def _sweep_worker(workers: _SweepWorkers, pipes, index: int) -> None:
+    """Body of sweep worker ``index``, forked from ``workers``.  For each
+    (slots, threshold) message it sweeps share ``index`` at those slots and
+    replies with the stats, or with the exception that stopped it and its
+    traceback.  It returns when the parent closes its end of the pipe."""
     signal.signal(signal.SIGINT, signal.SIG_IGN)  # the parent handles Ctrl-C
     conn = pipes[index][1]
     # hold no other pipe end, so each side sees EOF when the other exits
@@ -408,13 +396,7 @@ def _sweep_worker(pipes, index: int, share: list[Replica], betas: list[float],
         except EOFError:
             return
         try:
-            stats = []
-            for replica, slot in zip(share, slots):
-                replica.slot = slot
-                stats.append(sweep(replica, betas[slot], threshold,
-                                   move_weights=move_weights))
-            if debug_checks:
-                _check_replicas(share, target)
+            stats = workers.sweep_share(index, slots, threshold)
         except Exception as exc:
             conn.send((exc, traceback.format_exc()))
             return
@@ -425,13 +407,14 @@ class _SweepWorkers:
     """Sweeps the replicas in ``shares = min(threads, M)`` fixed shares, one
     per process (M the number of replicas).
 
-    Share j holds replicas j, j + shares, j + 2 * shares, ... by identity
-    (their slots at the start of the run), with their RNG streams.  Worker
-    processes forked from the caller own every share but the last, which the
-    caller sweeps itself; in ``replicas`` a ``_Remote`` stands in for each
-    replica a worker owns from then on.  ``close`` ends the workers.  With
-    one share, or where the platform has no ``fork``, no process is forked:
-    the caller sweeps every replica and ``close`` has nothing to end.
+    Share j holds the replicas whose identity, their index in ``replicas``,
+    is j, j + shares, j + 2 * shares, ..., so its slots and stats are the
+    slice ``[j::shares]`` of a list by identity.  Worker processes forked
+    from the caller own every share but the last, with its RNG streams; the
+    caller sweeps the last share itself and reads its copies of the others
+    no more.  ``close`` ends the workers.  With one share, or where the
+    platform has no ``fork``, no process is forked: the caller sweeps every
+    replica and ``close`` has nothing to end.
     """
 
     def __init__(self, replicas: list[Replica], betas: list[float],
@@ -445,17 +428,16 @@ class _SweepWorkers:
                 context = multiprocessing.get_context("fork")
             else:
                 shares = 1
-        self.move_weights = move_weights
-        self.local = replicas[shares - 1::shares]
+        self.replicas, self.betas, self.shares = replicas, betas, shares
+        self.target, self.move_weights = target, move_weights
+        self.debug_checks = debug_checks
         pipes = [context.Pipe() for _ in range(shares - 1)]
         self.conns = [parent_end for parent_end, _ in pipes]
         self.procs: list = []
         try:
             for w in range(shares - 1):
-                proc = context.Process(
-                    target=_sweep_worker, daemon=True,
-                    args=(pipes, w, replicas[w::shares], betas, target,
-                          move_weights, debug_checks))
+                proc = context.Process(target=_sweep_worker, daemon=True,
+                                       args=(self, pipes, w))
                 proc.start()
                 self.procs.append(proc)
         except BaseException:
@@ -464,23 +446,34 @@ class _SweepWorkers:
         finally:
             for _, child_end in pipes:
                 child_end.close()
-        self.remotes = []
-        for w in range(shares - 1):
-            share = [_Remote(r.slot, r.score) for r in replicas[w::shares]]
-            for remote in share:
-                replicas[remote.slot] = remote
-            self.remotes.append(share)
 
-    def sweep_all(self, replicas: list, betas: list[float],
+    def sweep_share(self, j: int, slots: list[int],
+                    threshold: int) -> list[SweepStats]:
+        """Sweep share j at ``slots`` and return its stats, in identity
+        order; with ``debug_checks``, check each cache after its sweep."""
+        stats = []
+        for r, slot in zip(range(j, len(self.replicas), self.shares), slots):
+            replica = self.replicas[r]
+            stats.append(sweep(replica, self.betas[slot], threshold,
+                               move_weights=self.move_weights))
+            if self.debug_checks:
+                try:
+                    _check_replicas([replica], self.target)
+                except RuntimeError as e:
+                    raise RuntimeError(f"replica {r} at slot {slot}: {e}")
+        return stats
+
+    def sweep_all(self, slot_of: list[int],
                   threshold: int) -> list[SweepStats]:
-        """One sweep of every replica; the stats in slot order."""
-        for conn, share in zip(self.conns, self.remotes):
-            conn.send(([r.slot for r in share], threshold))
-        stats: list = [None] * len(replicas)
-        for replica in self.local:
-            stats[replica.slot] = sweep(replica, betas[replica.slot], threshold,
-                                        move_weights=self.move_weights)
-        for conn, share in zip(self.conns, self.remotes):
+        """One sweep of every replica, replica r at slot ``slot_of[r]``; the
+        stats by identity."""
+        shares = self.shares
+        for j, conn in enumerate(self.conns):
+            conn.send((slot_of[j::shares], threshold))
+        stats: list = [None] * len(slot_of)
+        j = shares - 1
+        stats[j::shares] = self.sweep_share(j, slot_of[j::shares], threshold)
+        for j, conn in enumerate(self.conns):
             try:
                 reply = conn.recv()
             except EOFError:
@@ -488,9 +481,7 @@ class _SweepWorkers:
             if isinstance(reply, tuple):
                 exc, text = reply
                 raise exc from RuntimeError(f"in a sweep worker:\n{text}")
-            for remote, st in zip(share, reply):
-                remote.score = st.score
-                stats[remote.slot] = st
+            stats[j::shares] = reply
         return stats
 
     def close(self) -> None:
@@ -555,21 +546,26 @@ def run(target: TruthTable, constraints: NetworkConstraints,
     ratio, 0.0 for a pair never tried, in ``swap_rates`` at the end and in
     ``swap_rate_log`` every ``SWAP_NOTE_INTERVAL`` repetitions.
 
+    ``run`` knows a replica by its identity, its index at creation, and
+    keeps the ladder's state in two lists: ``order[slot]``, the replica at
+    each slot, which the swap phase permutes, and ``scores[r]``, replica r's
+    score after its last sweep.  It reads the sweep stats in slot order.
+
     ``threads`` is the number of processes that sweep.  With 1, every sweep
     runs on the calling thread.  With k > 1, after building the replicas,
     ``run`` forks min(k, M) - 1 worker processes (M the ladder size); each
     owns a fixed share of the replicas and their RNG streams, and the caller
     sweeps the last share itself (``_SweepWorkers``).  Each repetition the
     caller sends every worker its replicas' slots and reads back their sweep
-    stats; only the caller runs the swap phase.  The sweeps of a repetition
-    are independent, so the result is the same for every ``threads``.  The
-    workers are forked (the ``fork`` start method, named explicitly), so they
-    inherit the replicas; where the platform has no ``fork``, and so in any
-    case on Windows, the run is serial.  As with any fork, call it with
-    threads > 1 only from a process that runs no other threads.  Workers
-    ignore SIGINT; an exception in one is raised again in the caller with
-    its type and message, and every worker has exited when ``run`` returns
-    or raises.
+    stats; only the caller holds ``order`` and ``scores`` and runs the swap
+    phase.  The sweeps of a repetition are independent, so the result is the
+    same for every ``threads``.  The workers are forked (the ``fork`` start
+    method, named explicitly), so they inherit the replicas; where the
+    platform has no ``fork``, and so in any case on Windows, the run is
+    serial.  As with any fork, call it with threads > 1 only from a process
+    that runs no other threads.  Workers ignore SIGINT; an exception in one
+    is raised again in the caller with its type and message, and every
+    worker has exited when ``run`` returns or raises.
 
     Deterministic for a fixed (target, constraints, ladder, stop, seed,
     move_weights), as long as no wall-clock stop or interrupt cuts the run
@@ -588,7 +584,7 @@ def run(target: TruthTable, constraints: NetworkConstraints,
     for i in range(m):
         rng = derived_rng(seed, "replica", i)
         net = random_network(target.n, constraints, rng)
-        replicas.append(Replica(net, evaluate_full(net, target), rng, i))
+        replicas.append(Replica(net, evaluate_full(net, target), rng))
 
     best_q: int | None = None
     best_score: int | None = None
@@ -627,10 +623,10 @@ def run(target: TruthTable, constraints: NetworkConstraints,
                      replica.network.output_code)
     record_improvement(0)
 
-    betas = ladder.betas
+    order = list(range(m))  # order[slot]: the identity of the replica there
     workers = None
     try:
-        workers = _SweepWorkers(replicas, betas, threads, target,
+        workers = _SweepWorkers(replicas, ladder.betas, threads, target,
                                 move_weights, debug_checks)
         while True:
             if stop.score_goal is not None and best_score is not None \
@@ -643,9 +639,13 @@ def run(target: TruthTable, constraints: NetworkConstraints,
                 break
             repetition += 1
             threshold = best_q if best_q is not None else budget + 1
-            stats = workers.sweep_all(replicas, betas, threshold)
+            # slot_of[r]: replica r's slot, the inverse permutation of order
+            slot_of = sorted(range(m), key=order.__getitem__)
+            stats = workers.sweep_all(slot_of, threshold)
+            scores = [st.score for st in stats]  # by identity, as stats
 
-            for slot, st in enumerate(stats):
+            for slot, r in enumerate(order):
+                st = stats[r]
                 slot_proposed[slot] += st.proposed
                 slot_accepted[slot] += st.accepted
                 if st.best_exact is not None:
@@ -658,12 +658,11 @@ def run(target: TruthTable, constraints: NetworkConstraints,
                     best_score = st.score
             record_improvement(repetition)
 
-            swap_phase(replicas, ladder, repetition & 1,
-                       derived_rng(seed, "swap", repetition), swap_counts)
+            swap_phase(order, ladder, repetition & 1,
+                       derived_rng(seed, "swap", repetition), swap_counts,
+                       scores)
             if repetition % SWAP_NOTE_INTERVAL == 0:
                 swap_rate_log.append((repetition, _rates(swap_counts)))
-            if debug_checks:
-                _check_replicas(workers.local, target)
     except KeyboardInterrupt:
         interrupted = True
     finally:
@@ -689,11 +688,11 @@ def _check_replicas(replicas: list[Replica], target: TruthTable) -> None:
     for replica in replicas:
         fresh = evaluate_full(replica.network, target)
         if fresh.cols != replica.cache.cols:
-            raise RuntimeError(f"slot {replica.slot}: cache columns drifted")
+            raise RuntimeError("cache columns drifted")
         if fresh.error != replica.cache.error:
-            raise RuntimeError(f"slot {replica.slot}: cache error drifted")
+            raise RuntimeError("cache error drifted")
         if fresh.score != replica.cache.score:
-            raise RuntimeError(f"slot {replica.slot}: cached score drifted")
+            raise RuntimeError("cached score drifted")
 
 
 DEFAULT_REPLICAS = 51  # ladder size when the caller sets none
@@ -739,7 +738,7 @@ def collect_uphill_deltas(target: TruthTable, constraints: NetworkConstraints,
                           rng: random.Random, warmup_sweeps: int) -> Counter:
     """Infinite-temperature random walk recording every uphill score delta."""
     net = random_network(target.n, constraints, rng)
-    replica = Replica(net, evaluate_full(net, target), rng, 0)
+    replica = Replica(net, evaluate_full(net, target), rng)
     seen: Counter = Counter()
     for _ in range(warmup_sweeps):
         stats = sweep(replica, 0.0, collect_deltas=True)

@@ -53,7 +53,7 @@ def make_replica(n, p, seed, inverters=False, target=None):
     rng = derived_rng(seed, "test")
     net = random_network(n, cons, rng)
     target = target if target is not None else majority_truth_table(n)
-    return Replica(net, evaluate_full(net, target), rng, 0)
+    return Replica(net, evaluate_full(net, target), rng)
 
 
 def test_derived_rng_is_stable_and_independent():
@@ -106,7 +106,7 @@ def test_sweep_at_frozen_minimum_accepts_nothing():
         3, [Gate((Literal("input", 0), Literal("input", 1), Literal("input", 2)))],
         cons)
     replica = Replica(net, evaluate_full(net, majority_truth_table(3)),
-                      derived_rng(3, "frozen"), 0)
+                      derived_rng(3, "frozen"))
     stats = sweep(replica, 1e9)
     assert stats.accepted == 0
     assert replica.score == 0
@@ -211,10 +211,10 @@ def test_sweep_matches_the_move_path(n, p, inverters, leafy, exact_start,
     target = TruthTable(n, evaluate_full(net, majority_truth_table(n))
                         .output_column(net)) \
         if exact_start else majority_truth_table(n)
-    ours = Replica(net.copy(), evaluate_full(net, target), rng, 0)
+    ours = Replica(net.copy(), evaluate_full(net, target), rng)
     ref_rng = random.Random()
     ref_rng.setstate(rng.getstate())
-    ref = Replica(net.copy(), evaluate_full(net, target), ref_rng, 0)
+    ref = Replica(net.copy(), evaluate_full(net, target), ref_rng)
     threshold = p + 1
     expected = [move_path_sweep(ref, beta, threshold, mix) for _ in range(4)]
     if exact_start and beta >= 1:
@@ -261,10 +261,10 @@ def test_sweep_matches_the_move_path_on_any_network(drawn, exact_start, mix,
     target = own_target(net) if exact_start \
         else TruthTable(net.n, rng.getrandbits(1 << net.n))
     threshold = net.constraints.max_nodes + 1 + k
-    ours = Replica(net.copy(), evaluate_full(net, target), rng, 0)
+    ours = Replica(net.copy(), evaluate_full(net, target), rng)
     ref_rng = random.Random()
     ref_rng.setstate(rng.getstate())
-    ref = Replica(net.copy(), evaluate_full(net, target), ref_rng, 0)
+    ref = Replica(net.copy(), evaluate_full(net, target), ref_rng)
     expected = [move_path_sweep(ref, beta, threshold, mix) for _ in range(2)]
     got = [sweep(ours, beta, threshold, collect_deltas=True, move_weights=mix)
            for _ in range(2)]
@@ -304,7 +304,7 @@ def test_sweep_takes_the_cone_once_and_no_cofactors_outside_it(
     target = TruthTable(5, evaluate_full(net, majority_truth_table(5))
                         .output_column(net)) \
         if exact_start else majority_truth_table(5)
-    replica = Replica(net, evaluate_full(net, target), rng, 0)
+    replica = Replica(net, evaluate_full(net, target), rng)
     sweeps = 6
     for _ in range(sweeps):
         sweep(replica, 2.0, move_weights=mix)
@@ -338,7 +338,7 @@ def test_reassign_one_sweep_draws_without_the_pool(inverters, leafy,
     cons = NetworkConstraints(10, inverters_allowed=inverters, leafy=leafy)
     net = random_network(7, cons, derived_rng(5, "pool-free"))
     replica = Replica(net, evaluate_full(net, majority_truth_table(7)),
-                      NoRandrange(5), 0)
+                      NoRandrange(5))
     stats = sweep(replica, 1.0)
     assert stats.proposed == stats.steps == 150
 
@@ -353,28 +353,20 @@ def test_run_rejects_move_weights_the_cli_rejects(weights):
             move_weights=weights)
 
 
-def two_fixed_replicas(score_a, score_b):
-    replicas = [make_replica(3, 2, seed=s) for s in (10, 11)]
-    replicas[0].cache.score = score_a
-    replicas[1].cache.score = score_b
-    replicas[0].slot, replicas[1].slot = 0, 1
-    return replicas
-
-
 def test_swap_phase_equal_energies_always_swap():
     ladder = TemperatureLadder([0.5, 1.5])
-    replicas = two_fixed_replicas(7, 7)
-    first, second = replicas
-    swapped = swap_phase(replicas, ladder, 0, derived_rng(0, "swap"), [[0, 0]])
+    order = [0, 1]
+    swapped = swap_phase(order, ladder, 0, derived_rng(0, "swap"), [[0, 0]],
+                         [7, 7])
     assert swapped == 1
-    assert replicas == [second, first]
-    assert (replicas[0].slot, replicas[1].slot) == (0, 1)
+    assert order == [1, 0]
 
 
 def test_swap_phase_good_state_moves_cold():
     ladder = TemperatureLadder([0.5, 1.5])
-    replicas = two_fixed_replicas(3, 9)  # lower energy sits at the hotter slot
-    swapped = swap_phase(replicas, ladder, 0, derived_rng(1, "swap"), [[0, 0]])
+    # lower energy sits at the hotter slot
+    swapped = swap_phase([0, 1], ladder, 0, derived_rng(1, "swap"), [[0, 0]],
+                         [3, 9])
     assert swapped == 1
 
 
@@ -385,26 +377,21 @@ def test_swap_phase_uphill_rate_matches_formula():
     trials = 20_000
     hits = 0
     for _ in range(trials):
-        replicas = two_fixed_replicas(9, 6)
-        ladder_local = TemperatureLadder([1.0, 2.0])
-        hits += swap_phase(replicas, ladder_local, 0, rng, [[0, 0]])
+        hits += swap_phase([0, 1], ladder, 0, rng, [[0, 0]], [9, 6])
     assert abs(hits / trials - math.exp(-3)) < 0.01
 
 
 def test_swap_phase_parity_pairing():
     ladder = TemperatureLadder([0.1, 0.2, 0.3, 0.4])
-    replicas = [make_replica(3, 2, seed=s) for s in range(4)]
-    for i, replica in enumerate(replicas):
-        replica.cache.score = 5
-        replica.slot = i
+    order = list(range(4))
+    scores = [5] * 4
     counts = [[0, 0] for _ in range(3)]
-    swap_phase(replicas, ladder, 0, derived_rng(3, "swap"), counts)
+    swap_phase(order, ladder, 0, derived_rng(3, "swap"), counts, scores)
     assert counts == [[1, 1], [0, 0], [1, 1]]  # equal scores always swap
-    swap_phase(replicas, ladder, 1, derived_rng(4, "swap"), counts)
+    swap_phase(order, ladder, 1, derived_rng(4, "swap"), counts, scores)
     assert counts == [[1, 1], [1, 1], [1, 1]]
-    # the multiset of replica states is preserved by swapping
-    assert sorted(id(replica) for replica in replicas) == \
-        sorted(id(replica) for replica in replicas)
+    # swapping permutes the replicas among the slots
+    assert sorted(order) == [0, 1, 2, 3]
 
 
 def test_ladder_validation():
@@ -557,13 +544,14 @@ def test_run_deterministic_across_threads(monkeypatch):
             cons = NetworkConstraints(8, inverters_allowed=inverters,
                                       leafy=leafy)
             reports = {}
-            for threads in (1, 2, 4):
+            for threads in (1, 2, 4, 7):
                 ladder = TemperatureLadder([0.05, 0.3, 0.8, 1.5, 3.0, 6.0])
                 reports[threads] = report_fields(
                     run(target, cons, ladder, stop, seed=9, threads=threads,
                         move_weights=mix))
             assert reports[1][2] is not None, "expected an exact network"
-            assert reports[1] == reports[2] == reports[4], (mix, inverters)
+            assert reports[1] == reports[2] == reports[4] == reports[7], \
+                (mix, inverters)
 
 
 def test_run_leaves_its_ladder_unchanged(monkeypatch):
@@ -731,7 +719,8 @@ def test_run_raises_a_worker_exception_in_the_caller(monkeypatch):
 
     def sweep_failing_in_workers(replica, *args, **kwargs):
         if os.getpid() != parent:
-            raise ValueError(f"sweep of slot {replica.slot} failed")
+            slot = ladder.betas.index(args[0])
+            raise ValueError(f"sweep of slot {slot} failed")
         return real_sweep(replica, *args, **kwargs)
 
     monkeypatch.setattr(engine, "sweep", sweep_failing_in_workers)

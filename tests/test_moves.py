@@ -195,7 +195,7 @@ def dead_gate_replica(rng):
     cons = NetworkConstraints(4, inverters_allowed=False)
     net = LogicNetwork(3, cons, [codes_of(row, 3) for row in DEAD_GATE_ROWS],
                        output_code=encode_literal(Literal(GATE, 0), 3))
-    return Replica(net, evaluate_full(net, majority_truth_table(3)), rng, 0)
+    return Replica(net, evaluate_full(net, majority_truth_table(3)), rng)
 
 
 def test_out_of_cone_edit_skips_the_cleanup_count(monkeypatch):

@@ -323,9 +323,9 @@ def test_output_cofactors_predict_the_error_of_every_replacement(drawn,
 @SETTINGS
 @given(networks(), st.booleans())
 def test_swap_pass_refreshes_every_column_the_sweep_reads(drawn, exact_start):
-    # engine.sweep scores a swap at gate g with propagate on a copy of the
-    # columns, skipping the gates at or above g outside the cone, whose
-    # columns it may hold stale
+    # engine.sweep scores a swap at gate g with propagate in place on
+    # cache.cols, skipping the gates at or above g outside the cone, whose
+    # columns it may hold stale; a rejected swap XORs its changes back
     net, rng = drawn
     target = own_target(net) if exact_start \
         else TruthTable(net.n, rng.getrandbits(1 << net.n))
