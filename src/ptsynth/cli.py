@@ -187,6 +187,10 @@ def cmd_synth(args) -> int:
     if report.found_exact:
         print(f"found exact network: q={report.best_q} (score {report.best_score}) "
               f"after {report.repetitions} repetitions in {report.wall_time:.2f} s")
+    elif report.best_score is None:
+        # the stop came before the first repetition ended
+        print(f"no exact network: no repetition completed in "
+              f"{report.wall_time:.2f} s")
     else:
         print(f"no exact network: best score {report.best_score} after "
               f"{report.repetitions} repetitions in {report.wall_time:.2f} s")

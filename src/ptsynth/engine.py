@@ -16,6 +16,7 @@ import random
 import signal
 import time
 import traceback
+from bisect import bisect_left
 from collections import Counter
 # unused; kept because perfbench/run.py patches it in its traced pass
 from concurrent.futures import ThreadPoolExecutor  # noqa: F401
@@ -134,15 +135,13 @@ def sweep(replica: Replica, beta: float, q_threshold: int = 0,
     cone, it keeps the score too; gate g2's cached cone bit says so when
     g2 > g, and for g2 < g the swapped codes are walked.
 
-    Reassign-one attempts run per slot: a run of them shares the slot's
-    pool layout and residuals, which are taken once per slot and again
-    only after an accepted swap.  Without swap the run is all five
-    attempts; with it each attempt draws its kind first, and a reassign-one
-    attempt is a run of one.  A reassign-one attempt draws from the slot's
-    replacement pool without building it: ``moves.pool_layout`` gives the
-    pool's size and the two index blocks it skips, and the drawn index
-    becomes a code by a few integer operations.  The index is drawn by the
-    bounded ``getrandbits`` loop of ``randrange(size)``, inline:
+    Each attempt is one pass of the slot's loop, and the slot's code in
+    ``codes`` is always its current literal.  A slot takes its replacement
+    pool and residuals on its first reassign-one attempt, and again after
+    an accepted swap.  The pool is the prefix of the slot's shared
+    ``moves.source_pools`` list below gate g's own codes, found by
+    ``bisect_left``; nothing is copied.  The attempt draws an index into it
+    by the bounded ``getrandbits`` loop of ``randrange(size)``, inline:
     ``getrandbits(k)`` until the result is below ``size``, with
     ``k = size.bit_length()``, so the draws and the RNG stream are those of
     ``randrange(size)``.  As in ``moves.propose_reassign_one`` it redraws
@@ -188,8 +187,6 @@ def sweep(replica: Replica, beta: float, q_threshold: int = 0,
     # drawn as randrange(size) does (_randbelow_with_getrandbits)
     getrandbits = rng.getrandbits
     random, exp = rng.random, math.exp
-    # pool index j >= cut holds code j + PI_BASE (see moves.pool_layout)
-    cut = PI_BASE if net.constraints.inverters_allowed else len(cols)
     error, score = cache.error, cache.score
     deltas: list[int] | None = [] if collect_deltas else None
     proposed = accepted = 0
@@ -199,73 +196,68 @@ def sweep(replica: Replica, beta: float, q_threshold: int = 0,
         keep = score + budget
         best = (keep, [r[:] for r in codes], out)
     base = PI_BASE + net.n
+    pools = moves.source_pools(net)
     cone = output_cone(net)
     for g, row in enumerate(codes):
         hid = base + g
+        top = hid << 1  # a slot's pool is its source_pools list below this
         inside = cone >> g & 1
         e0 = None  # gate g's output cofactors, computed on first use
         accepted_before = accepted
         for s in range(3):
-            size = None  # the slot's pool layout and residuals
-            tries = 5
-            while tries:
-                run = tries  # reassign-one attempts in a row
-                if w2:
-                    if random() * total >= w1:
-                        tries -= 1
-                        edits = moves.propose_swap_between_gates(net, rng, g, s)
-                        if edits is None:
-                            continue
-                        (_, _, l2), (g2, s2, l1) = edits
-                        row[s], codes[g2][s2] = l2, l1
-                        evaluated = network.propagate(
-                            codes, cols, mask, base, min(g, g2), 0,
-                            1 << g | 1 << g2, ~cone >> g << g)
-                        new_error = (cols[out >> 1] ^ (mask if out & 1 else 0)
-                                     ^ cache.target_bits).bit_count()
-                        if new_error:
-                            new_score = new_error
-                        # Both gates outside the cone: as for a reassign-one
-                        # edit there.  With gate g outside, gate g2 is
-                        # outside the cone before the swap exactly when it
-                        # is outside it after, and the cone is then the
-                        # same.  Gate g2's cached bit is exact above gate g;
-                        # below it the swapped codes are walked.
-                        elif not (error or inside
-                                  or (cone if g2 > g else output_cone(net))
-                                  >> g2 & 1):
-                            new_score = score
-                        else:
-                            new_score = network.cleaned_gate_count(net) - budget
-                        proposed += 1
-                        delta = new_score - score
-                        if delta > 0:
-                            if deltas is not None:
-                                deltas.append(delta)
-                            if not random() < exp(-beta * delta):
-                                row[s], codes[g2][s2] = l1, l2
-                                for h, flip in evaluated:
-                                    cols[base + h] ^= flip
-                                continue
-                        e0 = size = None
-                        error, score = new_error, new_score
-                        accepted += 1
-                        if score + budget < keep:
-                            keep = score + budget
-                            best = (keep, [r[:] for r in codes], out)
+            pool = None  # the slot's pool and residuals, taken on first use
+            for _ in range(5):
+                if w2 and random() * total >= w1:
+                    edits = moves.propose_swap_between_gates(net, rng, g, s)
+                    if edits is None:
                         continue
-                    run = 1
-                tries -= run
-                if size is None:
-                    size, first, e1, skip1, e2, skip2 = \
-                        moves.pool_layout(net, g, s)
+                    (_, _, l2), (g2, s2, l1) = edits
+                    row[s], codes[g2][s2] = l2, l1
+                    evaluated = network.propagate(
+                        codes, cols, mask, base, min(g, g2), 0,
+                        1 << g | 1 << g2, ~cone >> g << g)
+                    new_error = (cols[out >> 1] ^ (mask if out & 1 else 0)
+                                 ^ cache.target_bits).bit_count()
+                    if new_error:
+                        new_score = new_error
+                    # Both gates outside the cone: as for a reassign-one
+                    # edit there.  With gate g outside, gate g2 is outside
+                    # the cone before the swap exactly when it is outside
+                    # it after, and the cone is then the same.  Gate g2's
+                    # cached bit is exact above gate g; below it the
+                    # swapped codes are walked.
+                    elif not (error or inside
+                              or (cone if g2 > g else output_cone(net))
+                              >> g2 & 1):
+                        new_score = score
+                    else:
+                        new_score = network.cleaned_gate_count(net) - budget
+                    proposed += 1
+                    delta = new_score - score
+                    if delta > 0:
+                        if deltas is not None:
+                            deltas.append(delta)
+                        if not random() < exp(-beta * delta):
+                            row[s], codes[g2][s2] = l1, l2
+                            for h, flip in evaluated:
+                                cols[base + h] ^= flip
+                            continue
+                    e0 = pool = None
+                    error, score = new_error, new_score
+                    accepted += 1
+                    if score + budget < keep:
+                        keep = score + budget
+                        best = (keep, [r[:] for r in codes], out)
+                    continue
+                if pool is None:
+                    cb, cc = row[s - 2], row[s - 1]
+                    pool = pools[cb >> 1][cc >> 1]
+                    size = bisect_left(pool, top)
                     k = size.bit_length()
-                    cur = row[s]
                     if inside and size > 1:
                         if e0 is None:
                             e0, d, readers = output_cofactors(net, cache, g,
                                                               cone)
-                        cb, cc = row[s - 2], row[s - 1]
                         b = cols[cb >> 1] ^ (mask if cb & 1 else 0)
                         c = cols[cc >> 1] ^ (mask if cc & 1 else 0)
                         free = d & (b ^ c)
@@ -274,57 +266,46 @@ def sweep(replica: Replica, beta: float, q_threshold: int = 0,
                 # the current literal is in the pool: size - 1 choices
                 if size < 2:
                     continue
-                proposed += run
-                for _ in range(run):
-                    while True:
+                proposed += 1
+                cur = row[s]
+                while True:
+                    j = getrandbits(k)
+                    while j >= size:
                         j = getrandbits(k)
-                        while j >= size:
-                            j = getrandbits(k)
-                        j += first
-                        if j >= e1:
-                            j += skip1
-                        if j >= e2:
-                            j += skip2
-                        new = j << 1 if j < cut else j + PI_BASE
-                        if new != cur:
-                            break
-                    if inside:
-                        new_error = ((r1 if new & 1 else r0)
-                                     ^ (cols[new >> 1] & free)).bit_count()
-                        if new_error:
-                            new_score = new_error
-                        else:
-                            row[s] = new
-                            # called through the module, so a wrapper there
-                            # sees it
-                            new_score = network.cleaned_gate_count(net) - budget
+                    new = pool[j]
+                    if new != cur:
+                        break
+                # the slot holds the drawn code while it is scored, as the
+                # cleaned count reads it
+                row[s] = new
+                if inside:
+                    new_error = ((r1 if new & 1 else r0)
+                                 ^ (cols[new >> 1] & free)).bit_count()
+                    # called through the module, so a wrapper there sees it
+                    new_score = (new_error
+                                 or network.cleaned_gate_count(net) - budget)
+                    delta = new_score - score
+                    if delta > 0:
+                        if deltas is not None:
+                            deltas.append(delta)
+                        if not random() < exp(-beta * delta):  # accept_uphill
                             row[s] = cur
-                        delta = new_score - score
-                        if delta > 0:
-                            if deltas is not None:
-                                deltas.append(delta)
-                            if not random() < exp(-beta * delta):  # accept_uphill
-                                continue
-                        error, score = new_error, new_score
-                        accepted += 1
-                        if score + budget < keep:
-                            keep = score + budget
-                            row[s] = new
-                            best = (keep, [r[:] for r in codes], out)
-                    cur = new
-                row[s] = cur
-                if not inside:
-                    # The output does not read gate g: error and score
-                    # stand.  The cleaned count stands too: cleanup's one
-                    # pass in gate order rewrites each gate from its
-                    # operands' final codes, so every live gate ends
-                    # irreducible with a distinct key, the count is the
-                    # number of distinct hash-consed nodes reachable from
-                    # the output, and a node's hash-consed form depends
-                    # only on its own fan-in cone, that is, only on operands
-                    # of cone gates.  So every attempt here is accepted with
-                    # delta 0, and none has a state to snapshot.
-                    accepted += run
+                            continue
+                    error, score = new_error, new_score
+                    if score + budget < keep:
+                        keep = score + budget
+                        best = (keep, [r[:] for r in codes], out)
+                # Outside the cone the output does not read gate g: error
+                # and score stand.  The cleaned count stands too: cleanup's
+                # one pass in gate order rewrites each gate from its
+                # operands' final codes, so every live gate ends
+                # irreducible with a distinct key, the count is the number
+                # of distinct hash-consed nodes reachable from the output,
+                # and a node's hash-consed form depends only on its own
+                # fan-in cone, that is, only on operands of cone gates.  So
+                # the attempt is accepted with delta 0, and has no state to
+                # snapshot.
+                accepted += 1
         if not inside or accepted != accepted_before:
             y = network._gate_column(cols, mask, row)
             flip = cols[hid] ^ y

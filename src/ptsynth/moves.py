@@ -1,11 +1,13 @@
 """Search moves: propose, apply, and exactly revert single-network updates.
 
-``engine.sweep`` draws swaps here and scores them without writing them
-through the cache.  It draws reassign-one moves from ``pool_layout`` by
-index arithmetic.  ``replacement_pool`` with ``propose_reassign_one``, and
-``apply_proposal`` with ``revert_proposal``, are the plain reference the
-sweep is tested against: list the pool and draw from it, write the edits
-and recompute, then undo them.
+A reassign-one move draws uniformly from its slot's replacement pool, a
+prefix of one of the lists ``source_pools`` builds once per network shape.
+``engine.sweep`` draws from that prefix in place; ``replacement_pool``
+copies it out.  With ``propose_reassign_one``, and ``apply_proposal`` with
+``revert_proposal``, it is the plain reference the sweep is tested
+against: list the pool and draw from it, write the edits and recompute,
+then undo them.  The sweep also draws swaps here, and scores them without
+writing them through the cache.
 
 A move is a tuple of ``(gate, slot, new_code)`` writes: reassign-one is
 ``((g, s, c),)`` and swap-between-gates ``((g1, s1, l2), (g2, s2, l1))``.
@@ -19,6 +21,7 @@ undo record: the old ``(gate, slot, code)`` triples, the overwritten
 from __future__ import annotations
 
 import random
+from bisect import bisect_left
 
 # perfbench hooks moves.cleaned_gate_count, so the name stays importable here
 from .network import (  # noqa: F401
@@ -32,66 +35,59 @@ from .network import (  # noqa: F401
 
 SWAP_TRIES = 16  # rejection-sampling attempts before a swap gives up
 Edits = tuple[tuple[int, int, int], ...]  # one move's (gate, slot, code) writes
+_POOLS: dict = {}  # the source_pools table of each network shape
+
+
+def source_pools(net: LogicNetwork) -> list[list[list[int] | None]]:
+    """Every replacement pool of the network's shape, by the sources o1 !=
+    o2 of the slot's two other operands: ``source_pools(net)[o1][o2]``.
+
+    That list holds, ascending, the code of every source of the whole
+    budget but o1 and o2, and the complemented code of each such input or
+    gate when inverters are allowed.  When the network is leafy and neither
+    o1 nor o2 is a primary input, it holds only the inputs' codes, so the
+    gate keeps one.  At gate g the slot's pool is the prefix of codes below
+    ``(PI_BASE + n + g) << 1``: those of the sources before gate g.
+
+    The table is built once per process for each shape (n, gate set,
+    leafiness and gate count) and shared, so callers must not modify it.
+    It holds S(S - 1) / 2 lists of at most 2S codes, S being the number of
+    sources.
+    """
+    n, cons = net.n, net.constraints
+    shape = (n, cons.inverters_allowed, cons.leafy, len(net.codes))
+    pools = _POOLS.get(shape)
+    if pools is not None:
+        return pools
+    sources = PI_BASE + n + len(net.codes)
+    every = []
+    for sid in range(sources):
+        every.append(sid << 1)
+        if cons.inverters_allowed and sid >= PI_BASE:
+            every.append(sid << 1 | 1)
+    # source sid's codes are every[at[sid]:at[sid + 1]]
+    at = [bisect_left(every, sid << 1) for sid in range(sources + 1)]
+    inputs = every[at[PI_BASE]:at[PI_BASE + n]]
+    pools = [[None] * sources for _ in range(sources)]
+    for o2 in range(sources):
+        for o1 in range(o2):
+            if cons.leafy and not (PI_BASE <= o1 < PI_BASE + n
+                                   or PI_BASE <= o2 < PI_BASE + n):
+                pool = inputs
+            else:
+                pool = (every[:at[o1]] + every[at[o1 + 1]:at[o2]]
+                        + every[at[o2 + 1]:])
+            pools[o1][o2] = pools[o2][o1] = pool
+    _POOLS[shape] = pools
+    return pools
 
 
 def replacement_pool(net: LogicNetwork, gate: int, slot: int) -> list[int]:
-    """Legal replacement codes for a slot, before excluding its current literal.
-
-    The pool keeps operand sources pairwise distinct, references only earlier
-    sources, and is restricted to primary inputs when the other two slots
-    would otherwise leave a leafy gate without one.  ``engine.sweep`` draws
-    from it through ``pool_layout`` without building it; this list is the
-    reference that layout is tested against.
-    """
+    """Legal replacement codes for a slot, before excluding its current
+    literal: a copy of its prefix of ``source_pools``."""
     row = net.codes[gate]
-    o1 = row[slot - 2] >> 1
-    o2 = row[slot - 1] >> 1
-    n = net.n
-    cons = net.constraints
-    if cons.leafy and not (PI_BASE <= o1 < PI_BASE + n or PI_BASE <= o2 < PI_BASE + n):
-        lo, hi = PI_BASE, PI_BASE + n
-    else:
-        lo, hi = 0, PI_BASE + n + gate
-    pool = []
-    inverters = cons.inverters_allowed
-    for s in range(lo, hi):
-        if s == o1 or s == o2:
-            continue
-        pool.append(s << 1)
-        if inverters and s >= PI_BASE:
-            pool.append(s << 1 | 1)
-    return pool
-
-
-def pool_layout(net: LogicNetwork, gate: int,
-                slot: int) -> tuple[int, int, int, int, int, int]:
-    """``replacement_pool(net, gate, slot)`` as index arithmetic.
-
-    Number every literal the pool could hold in pool order: index j is code
-    ``j << 1`` without inverters; with them, ``j << 1`` below PI_BASE (the
-    constants) and ``j + PI_BASE`` from there, two entries per source.
-    Returns ``(size, first, e1, skip1, e2, skip2)``: pool entry k < size is
-    index ``first + k``, moved up by skip1 if that reaches e1, then by skip2
-    if it reaches e2, which skips the blocks of the two other operands'
-    sources.
-    """
-    row = net.codes[gate]
-    o1 = row[slot - 2] >> 1
-    o2 = row[slot - 1] >> 1
-    n = net.n
-    inverters = net.constraints.inverters_allowed
-    if net.constraints.leafy and not (PI_BASE <= o1 < PI_BASE + n
-                                      or PI_BASE <= o2 < PI_BASE + n):
-        # only the inputs, and neither other operand is one: nothing to skip
-        return 2 * n if inverters else n, PI_BASE, 0, 0, 0, 0
-    if o2 < o1:
-        o1, o2 = o2, o1
-    if not inverters:
-        return PI_BASE + n + gate - 2, 0, o1, 1, o2, 1
-    skip1, skip2 = 1 + (o1 >= PI_BASE), 1 + (o2 >= PI_BASE)
-    return (PI_BASE + 2 * (n + gate) - skip1 - skip2, 0,
-            o1 if skip1 == 1 else 2 * o1 - PI_BASE, skip1,
-            o2 if skip2 == 1 else 2 * o2 - PI_BASE, skip2)
+    pool = source_pools(net)[row[slot - 2] >> 1][row[slot - 1] >> 1]
+    return pool[:bisect_left(pool, (PI_BASE + net.n + gate) << 1)]
 
 
 def propose_reassign_one(net: LogicNetwork, rng: random.Random, gate: int,

@@ -119,6 +119,20 @@ def test_synth_goal_not_reached_exit_3(tmp_path, capsys):
     assert code == 3
 
 
+def test_synth_stopped_before_a_repetition_says_so_exit_3(tmp_path,
+                                                          capsys):
+    # the time limit passes while the replicas are built
+    trace = tmp_path / "trace.csv"
+    code = run_cli(["synth", "--target", "maj:5", "--max-nodes", "8",
+                    "--seed", "1", "--time-limit", "0.0001",
+                    "--trace", str(trace)])
+    out = capsys.readouterr().out
+    assert code == 3
+    assert "no exact network: no repetition completed in" in out
+    assert "None" not in out
+    assert trace.read_text() == "repetition,best_q,best_score,elapsed_seconds\n"
+
+
 def test_synth_env_seed(monkeypatch, capsys, tmp_path):
     monkeypatch.setenv("PTSYNTH_SEED", "7")
     parser = cli.build_parser()

@@ -1,7 +1,8 @@
 """Property tests for cleanup and its sorted-operand rules, the output-cone
 shortcut and the cone bits a move keeps, the move path, the output
-cofactors, swap pass and slot residuals that score the sweep and the pool
-layout it draws from.
+cofactors, swap pass and slot residuals that score the sweep, and the
+replacement pool it draws from, which the swap's legality test agrees
+with.
 
 Networks are drawn over n in {3, 5, 7}, every budget up to 12 gates, both
 gate sets, leafy or not, and an output that may sit on any gate (inverted
@@ -13,8 +14,8 @@ import random
 from hypothesis import example, given, settings, strategies as st
 
 from ptsynth.moves import (
+    _slot_accepts,
     apply_proposal,
-    pool_layout,
     propose_reassign_one,
     propose_swap_between_gates,
     replacement_pool,
@@ -422,20 +423,8 @@ def networks_with_constants(draw):
     return net
 
 
-def pool_entry(net, layout, k):
-    """Entry k of the pool by the arithmetic ``engine.sweep`` inlines."""
-    size, first, e1, skip1, e2, skip2 = layout
-    j = first + k
-    if j >= e1:
-        j += skip1
-    if j >= e2:
-        j += skip2
-    inverters = net.constraints.inverters_allowed
-    return j << 1 if j < PI_BASE or not inverters else j + PI_BASE
-
-
 # leafy, and slot 0 of both gates has no input among its other operands,
-# so the input-only branch of pool_layout is taken on every run
+# so its pool holds only the inputs
 @example(LogicNetwork(3, NetworkConstraints(2, inverters_allowed=False,
                                             leafy=True),
                       [[4, 0, 2], [4, 0, 10]]))
@@ -443,15 +432,20 @@ def pool_entry(net, layout, k):
                                             leafy=True),
                       [[5, 0, 2], [4, 2, 11]]))
 @SETTINGS
-@given(networks_with_constants())
-def test_pool_layout_maps_every_index_to_the_pool_entry(net):
+@given(st.one_of(networks().map(lambda drawn: drawn[0]),
+                 networks_with_constants()))
+def test_slot_accepts_exactly_the_replacement_pool(net):
+    # the swap's legality test and the reassign-one pool are two writings
+    # of one rule: they agree on every literal the gate set has
+    inverters = net.constraints.inverters_allowed
     for g in range(net.num_gates):
         for s in range(3):
             pool = replacement_pool(net, g, s)
-            layout = pool_layout(net, g, s)
-            assert layout[0] == len(pool)
-            assert [pool_entry(net, layout, k) for k in range(len(pool))] == pool
             assert net.codes[g][s] in pool
+            for code in range((PI_BASE + net.n + net.num_gates) << 1):
+                if code & 1 and not (inverters and code >> 1 >= PI_BASE):
+                    continue
+                assert _slot_accepts(net, g, s, code) == (code in pool)
 
 
 @SETTINGS
