@@ -1,10 +1,11 @@
 """In-process A/B timing of two ptsynth source trees.
 
-Imports the package from a parent and a change ``src`` directory under two
-distinct names, so both live in one process.  Each round calibrates a
-ladder and runs parallel tempering for a fixed number of repetitions on
-one workload shape and move mix, once with each tree, on the round's seed,
-in alternating order, and takes each side's process time.  The two sides
+Imports the package from a parent ``src`` directory and from the ``src``
+next to this script under two distinct names, so both live in one
+process.  Round i calibrates a 51-replica ladder and runs parallel
+tempering for the shape's number of repetitions on one workload shape and
+move mix, once with each tree, on seed i + 1, in alternating order, and
+takes each side's process time.  The two sides
 must agree on the ladder's betas, the best q and score, the swap rates,
 the per-slot acceptance and the best network; the script stops with exit
 1 at the first round where they do not.  At the end it prints the median
@@ -35,6 +36,8 @@ SHAPES = {
     "maj7": (7, False, 10, 60),
     "maj9-p17": (9, False, 17, 10),
 }
+REPLICAS = 51
+CHANGE_SRC = pathlib.Path(__file__).resolve().parents[1] / "src"
 
 
 def load_tree(src: str, name: str):
@@ -51,7 +54,7 @@ def load_tree(src: str, name: str):
     return package
 
 
-def run_once(pkg, shape: tuple, mix, seed: int, replicas: int) -> tuple:
+def run_once(pkg, shape: tuple, mix, seed: int) -> tuple:
     """Calibrate and run one operation; returns (process seconds, outcome)."""
     n, inverters, p, reps = shape
     target = pkg.majority_truth_table(n)
@@ -59,7 +62,7 @@ def run_once(pkg, shape: tuple, mix, seed: int, replicas: int) -> tuple:
     gc.collect()
     start = time.process_time()
     ladder = pkg.calibrate_ladder(target, constraints, seed=seed,
-                                  replicas=replicas)
+                                  replicas=REPLICAS)
     report = pkg.run(target, constraints, ladder,
                      pkg.StopConditions(max_repetitions=reps), seed=seed,
                      move_weights=mix)
@@ -80,41 +83,32 @@ def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--parent", required=True,
                         help="the parent tree's src directory")
-    parser.add_argument("--change", default="src",
-                        help="the changed tree's src directory (default src)")
     parser.add_argument("--shape", choices=SHAPES, default="maj9-search")
     parser.add_argument("--mix", default="1,0",
                         help="reassign-one,swap move weights")
-    parser.add_argument("--reps", type=int, default=None,
-                        help="repetitions per run (default: the shape's)")
-    parser.add_argument("--replicas", type=int, default=51)
     parser.add_argument("--rounds", type=int, default=24)
-    parser.add_argument("--seed", type=int, default=1,
-                        help="round i runs seed + i")
     args = parser.parse_args(argv)
-    if args.rounds < 1 or (args.reps is not None and args.reps < 1):
-        parser.error("--rounds and --reps must be at least 1")
+    if args.rounds < 1:
+        parser.error("--rounds must be at least 1")
     parent = load_tree(args.parent, "ptsynth_ab_parent")
-    change = load_tree(args.change, "ptsynth_ab_change")
+    change = load_tree(CHANGE_SRC, "ptsynth_ab_change")
     try:
         mix = parent.engine.check_move_weights(args.mix.split(","))
     except ValueError as exc:
         parser.error(str(exc))
-    n, inverters, p, reps = SHAPES[args.shape]
-    shape = (n, inverters, p, args.reps or reps)
+    shape = n, inverters, p, reps = SHAPES[args.shape]
     print(f"shape {args.shape}: MAJ-{n} p={p} "
-          f"{'maj-inv' if inverters else 'maj'}, {shape[3]} repetitions, "
-          f"{args.replicas} replicas, mix {args.mix}")
+          f"{'maj-inv' if inverters else 'maj'}, {reps} repetitions, "
+          f"{REPLICAS} replicas, mix {args.mix}")
     ratios = []
     for i in range(args.rounds):
-        seed = args.seed + i
+        seed = i + 1
         sides = [("parent", parent), ("change", change)]
         if i % 2:
             sides.reverse()
         seconds, outcomes = {}, {}
         for label, pkg in sides:
-            seconds[label], outcomes[label] = run_once(pkg, shape, mix, seed,
-                                                       args.replicas)
+            seconds[label], outcomes[label] = run_once(pkg, shape, mix, seed)
         for key, value in outcomes["parent"].items():
             if outcomes["change"][key] != value:
                 print(f"round {i} seed {seed}: the sides differ in {key}: "

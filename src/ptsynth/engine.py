@@ -295,16 +295,16 @@ def sweep(replica: Replica, beta: float, q_threshold: int = 0,
                     if score + budget < keep:
                         keep = score + budget
                         best = (keep, [r[:] for r in codes], out)
-                # Outside the cone the output does not read gate g: error
-                # and score stand.  The cleaned count stands too: cleanup's
-                # one pass in gate order rewrites each gate from its
-                # operands' final codes, so every live gate ends
-                # irreducible with a distinct key, the count is the number
-                # of distinct hash-consed nodes reachable from the output,
-                # and a node's hash-consed form depends only on its own
-                # fan-in cone, that is, only on operands of cone gates.  So
-                # the attempt is accepted with delta 0, and has no state to
-                # snapshot.
+                # An accepted cone attempt lands here too.  Outside the
+                # cone the output does not read gate g: error and score
+                # stand.  The cleaned count stands too: cleanup's one pass
+                # in gate order rewrites each gate from its operands' final
+                # codes, so every live gate ends irreducible with a
+                # distinct key, the count is the number of distinct
+                # hash-consed nodes reachable from the output, and a node's
+                # hash-consed form depends only on its own fan-in cone,
+                # that is, only on operands of cone gates.  So the attempt
+                # is accepted with delta 0, and has no state to snapshot.
                 accepted += 1
         if not inside or accepted != accepted_before:
             y = network._gate_column(cols, mask, row)

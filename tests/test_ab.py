@@ -8,14 +8,13 @@ from conftest import REPO_ROOT
 def run_ab(*args):
     return subprocess.run(
         [sys.executable, str(REPO_ROOT / "scripts" / "ab.py"),
-         "--shape", "maj5-exact", "--rounds", "2", "--reps", "5",
-         "--replicas", "8", *args],
+         "--shape", "maj5-exact", "--rounds", "2", *args],
         cwd=REPO_ROOT, capture_output=True, text=True, timeout=300)
 
 
 def test_ab_of_a_tree_against_itself_agrees_every_round():
-    src = str(REPO_ROOT / "src")
-    proc = run_ab("--parent", src, "--change", src)
+    # the change side is always the src next to the script
+    proc = run_ab("--parent", str(REPO_ROOT / "src"))
     assert proc.returncode == 0, proc.stderr
     lines = proc.stdout.splitlines()
     assert [line.split(":")[0] for line in lines[1:3]] == \
@@ -33,7 +32,6 @@ def test_ab_stops_where_the_trees_disagree(tmp_path):
     assert "ANCHOR_RATES = (0.99," in text
     engine.write_text(text.replace("ANCHOR_RATES = (0.99,",
                                    "ANCHOR_RATES = (0.98,"))
-    proc = run_ab("--parent", str(tmp_path), "--change",
-                  str(REPO_ROOT / "src"))
+    proc = run_ab("--parent", str(tmp_path))
     assert proc.returncode == 1
     assert "round 0 seed 1: the sides differ in betas" in proc.stderr

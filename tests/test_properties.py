@@ -436,16 +436,23 @@ def networks_with_constants(draw):
                  networks_with_constants()))
 def test_slot_accepts_exactly_the_replacement_pool(net):
     # the swap's legality test and the reassign-one pool are two writings
-    # of one rule: they agree on every literal the gate set has
+    # of one rule: they agree on every literal the gate set has, and with
+    # is_valid on the network with that code written into the slot
     inverters = net.constraints.inverters_allowed
     for g in range(net.num_gates):
+        row = net.codes[g]
         for s in range(3):
             pool = replacement_pool(net, g, s)
-            assert net.codes[g][s] in pool
+            cur = row[s]
+            assert cur in pool
             for code in range((PI_BASE + net.n + net.num_gates) << 1):
+                row[s] = code
+                valid = is_valid(net)[0]
+                row[s] = cur
+                assert valid == (code in pool)
                 if code & 1 and not (inverters and code >> 1 >= PI_BASE):
                     continue
-                assert _slot_accepts(net, g, s, code) == (code in pool)
+                assert _slot_accepts(net, g, s, code) == valid
 
 
 @SETTINGS
