@@ -571,7 +571,6 @@ def run(target: TruthTable, constraints: NetworkConstraints,
     best_score: int | None = None
     best_net: LogicNetwork | None = None
     trace: list[TraceRow] = []
-    last_traced_q: int | None = None
     swap_rate_log: list[tuple[int, list[float]]] = []
     swap_counts = [[0, 0] for _ in range(m - 1)]  # [attempts, accepts]
     slot_proposed = [0] * m
@@ -592,11 +591,9 @@ def run(target: TruthTable, constraints: NetworkConstraints,
 
     def record_improvement(rep: int) -> None:
         # one trace row per repetition, taken after all of its updates
-        nonlocal last_traced_q
-        if best_q is not None and (last_traced_q is None or best_q < last_traced_q):
+        if best_q is not None and (not trace or best_q < trace[-1].best_q):
             elapsed = time.perf_counter() - start if wall_clock_trace else None
             trace.append(TraceRow(rep, best_q, best_q - budget, elapsed))
-            last_traced_q = best_q
 
     for replica in replicas:
         if replica.cache.error == 0:

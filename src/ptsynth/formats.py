@@ -106,8 +106,8 @@ def parse_network(text: str) -> LogicNetwork:
             continue
         if output is not None:
             raise NetworkParseError("content after the output line", lineno)
+        fields = line.split()
         if n is None:
-            fields = line.split()
             if len(fields) != 2 or fields[0] != "inputs":
                 raise NetworkParseError("expected 'inputs <n>' first", lineno)
             try:
@@ -117,10 +117,10 @@ def parse_network(text: str) -> LogicNetwork:
             if not 1 <= n <= 20:
                 raise NetworkParseError(f"input count {n} out of range 1..20", lineno)
             continue
-        if line.startswith("flags"):
-            if gates or output is not None:
+        if fields[0] == "flags":
+            if gates:
                 raise NetworkParseError("flags must precede the gate list", lineno)
-            for flag in line.split()[1:]:
+            for flag in fields[1:]:
                 if flag == "no-inverters":
                     inverters = False
                 elif flag == "leafy":
@@ -128,8 +128,7 @@ def parse_network(text: str) -> LogicNetwork:
                 else:
                     raise NetworkParseError(f"unknown flag {flag!r}", lineno)
             continue
-        if line.startswith("output"):
-            fields = line.split()
+        if fields[0] == "output":
             if len(fields) != 2:
                 raise NetworkParseError("expected 'output <operand>'", lineno)
             output = _parse_operand(fields[1], n, len(gates), lineno)

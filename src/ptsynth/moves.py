@@ -6,8 +6,8 @@ prefix of one of the lists ``source_pools`` builds once per network shape.
 copies it out.  With ``propose_reassign_one``, and ``apply_proposal`` with
 ``revert_proposal``, it is the plain reference the sweep is tested
 against: list the pool and draw from it, write the edits and recompute,
-then undo them.  The sweep also draws swaps here, and scores them without
-writing them through the cache.
+then undo them.  The sweep draws its swaps here, through the one swap
+proposer, which checks each literal against its new slot's pool too.
 
 A move is a tuple of ``(gate, slot, new_code)`` writes: reassign-one is
 ``((g, s, c),)`` and swap-between-gates ``((g1, s1, l2), (g2, s2, l1))``.
@@ -105,38 +105,35 @@ def propose_reassign_one(net: LogicNetwork, rng: random.Random, gate: int,
             return ((gate, slot, new),)
 
 
-def _slot_accepts(net: LogicNetwork, gate: int, slot: int, code: int) -> bool:
-    sid = code >> 1
-    n = net.n
-    if sid >= PI_BASE + n + gate:
-        return False
-    row = net.codes[gate]
-    o1 = row[slot - 2] >> 1
-    o2 = row[slot - 1] >> 1
-    if sid == o1 or sid == o2:
-        return False
-    if net.constraints.leafy and not any(
-            PI_BASE <= s < PI_BASE + n for s in (sid, o1, o2)):
-        return False
-    return True
-
-
 def propose_swap_between_gates(net: LogicNetwork, rng: random.Random,
                                gate: int, slot: int) -> Edits | None:
-    """Exchange this operand with one of another gate, if both stay valid."""
-    p = len(net.codes)
+    """Exchange this operand with one of another gate, if both stay valid.
+
+    Up to ``SWAP_TRIES`` times, draw the partner gate and slot by the
+    bounded ``getrandbits`` loops of ``randrange(p - 1)`` and ``randrange(3)``,
+    as ``engine.sweep`` draws; each literal must be in its new slot's pool."""
+    codes, base = net.codes, PI_BASE + net.n
+    p = len(codes)
     if p < 2:
         return None
-    l1 = net.codes[gate][slot]
+    getrandbits, pools = rng.getrandbits, source_pools(net)
+    row = codes[gate]
+    l1, top = row[slot], (base + gate) << 1
+    pool = pools[row[slot - 2] >> 1][row[slot - 1] >> 1]
+    k = (p - 1).bit_length()
     for _ in range(SWAP_TRIES):
-        g2 = rng.randrange(p - 1)
+        g2 = getrandbits(k)
+        while g2 >= p - 1:
+            g2 = getrandbits(k)
         if g2 >= gate:
             g2 += 1
-        s2 = rng.randrange(3)
-        l2 = net.codes[g2][s2]
-        if l1 == l2:
-            continue
-        if _slot_accepts(net, gate, slot, l2) and _slot_accepts(net, g2, s2, l1):
+        s2 = getrandbits(2)
+        while s2 == 3:
+            s2 = getrandbits(2)
+        row2 = codes[g2]
+        l2 = row2[s2]
+        if (l1 != l2 and l2 < top and l2 in pool and l1 < (base + g2) << 1
+                and l1 in pools[row2[s2 - 2] >> 1][row2[s2 - 1] >> 1]):
             return ((gate, slot, l2), (g2, s2, l1))
     return None
 

@@ -45,7 +45,7 @@ from ptsynth.network import (
     random_network,
 )
 from ptsynth.truthtable import TruthTable, majority_truth_table
-from test_properties import SETTINGS, networks, own_target
+from test_properties import MIXES, SETTINGS, networks, own_target
 
 
 def make_replica(n, p, seed, inverters=False, target=None):
@@ -316,8 +316,8 @@ def test_sweep_takes_the_cone_once_and_no_cofactors_outside_it(
 
 class NoRandrange(random.Random):
     """A stream whose ``randrange`` and ``_randbelow`` must not be called,
-    so a reassign-one draw has to go through ``getrandbits``, which is
-    inherited unchanged."""
+    so a reassign-one draw and a swap's partner draw have to go through
+    ``getrandbits``, which is inherited unchanged."""
 
     def randrange(self, *args, **kwargs):
         raise AssertionError("randrange called")
@@ -336,11 +336,15 @@ def test_reassign_one_sweep_draws_without_the_pool(inverters, leafy,
     monkeypatch.setattr(moves, "replacement_pool", forbidden)
     monkeypatch.setattr(moves, "propose_reassign_one", forbidden)
     cons = NetworkConstraints(10, inverters_allowed=inverters, leafy=leafy)
-    net = random_network(7, cons, derived_rng(5, "pool-free"))
-    replica = Replica(net, evaluate_full(net, majority_truth_table(7)),
-                      NoRandrange(5))
-    stats = sweep(replica, 1.0)
-    assert stats.proposed == stats.steps == 150
+    for mix in MIXES:
+        net = random_network(7, cons, derived_rng(5, "pool-free"))
+        replica = Replica(net, evaluate_full(net, majority_truth_table(7)),
+                          NoRandrange(5))
+        stats = sweep(replica, 1.0, move_weights=mix)
+        assert stats.steps == 150
+        # a swap that finds no legal partner is skipped unproposed
+        assert 0 < stats.proposed <= 150
+        assert mix != (1, 0) or stats.proposed == 150
 
 
 @pytest.mark.parametrize("weights", [(0, 0), (-1, 0), (math.nan, 1),

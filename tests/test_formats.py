@@ -93,8 +93,13 @@ def test_parse_wire_only_network():
     ("g0 = MAJ(x0, x1, x2)\n", "inputs"),
     ("inputs 3\nflags sorted\ng0 = MAJ(x0, x1, x2)\noutput g0\n", "unknown flag"),
     ("inputs 3\ng0 = MAJ(x0, x1, x2)\noutput g0\nextra\n", "after the output"),
+    ("inputs 3\nflagsjunk leafy\ng0 = MAJ(x0, x1, x2)\noutput g0\n",
+     "unrecognized line 'flagsjunk leafy'"),
+    ("inputs 3\ng0 = MAJ(x0, x1, x2)\noutputfoo g0\n",
+     "unrecognized line 'outputfoo g0'"),
 ], ids=["order", "forward", "duplicate", "inverted", "arity", "operand",
-        "no-output", "no-inputs", "flag", "trailing"])
+        "no-output", "no-inputs", "flag", "trailing", "flags-prefix",
+        "output-prefix"])
 def test_parse_errors(text, message):
     with pytest.raises(NetworkParseError, match=message):
         parse_network(text)

@@ -1,20 +1,20 @@
 """Property tests for cleanup and its sorted-operand rules, the output-cone
 shortcut and the cone bits a move keeps, the move path, the output
-cofactors, swap pass and slot residuals that score the sweep, and the
-replacement pool it draws from, which the swap's legality test agrees
-with.
+cofactors, swap pass and slot residuals that score the sweep, the
+replacement pool it draws from, and the swap proposer's legality test,
+which checks each literal against that pool.
 
 Networks are drawn over n in {3, 5, 7}, every budget up to 12 gates, both
 gate sets, leafy or not, and an output that may sit on any gate (inverted
 when inverters are allowed), so many networks carry dead gates.
 """
 
+import itertools
 import random
 
 from hypothesis import example, given, settings, strategies as st
 
 from ptsynth.moves import (
-    _slot_accepts,
     apply_proposal,
     propose_reassign_one,
     propose_swap_between_gates,
@@ -423,22 +423,23 @@ def networks_with_constants(draw):
     return net
 
 
-# leafy, and slot 0 of both gates has no input among its other operands,
-# so its pool holds only the inputs
-@example(LogicNetwork(3, NetworkConstraints(2, inverters_allowed=False,
-                                            leafy=True),
-                      [[4, 0, 2], [4, 0, 10]]))
-@example(LogicNetwork(3, NetworkConstraints(2, inverters_allowed=True,
-                                            leafy=True),
-                      [[5, 0, 2], [4, 2, 11]]))
+def leafy_examples(test):
+    """Two leafy networks in which slot 0 of both gates has no input among
+    its other operands, so its pool holds only the inputs."""
+    for inverters, codes in ((False, [[4, 0, 2], [4, 0, 10]]),
+                             (True, [[5, 0, 2], [4, 2, 11]])):
+        cons = NetworkConstraints(2, inverters_allowed=inverters, leafy=True)
+        test = example(LogicNetwork(3, cons, codes))(test)
+    return test
+
+
+@leafy_examples
 @SETTINGS
 @given(st.one_of(networks().map(lambda drawn: drawn[0]),
                  networks_with_constants()))
-def test_slot_accepts_exactly_the_replacement_pool(net):
-    # the swap's legality test and the reassign-one pool are two writings
-    # of one rule: they agree on every literal the gate set has, and with
-    # is_valid on the network with that code written into the slot
-    inverters = net.constraints.inverters_allowed
+def test_replacement_pool_holds_exactly_the_valid_codes(net):
+    # a code is in the slot's pool exactly when is_valid passes the network
+    # with that code written into the slot
     for g in range(net.num_gates):
         row = net.codes[g]
         for s in range(3):
@@ -450,18 +451,55 @@ def test_slot_accepts_exactly_the_replacement_pool(net):
                 valid = is_valid(net)[0]
                 row[s] = cur
                 assert valid == (code in pool)
-                if code & 1 and not (inverters and code >> 1 >= PI_BASE):
-                    continue
-                assert _slot_accepts(net, g, s, code) == valid
 
 
+class ScriptedDraws(random.Random):
+    """A stream whose ``getrandbits`` repeats the given draws in turn."""
+
+    def __init__(self, *draws):
+        super().__init__(0)
+        self.draws = itertools.cycle(draws)
+
+    def getrandbits(self, k):
+        return next(self.draws)
+
+
+@leafy_examples
 @SETTINGS
-@given(st.integers(0, 2**64), st.one_of(st.integers(2, 70),
-                                        st.integers(2, 2**70)))
+@given(st.one_of(networks().map(lambda drawn: drawn[0]),
+                 networks_with_constants()))
+def test_swap_is_proposed_exactly_when_the_exchange_is_valid(net):
+    # with every partner draw fixed to (g2, s2), the swap at (g, s) is
+    # proposed exactly when the literals differ and the network with them
+    # exchanged passes is_valid; the proposer itself writes nothing
+    codes = net.codes
+    before = [row[:] for row in codes]
+    gates = range(net.num_gates)
+    for g, s, g2, s2 in itertools.product(gates, range(3), gates, range(3)):
+        if g2 == g:
+            continue
+        rng = ScriptedDraws(g2 - (g2 > g), s2)
+        edits = propose_swap_between_gates(net, rng, g, s)
+        assert codes == before
+        l1, l2 = codes[g][s], codes[g2][s2]
+        codes[g][s], codes[g2][s2] = l2, l1
+        valid = is_valid(net)[0]
+        codes[g][s], codes[g2][s2] = l1, l2
+        swapped = ((g, s, l2), (g2, s2, l1))
+        assert edits == (swapped if l1 != l2 and valid else None)
+
+
+# the swap proposer's partner draws: randrange(p - 1) at p = 2, and the slot
+@example(seed=1, size=1)
+@example(seed=1, size=3)
+@SETTINGS
+@given(st.integers(0, 2**64), st.one_of(st.integers(1, 70),
+                                        st.integers(1, 2**70)))
 def test_inline_draw_matches_randrange(seed, size):
-    # engine.sweep draws a pool index with this loop in place of
-    # randrange(size); it relies on CPython's _randbelow_with_getrandbits
-    # having the same body, so this runs on every interpreter CI tests
+    # engine.sweep draws a pool index, and the swap proposer its partner
+    # gate and slot, with this loop in place of randrange(size); it relies
+    # on CPython's _randbelow_with_getrandbits having the same body, so this
+    # runs on every interpreter CI tests
     ours, ref = random.Random(seed), random.Random(seed)
     getrandbits = ours.getrandbits
     k = size.bit_length()
