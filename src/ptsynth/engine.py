@@ -95,12 +95,12 @@ class Replica:
 
 @dataclass
 class SweepStats:
-    """What one sweep did, and the replica's error and score after it."""
+    """What one sweep did, and the replica's score after it (positive
+    exactly while the network is inexact, when it is the error)."""
 
     steps: int
     proposed: int
     accepted: int
-    error: int
     score: int
     uphill_deltas: list[int] | None = None
     best_exact: tuple[int, list[list[int]], int] | None = None
@@ -113,7 +113,11 @@ def sweep(replica: Replica, beta: float, q_threshold: int = 0,
 
     ``move_weights`` weighs reassign-one against swap-between-gates.  With
     swap weighted, each attempt draws its kind first (``random() * total``,
-    a swap from ``w1`` up); every attempt is scored before it is written.
+    a swap from ``w1`` up).  Either kind proposes, writes and scores its
+    attempt; then one Metropolis step accepts it with probability
+    min(1, e^(-beta delta)) or undoes it.  The slot's old code ``cur`` (a
+    swap's partner literal) undoes gate g for either kind; a swap also
+    restores its partner and XORs back the changes its pass made.
 
     The sweep takes the output cone (``output_cone``) once.  A gate's cone
     bit depends only on the operands of later gates, and every literal a
@@ -129,11 +133,10 @@ def sweep(replica: Replica, beta: float, q_threshold: int = 0,
     evaluate the later cone gates that read gate g once.  A swap, which
     also rewires a gate g2, is evaluated in place by ``network.propagate``:
     gates g and g2 and the gates that read them, from ``min(g, g2)``,
-    skipping the gates at or above g outside the cone.  A rejected swap
-    restores its two codes and XORs back each column change the pass
-    returned.  If it keeps the network exact and neither gate is in the
-    cone, it keeps the score too; gate g2's cached cone bit says so when
-    g2 > g, and for g2 < g the swapped codes are walked.
+    skipping the gates at or above g outside the cone.  If it keeps the
+    network exact and neither gate is in the cone, it keeps the score too;
+    gate g2's cached cone bit says so when g2 > g, and for g2 < g the
+    swapped codes are walked.
 
     Each attempt is one pass of the slot's loop, and the slot's code in
     ``codes`` is always its current literal.  A slot takes its replacement
@@ -172,10 +175,8 @@ def sweep(replica: Replica, beta: float, q_threshold: int = 0,
     ``q_threshold`` (0 by default, which admits none) is snapshotted into
     the returned stats: one bound, ``keep``, starts at ``q_threshold`` or
     ``budget + 1``, whichever is lower, so no inexact state passes it, and
-    drops to each snapshot's count.  The sweep checks its start state once,
-    and after that the state after each accepted swap and each accepted
-    reassign-one move at a cone gate; one outside the cone keeps the
-    cleaned count.
+    drops to each snapshot's count.  The sweep checks its start state once
+    and then each state its Metropolis step accepts.
     """
     net, cache, rng = replica.network, replica.cache, replica.rng
     codes = net.codes
@@ -190,6 +191,7 @@ def sweep(replica: Replica, beta: float, q_threshold: int = 0,
     error, score = cache.error, cache.score
     deltas: list[int] | None = [] if collect_deltas else None
     proposed = accepted = 0
+    edits = None  # a proposed swap, until the Metropolis step decides it
     best: tuple[int, list[list[int]], int] | None = None
     keep = min(q_threshold, budget + 1)
     if score + budget < keep:
@@ -211,8 +213,8 @@ def sweep(replica: Replica, beta: float, q_threshold: int = 0,
                     edits = moves.propose_swap_between_gates(net, rng, g, s)
                     if edits is None:
                         continue
-                    (_, _, l2), (g2, s2, l1) = edits
-                    row[s], codes[g2][s2] = l2, l1
+                    (_, _, new), (g2, s2, cur) = edits
+                    row[s], codes[g2][s2] = new, cur
                     evaluated = network.propagate(
                         codes, cols, mask, base, min(g, g2), 0,
                         1 << g | 1 << g2, ~cone >> g << g)
@@ -232,80 +234,75 @@ def sweep(replica: Replica, beta: float, q_threshold: int = 0,
                         new_score = score
                     else:
                         new_score = network.cleaned_gate_count(net) - budget
-                    proposed += 1
-                    delta = new_score - score
-                    if delta > 0:
-                        if deltas is not None:
-                            deltas.append(delta)
-                        if not random() < exp(-beta * delta):
-                            row[s], codes[g2][s2] = l1, l2
-                            for h, flip in evaluated:
-                                cols[base + h] ^= flip
-                            continue
-                    e0 = pool = None
-                    error, score = new_error, new_score
-                    accepted += 1
-                    if score + budget < keep:
-                        keep = score + budget
-                        best = (keep, [r[:] for r in codes], out)
-                    continue
-                if pool is None:
-                    cb, cc = row[s - 2], row[s - 1]
-                    pool = pools[cb >> 1][cc >> 1]
-                    size = bisect_left(pool, top)
-                    k = size.bit_length()
-                    if inside and size > 1:
-                        if e0 is None:
-                            e0, d, readers = output_cofactors(net, cache, g,
-                                                              cone)
-                        b = cols[cb >> 1] ^ (mask if cb & 1 else 0)
-                        c = cols[cc >> 1] ^ (mask if cc & 1 else 0)
-                        free = d & (b ^ c)
-                        r0 = e0 ^ (d & b & c)
-                        r1 = r0 ^ free
-                # the current literal is in the pool: size - 1 choices
-                if size < 2:
-                    continue
-                proposed += 1
-                cur = row[s]
-                while True:
-                    j = getrandbits(k)
-                    while j >= size:
+                else:
+                    if pool is None:
+                        cb, cc = row[s - 2], row[s - 1]
+                        pool = pools[cb >> 1][cc >> 1]
+                        size = bisect_left(pool, top)
+                        k = size.bit_length()
+                        if inside and size > 1:
+                            if e0 is None:
+                                e0, d, readers = output_cofactors(
+                                    net, cache, g, cone)
+                            b = cols[cb >> 1] ^ (mask if cb & 1 else 0)
+                            c = cols[cc >> 1] ^ (mask if cc & 1 else 0)
+                            free = d & (b ^ c)
+                            r0 = e0 ^ (d & b & c)
+                            r1 = r0 ^ free
+                    # the current literal is in the pool: size - 1 choices
+                    if size < 2:
+                        continue
+                    cur = row[s]
+                    while True:
                         j = getrandbits(k)
-                    new = pool[j]
-                    if new != cur:
-                        break
-                # the slot holds the drawn code while it is scored, as the
-                # cleaned count reads it
-                row[s] = new
-                if inside:
+                        while j >= size:
+                            j = getrandbits(k)
+                        new = pool[j]
+                        if new != cur:
+                            break
+                    # the slot holds the drawn code while it is scored, as
+                    # the cleaned count reads it
+                    row[s] = new
+                    if not inside:
+                        # Outside the cone the output does not read gate g:
+                        # error and score stand.  The cleaned count stands
+                        # too: cleanup's one pass in gate order rewrites
+                        # each gate from its operands' final codes, so every
+                        # live gate ends irreducible with a distinct key,
+                        # the count is the number of distinct hash-consed
+                        # nodes reachable from the output, and a node's
+                        # hash-consed form depends only on its own fan-in
+                        # cone, that is, only on operands of cone gates.  So
+                        # the attempt is accepted with delta 0, and has no
+                        # state to snapshot.
+                        proposed += 1
+                        accepted += 1
+                        continue
                     new_error = ((r1 if new & 1 else r0)
                                  ^ (cols[new >> 1] & free)).bit_count()
                     # called through the module, so a wrapper there sees it
                     new_score = (new_error
                                  or network.cleaned_gate_count(net) - budget)
-                    delta = new_score - score
-                    if delta > 0:
-                        if deltas is not None:
-                            deltas.append(delta)
-                        if not random() < exp(-beta * delta):  # accept_uphill
-                            row[s] = cur
-                            continue
-                    error, score = new_error, new_score
-                    if score + budget < keep:
-                        keep = score + budget
-                        best = (keep, [r[:] for r in codes], out)
-                # An accepted cone attempt lands here too.  Outside the
-                # cone the output does not read gate g: error and score
-                # stand.  The cleaned count stands too: cleanup's one pass
-                # in gate order rewrites each gate from its operands' final
-                # codes, so every live gate ends irreducible with a
-                # distinct key, the count is the number of distinct
-                # hash-consed nodes reachable from the output, and a node's
-                # hash-consed form depends only on its own fan-in cone,
-                # that is, only on operands of cone gates.  So the attempt
-                # is accepted with delta 0, and has no state to snapshot.
+                proposed += 1
+                delta = new_score - score
+                if delta > 0:
+                    if deltas is not None:
+                        deltas.append(delta)
+                    if not random() < exp(-beta * delta):  # accept_uphill
+                        row[s] = cur
+                        if edits:
+                            codes[g2][s2] = new
+                            for h, flip in evaluated:
+                                cols[base + h] ^= flip
+                            edits = None
+                        continue
+                if edits:
+                    e0 = pool = edits = None
+                error, score = new_error, new_score
                 accepted += 1
+                if score + budget < keep:
+                    keep = score + budget
+                    best = (keep, [r[:] for r in codes], out)
         if not inside or accepted != accepted_before:
             y = network._gate_column(cols, mask, row)
             flip = cols[hid] ^ y
@@ -316,8 +313,8 @@ def sweep(replica: Replica, beta: float, q_threshold: int = 0,
                 for h, dh in readers:
                     cols[base + h] ^= dh & flip
     cache.error, cache.score = error, score
-    return SweepStats(15 * len(codes), proposed, accepted, error, score,
-                      deltas, best)
+    return SweepStats(15 * len(codes), proposed, accepted, score, deltas,
+                      best)
 
 
 def swap_phase(order: list[int], ladder: TemperatureLadder, parity: int,
@@ -632,7 +629,7 @@ def run(target: TruthTable, constraints: NetworkConstraints,
                 # accepted state, which the sweep snapshotted if q <
                 # threshold (consider drops any other q), or in a state an
                 # earlier pass covered.
-                if st.error and (best_score is None or st.score < best_score):
+                if st.score > 0 and (best_score is None or st.score < best_score):
                     best_score = st.score
             record_improvement(repetition)
 

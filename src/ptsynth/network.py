@@ -185,6 +185,8 @@ def is_valid(net: LogicNetwork) -> tuple[bool, str | None]:
         return False, "output references a missing gate"
     if (out & 1) and not cons.inverters_allowed:
         return False, "output is inverted without inverters"
+    if (out & 1) and out >> 1 < PI_BASE:
+        return False, "output is an inverted constant"
     return True, None
 
 

@@ -176,8 +176,7 @@ def move_path_sweep(replica, beta, q_threshold, move_weights):
                 if cache.score <= 0 and q < q_threshold \
                         and (best is None or q < best[0]):
                     best = (q, [row[:] for row in net.codes], net.output_code)
-    return SweepStats(steps, proposed, accepted, cache.error, cache.score,
-                      deltas, best)
+    return SweepStats(steps, proposed, accepted, cache.score, deltas, best)
 
 
 # the ids keep the names the cases had while the mix also weighed a third
@@ -543,7 +542,7 @@ def test_run_deterministic_across_threads(monkeypatch):
     monkeypatch.setattr(engine, "SWAP_NOTE_INTERVAL", 7)
     target = majority_truth_table(5)
     stop = StopConditions(max_repetitions=60)
-    for mix in ((1, 0), (1, 1)):
+    for mix in ((1, 0), (1, 1), (0, 1)):
         for inverters, leafy in ((False, False), (True, True)):
             cons = NetworkConstraints(8, inverters_allowed=inverters,
                                       leafy=leafy)

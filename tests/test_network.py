@@ -339,6 +339,11 @@ def test_is_valid_catches_violations():
     ok, why = is_valid(no_leaf)
     assert not ok and "leafy" in why
 
+    # code 1, the inverted constant 0, would be written as constant 1
+    inverted_out = LogicNetwork(3, NetworkConstraints(1), [[4, 6, 8]], 1)
+    ok, why = is_valid(inverted_out)
+    assert not ok and "inverted constant" in why
+
 
 def test_fixture_networks_pass_validity(fixtures_dir):
     from ptsynth.formats import parse_network

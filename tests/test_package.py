@@ -1,3 +1,6 @@
+import ast
+import pathlib
+
 import ptsynth
 
 
@@ -7,3 +10,13 @@ def test_public_names_resolve_and_star_import_works():
     namespace: dict = {}
     exec("from ptsynth import *", namespace)
     assert set(namespace) - {"__builtins__"} == set(ptsynth.__all__)
+
+
+def test_package_has_no_assert_statements():
+    # python -O strips asserts, so an invariant must be a real check
+    root = pathlib.Path(ptsynth.__file__).parent
+    found = [f"{path.name}:{node.lineno}"
+             for path in sorted(root.rglob("*.py"))
+             for node in ast.walk(ast.parse(path.read_text(), str(path)))
+             if isinstance(node, ast.Assert)]
+    assert not found, found
