@@ -18,8 +18,6 @@ from .formats import (
     parse_trace,
 )
 from .network import (
-    Gate,
-    Literal,
     LogicNetwork,
     NetworkConstraints,
     cleanup,
@@ -41,8 +39,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "CalibrationError",
-    "Gate",
-    "Literal",
     "LogicNetwork",
     "NetworkConstraints",
     "NetworkParseError",

@@ -14,7 +14,7 @@ import time
 
 from . import engine, formats
 from .network import (
-    INPUT,
+    PI_BASE,
     LogicNetwork,
     NetworkConstraints,
     cleanup,
@@ -217,10 +217,10 @@ def cmd_verify(args) -> int:
         return EXIT_USAGE
     cache = evaluate_full(net, target)
     _, q = cleanup(net)
-    leafy_ok = all(any(lit.kind == INPUT for lit in gate.inputs)
-                   for gate in net.gates)
-    inverter_free = all(not lit.inverted for gate in net.gates
-                        for lit in gate.inputs) and not net.output.inverted
+    base = PI_BASE + net.n
+    leafy_ok = all(any(PI_BASE <= c >> 1 < base for c in row) for row in net.codes)
+    inverter_free = not (net.output_code & 1
+                         or any(c & 1 for row in net.codes for c in row))
     print(f"energy {cache.error}")
     print(f"gates {net.num_gates} (q={q} after cleanup)")
     print(f"leafy {'yes' if leafy_ok else 'no'}")

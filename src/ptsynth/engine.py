@@ -210,7 +210,7 @@ def sweep(replica: Replica, beta: float, q_threshold: int = 0,
             pool = None  # the slot's pool and residuals, taken on first use
             for _ in range(5):
                 if w2 and random() * total >= w1:
-                    edits = moves.propose_swap_between_gates(net, rng, g, s)
+                    edits = moves.propose_swap_between_gates(net, rng, g, s, pools)
                     if edits is None:
                         continue
                     (_, _, new), (g2, s2, cur) = edits

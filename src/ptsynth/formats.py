@@ -20,15 +20,13 @@ import re
 
 from .engine import TemperatureLadder, TraceRow
 from .network import (
-    CONST,
-    GATE,
-    INPUT,
-    Literal,
+    PI_BASE,
     LogicNetwork,
     NetworkConstraints,
-    encode_literal,
     is_valid,
+    operand_text,
 )
+from .truthtable import MAX_INPUTS
 
 _GATE_LINE = re.compile(r"^(x|g)(\d+)\s*=\s*MAJ\(([^)]*)\)$")
 _OPERAND = re.compile(r"^(~?)(x(\d+)|g(\d+)|0|1)$")
@@ -64,25 +62,27 @@ def emit_network(net: LogicNetwork) -> str:
         flags.append("leafy")
     if flags:
         lines.append("flags " + " ".join(flags))
-    for k, gate in enumerate(net.gates):
-        a, b, c = gate.inputs
+    n = net.n
+    for k, row in enumerate(net.codes):
+        a, b, c = (operand_text(code, n) for code in row)
         lines.append(f"g{k} = MAJ({a}, {b}, {c})")
-    lines.append(f"output {net.output}")
+    lines.append(f"output {operand_text(net.output_code, n)}")
     return "\n".join(lines) + "\n"
 
 
-def _parse_operand(token: str, n: int, position: int, lineno: int) -> Literal:
+def _parse_operand(token: str, n: int, position: int, lineno: int) -> int:
     match = _OPERAND.match(token)
     if match is None:
         raise NetworkParseError(f"bad operand {token!r}", lineno)
     inverted = match.group(1) == "~"
     body = match.group(2)
     if body in ("0", "1"):
-        return Literal(CONST, int(body), inverted)
+        # an inverted constant is the other constant
+        return (int(body) ^ inverted) << 1
     if body.startswith("x"):
         index = int(match.group(3))
         if index < n:
-            return Literal(INPUT, index, inverted)
+            return (PI_BASE + index) << 1 | inverted
         # continued numbering: x_{n+j} names gate j
         index -= n
     else:
@@ -90,7 +90,7 @@ def _parse_operand(token: str, n: int, position: int, lineno: int) -> Literal:
     if index >= position:
         raise NetworkParseError(
             f"operand {token!r} is not an earlier gate (gate g{position})", lineno)
-    return Literal(GATE, index, inverted)
+    return (PI_BASE + n + index) << 1 | inverted
 
 
 def parse_network(text: str) -> LogicNetwork:
@@ -98,8 +98,8 @@ def parse_network(text: str) -> LogicNetwork:
     n: int | None = None
     inverters = True
     leafy = False
-    gates: list[tuple[Literal, Literal, Literal]] = []
-    output: Literal | None = None
+    codes: list[list[int]] = []
+    output: int | None = None
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -114,11 +114,12 @@ def parse_network(text: str) -> LogicNetwork:
                 n = int(fields[1])
             except ValueError:
                 raise NetworkParseError(f"bad input count {fields[1]!r}", lineno) from None
-            if not 1 <= n <= 20:
-                raise NetworkParseError(f"input count {n} out of range 1..20", lineno)
+            if not 1 <= n <= MAX_INPUTS:
+                raise NetworkParseError(
+                    f"input count {n} out of range 1..{MAX_INPUTS}", lineno)
             continue
         if fields[0] == "flags":
-            if gates:
+            if codes:
                 raise NetworkParseError("flags must precede the gate list", lineno)
             for flag in fields[1:]:
                 if flag == "no-inverters":
@@ -131,7 +132,7 @@ def parse_network(text: str) -> LogicNetwork:
         if fields[0] == "output":
             if len(fields) != 2:
                 raise NetworkParseError("expected 'output <operand>'", lineno)
-            output = _parse_operand(fields[1], n, len(gates), lineno)
+            output = _parse_operand(fields[1], n, len(codes), lineno)
             continue
         match = _GATE_LINE.match(line)
         if match is None:
@@ -142,26 +143,24 @@ def parse_network(text: str) -> LogicNetwork:
                 raise NetworkParseError(
                     f"gate name x{index} collides with a primary input", lineno)
             index -= n
-        if index != len(gates):
+        if index != len(codes):
             raise NetworkParseError(
-                f"gate g{index} out of order (expected g{len(gates)})", lineno)
+                f"gate g{index} out of order (expected g{len(codes)})", lineno)
         tokens = [t.strip() for t in match.group(3).split(",")]
         if len(tokens) != 3:
             raise NetworkParseError(
                 f"gate g{index} has {len(tokens)} operands, needs 3", lineno)
-        lits = tuple(_parse_operand(t, n, index, lineno) for t in tokens)
-        pairs = {(lit.kind, lit.index) for lit in lits}
-        if len(pairs) != 3:
+        row = [_parse_operand(t, n, index, lineno) for t in tokens]
+        if len({code >> 1 for code in row}) != 3:
             raise NetworkParseError(f"gate g{index} repeats an operand", lineno)
-        gates.append(lits)
+        codes.append(row)
     if n is None:
         raise NetworkParseError("empty document")
     if output is None:
         raise NetworkParseError("missing output line")
-    constraints = NetworkConstraints(max_nodes=max(1, len(gates)),
+    constraints = NetworkConstraints(max_nodes=max(1, len(codes)),
                                      inverters_allowed=inverters, leafy=leafy)
-    codes = [[encode_literal(lit, n) for lit in row] for row in gates]
-    net = LogicNetwork(n, constraints, codes, encode_literal(output, n))
+    net = LogicNetwork(n, constraints, codes, output)
     ok, why = is_valid(net)
     if not ok:
         raise NetworkParseError(why)

@@ -106,17 +106,18 @@ def propose_reassign_one(net: LogicNetwork, rng: random.Random, gate: int,
 
 
 def propose_swap_between_gates(net: LogicNetwork, rng: random.Random,
-                               gate: int, slot: int) -> Edits | None:
+                               gate: int, slot: int, pools: list) -> Edits | None:
     """Exchange this operand with one of another gate, if both stay valid.
 
     Up to ``SWAP_TRIES`` times, draw the partner gate and slot by the
     bounded ``getrandbits`` loops of ``randrange(p - 1)`` and ``randrange(3)``,
-    as ``engine.sweep`` draws; each literal must be in its new slot's pool."""
+    as ``engine.sweep`` draws; each literal must be in its new slot's pool
+    in ``pools`` (``source_pools(net)``)."""
     codes, base = net.codes, PI_BASE + net.n
     p = len(codes)
     if p < 2:
         return None
-    getrandbits, pools = rng.getrandbits, source_pools(net)
+    getrandbits = rng.getrandbits
     row = codes[gate]
     l1, top = row[slot], (base + gate) << 1
     pool = pools[row[slot - 2] >> 1][row[slot - 1] >> 1]

@@ -4,9 +4,11 @@ incremental re-evaluation, cleanup, and scoring.
 Networks are topologically sorted lists of 3-input majority gates.  Each
 operand is packed into one integer code ``source_id << 1 | inverted`` where
 source ids enumerate constant 0, constant 1, the n primary inputs, then the
-gates in list order.  All per-source output columns over the 2^n input
-vectors live in single Python integers, so one bitwise expression evaluates
-a gate on every input at once.
+gates in list order.  That code is the public operand form: a network is
+its ``codes`` rows and its ``output_code``, and ``operand_text`` gives a
+code's text.  All per-source output columns over the 2^n input vectors
+live in single Python integers, so one bitwise expression evaluates a gate
+on every input at once.
 """
 
 from __future__ import annotations
@@ -14,56 +16,10 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 
-from .truthtable import TruthTable
-
-CONST = "const"
-INPUT = "input"
-GATE = "gate"
+from .truthtable import MAX_INPUTS, TruthTable
 
 # source ids 0 and 1 are the constants; primary inputs start here
 PI_BASE = 2
-
-
-@dataclass(frozen=True)
-class Literal:
-    """One gate operand: a constant, primary input, or earlier gate output."""
-
-    kind: str
-    index: int
-    inverted: bool = False
-
-    def __post_init__(self) -> None:
-        if self.kind not in (CONST, INPUT, GATE):
-            raise ValueError(f"unknown literal kind {self.kind!r}")
-        if self.index < 0:
-            raise ValueError("literal index must be non-negative")
-        if self.kind == CONST:
-            if self.index not in (0, 1):
-                raise ValueError("constant literal index must be 0 or 1")
-            if self.inverted:
-                # an inverted constant is just the other constant
-                object.__setattr__(self, "index", 1 - self.index)
-                object.__setattr__(self, "inverted", False)
-
-    def __str__(self) -> str:
-        prefix = "~" if self.inverted else ""
-        if self.kind == CONST:
-            return str(self.index)
-        if self.kind == INPUT:
-            return f"{prefix}x{self.index}"
-        return f"{prefix}g{self.index}"
-
-
-@dataclass(frozen=True)
-class Gate:
-    """Three-input majority gate over literals."""
-
-    inputs: tuple[Literal, Literal, Literal]
-
-    def __post_init__(self) -> None:
-        if len(self.inputs) != 3:
-            raise ValueError("a majority gate takes exactly 3 inputs")
-        object.__setattr__(self, "inputs", tuple(self.inputs))
 
 
 @dataclass(frozen=True)
@@ -79,23 +35,16 @@ class NetworkConstraints:
             raise ValueError("max_nodes must be positive")
 
 
-def encode_literal(lit: Literal, n: int) -> int:
-    if lit.kind == CONST:
-        return lit.index << 1
-    if lit.kind == INPUT:
-        if lit.index >= n:
-            raise ValueError(f"input index {lit.index} out of range for n={n}")
-        return (PI_BASE + lit.index) << 1 | lit.inverted
-    return (PI_BASE + n + lit.index) << 1 | lit.inverted
-
-
-def decode_literal(code: int, n: int) -> Literal:
-    sid, inv = code >> 1, bool(code & 1)
+def operand_text(code: int, n: int) -> str:
+    """Text of operand ``code``: ``0``/``1`` (an inverted constant is the
+    other constant), ``x<i>`` or ``g<j>``, with ``~`` marking inversion."""
+    sid = code >> 1
     if sid < PI_BASE:
-        return Literal(CONST, sid, inv)
+        return str(sid ^ (code & 1))
+    prefix = "~" if code & 1 else ""
     if sid < PI_BASE + n:
-        return Literal(INPUT, sid - PI_BASE, inv)
-    return Literal(GATE, sid - PI_BASE - n, inv)
+        return f"{prefix}x{sid - PI_BASE}"
+    return f"{prefix}g{sid - PI_BASE - n}"
 
 
 class LogicNetwork:
@@ -111,8 +60,8 @@ class LogicNetwork:
     def __init__(self, n: int, constraints: NetworkConstraints,
                  codes: list[list[int]] | None = None,
                  output_code: int | None = None) -> None:
-        if not 1 <= n <= 20:
-            raise ValueError(f"input count must be in 1..20, got {n}")
+        if not 1 <= n <= MAX_INPUTS:
+            raise ValueError(f"input count must be in 1..{MAX_INPUTS}, got {n}")
         self.n = n
         self.constraints = constraints
         self.codes = codes if codes is not None else []
@@ -122,28 +71,9 @@ class LogicNetwork:
             output_code = (PI_BASE + n + len(self.codes) - 1) << 1
         self.output_code = output_code
 
-    @classmethod
-    def from_gates(cls, n: int, gates: list[Gate],
-                   constraints: NetworkConstraints | None = None,
-                   output: Literal | None = None) -> "LogicNetwork":
-        if constraints is None:
-            constraints = NetworkConstraints(max_nodes=max(1, len(gates)))
-        codes = [[encode_literal(lit, n) for lit in g.inputs] for g in gates]
-        out = None if output is None else encode_literal(output, n)
-        return cls(n, constraints, codes, out)
-
     @property
     def num_gates(self) -> int:
         return len(self.codes)
-
-    @property
-    def gates(self) -> list[Gate]:
-        n = self.n
-        return [Gate(tuple(decode_literal(c, n) for c in row)) for row in self.codes]
-
-    @property
-    def output(self) -> Literal:
-        return decode_literal(self.output_code, self.n)
 
     def copy(self) -> "LogicNetwork":
         return LogicNetwork(self.n, self.constraints,
@@ -156,7 +86,8 @@ class LogicNetwork:
                 and self.codes == other.codes and self.output_code == other.output_code)
 
     def __repr__(self) -> str:
-        return f"<LogicNetwork n={self.n} gates={self.num_gates} output={self.output}>"
+        out = operand_text(self.output_code, self.n)
+        return f"<LogicNetwork n={self.n} gates={self.num_gates} output={out}>"
 
 
 def is_valid(net: LogicNetwork) -> tuple[bool, str | None]:
@@ -171,9 +102,9 @@ def is_valid(net: LogicNetwork) -> tuple[bool, str | None]:
         sources = [c >> 1 for c in row]
         for c, sid in zip(row, sources):
             if sid >= base + g:
-                return False, f"gate g{g} references a non-earlier source {decode_literal(c, n)}"
+                return False, f"gate g{g} references a non-earlier source {operand_text(c, n)}"
             if (c & 1) and not cons.inverters_allowed:
-                return False, f"gate g{g} uses inverted operand {decode_literal(c, n)} without inverters"
+                return False, f"gate g{g} uses inverted operand {operand_text(c, n)} without inverters"
             if (c & 1) and sid < PI_BASE:
                 return False, f"gate g{g} carries an inverted constant"
         if len(set(sources)) != 3:

@@ -1,13 +1,14 @@
 """Deliberately simple per-input network evaluator.
 
 This module exists to cross-check the bit-parallel cache in the test suite.
-It walks the decoded gate structure one input vector at a time and shares no
-evaluation code with :mod:`ptsynth.network`.
+It walks the operand codes one input vector at a time, over a list of
+0/1 values indexed by source id, and shares no evaluation code with
+:mod:`ptsynth.network`.
 """
 
 from __future__ import annotations
 
-from .network import CONST, INPUT, LogicNetwork
+from .network import LogicNetwork
 from .truthtable import TruthTable
 
 
@@ -15,28 +16,13 @@ def eval_single(net: LogicNetwork, x) -> int:
     """Evaluate the network on one input vector (a sequence of n bits)."""
     if len(x) != net.n:
         raise ValueError(f"expected {net.n} input bits, got {len(x)}")
-    values = []
-    for gate in net.gates:
-        ones = 0
-        for lit in gate.inputs:
-            if lit.kind == CONST:
-                v = lit.index
-            elif lit.kind == INPUT:
-                v = x[lit.index]
-            else:
-                v = values[lit.index]
-            if lit.inverted:
-                v = 1 - v
-            ones += v
+    # source ids: the constants 0 and 1, the inputs, then each gate
+    values = [0, 1, *x]
+    for row in net.codes:
+        ones = sum(values[code >> 1] ^ (code & 1) for code in row)
         values.append(1 if ones >= 2 else 0)
-    out = net.output
-    if out.kind == CONST:
-        v = out.index
-    elif out.kind == INPUT:
-        v = x[out.index]
-    else:
-        v = values[out.index]
-    return 1 - v if out.inverted else v
+    out = net.output_code
+    return values[out >> 1] ^ (out & 1)
 
 
 def eval_column(net: LogicNetwork) -> list[int]:

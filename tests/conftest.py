@@ -5,6 +5,7 @@ import pytest
 
 from ptsynth import NetworkConstraints, TruthTable, random_network
 from ptsynth.moves import propose_reassign_one, replacement_pool
+from ptsynth.network import PI_BASE
 
 REPO_ROOT = pathlib.Path(__file__).resolve().parents[1]
 
@@ -24,6 +25,21 @@ FIXTURE_SPECS = {
 @pytest.fixture(scope="session")
 def fixtures_dir() -> pathlib.Path:
     return REPO_ROOT / "fixtures"
+
+
+def x(i: int, inv: bool = False) -> int:
+    """Operand code of primary input i, inverted when ``inv``."""
+    return (PI_BASE + i) << 1 | inv
+
+
+def g(j: int, n: int, inv: bool = False) -> int:
+    """Operand code of gate j of a network over n inputs."""
+    return (PI_BASE + n + j) << 1 | inv
+
+
+def const(v: int) -> int:
+    """Operand code of constant v."""
+    return v << 1
 
 
 def random_problem(rng: random.Random, max_n: int = 8, max_p: int = 20):

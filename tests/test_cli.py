@@ -5,6 +5,8 @@ from ptsynth.formats import emit_ladder, parse_network
 from ptsynth.network import NetworkConstraints, cleanup, evaluate_full
 from ptsynth.truthtable import majority_truth_table
 
+from conftest import FIXTURE_SPECS
+
 
 def run_cli(args):
     return cli.main(args)
@@ -27,6 +29,24 @@ def test_verify_leafy_fixture(fixtures_dir, capsys):
     assert code == 0
     assert "q=13" in out
     assert "leafy yes" in out
+
+
+@pytest.mark.parametrize("name", sorted(FIXTURE_SPECS))
+def test_verify_reports_leafiness_and_inverters(fixtures_dir, capsys, name):
+    n = FIXTURE_SPECS[name][0]
+    code = run_cli(["verify", str(fixtures_dir / name), "--target", f"maj:{n}"])
+    lines = capsys.readouterr().out.splitlines()
+    assert code == 0
+    leafy = "yes" if name.startswith("maj9_leafy_") else "no"
+    inverter_free = "yes" if name.endswith("_noinv.mig") else "no"
+    assert lines[2:] == [f"leafy {leafy}", f"inverter-free {inverter_free}"]
+
+
+def test_verify_inverted_output_is_not_inverter_free(tmp_path, capsys):
+    src = tmp_path / "inverted.mig"
+    src.write_text("inputs 3\ng0 = MAJ(x0, x1, x2)\noutput ~g0\n")
+    assert run_cli(["verify", str(src), "--target", "maj:3"]) == 3
+    assert "inverter-free no" in capsys.readouterr().out.splitlines()
 
 
 def test_verify_corrupted_fixture(fixtures_dir, tmp_path, capsys):
@@ -92,7 +112,7 @@ def test_simplify_chain_to_wire(tmp_path, capsys):
     out = capsys.readouterr().out
     net = parse_network(out)
     assert net.num_gates == 0
-    assert str(net.output) == "x0"
+    assert out == "inputs 3\noutput x0\n"
 
 
 def test_synth_maj3_writes_artifacts(tmp_path, capsys):

@@ -35,16 +35,16 @@ from ptsynth.moves import (
     propose_swap_between_gates,
     replacement_pool,
     revert_proposal,
+    source_pools,
 )
 from ptsynth.network import (
-    Gate,
-    Literal,
     LogicNetwork,
     NetworkConstraints,
     evaluate_full,
     random_network,
 )
 from ptsynth.truthtable import TruthTable, majority_truth_table
+from conftest import x
 from test_properties import MIXES, SETTINGS, networks, own_target
 
 
@@ -102,9 +102,7 @@ def test_sweep_step_count():
 def test_sweep_at_frozen_minimum_accepts_nothing():
     # the exact single-gate MAJ-3 network is a strict local minimum
     cons = NetworkConstraints(1, inverters_allowed=False)
-    net = LogicNetwork.from_gates(
-        3, [Gate((Literal("input", 0), Literal("input", 1), Literal("input", 2)))],
-        cons)
+    net = LogicNetwork(3, cons, [[x(0), x(1), x(2)]])
     replica = Replica(net, evaluate_full(net, majority_truth_table(3)),
                       derived_rng(3, "frozen"))
     stats = sweep(replica, 1e9)
@@ -147,6 +145,7 @@ def move_path_sweep(replica, beta, q_threshold, move_weights):
     net, cache, rng = replica.network, replica.cache, replica.rng
     budget = net.constraints.max_nodes
     w1, w2 = move_weights
+    pools = source_pools(net)
     steps = proposed = accepted = 0
     deltas, best = [], None
     q = cache.score + budget
@@ -161,7 +160,7 @@ def move_path_sweep(replica, beta, q_threshold, move_weights):
                     edits = propose_reassign_one(net, rng, g, s,
                                                  replacement_pool(net, g, s))
                 else:
-                    edits = propose_swap_between_gates(net, rng, g, s)
+                    edits = propose_swap_between_gates(net, rng, g, s, pools)
                 if edits is None:
                     continue
                 proposed += 1

@@ -15,8 +15,6 @@ from ptsynth.formats import (
     parse_trace,
 )
 from ptsynth.network import (
-    Gate,
-    Literal,
     NetworkConstraints,
     evaluate_full,
     is_valid,
@@ -24,7 +22,7 @@ from ptsynth.network import (
 )
 from ptsynth.truthtable import majority_truth_table
 
-from conftest import FIXTURE_SPECS
+from conftest import FIXTURE_SPECS, g, x
 
 FIXTURE_SHA256 = {
     "maj9_inv.mig": "d153205896de9005c2f5ad4035aa322a1098fb98966136d1346c6c76fc9f07ff",
@@ -46,9 +44,7 @@ def test_emit_single_gate_network():
 def test_emit_inverted_operands():
     text = "inputs 9\ng0 = MAJ(~x5, ~x1, ~x2)\noutput g0\n"
     net = parse_network(text)
-    gate = net.gates[0]
-    assert gate.inputs == (Literal("input", 5, True), Literal("input", 1, True),
-                           Literal("input", 2, True))
+    assert net.codes == [[x(5, True), x(1, True), x(2, True)]]
     assert emit_network(net) == text
 
 
@@ -56,7 +52,7 @@ def test_parse_accepts_continued_numbering():
     continued = "inputs 3\nx3 = MAJ(x0, x1, x2)\nx4 = MAJ(x3, 0, x2)\noutput x4\n"
     net = parse_network(continued)
     assert net.num_gates == 2
-    assert net.gates[1].inputs[0] == Literal("gate", 0)
+    assert net.codes[1][0] == g(0, 3)
     canonical = emit_network(net)
     assert "g0 = MAJ(x0, x1, x2)" in canonical
     assert parse_network(canonical) == net
@@ -78,7 +74,7 @@ def test_parse_flags():
 def test_parse_wire_only_network():
     net = parse_network("inputs 2\noutput x1\n")
     assert net.num_gates == 0
-    assert net.output == Literal("input", 1)
+    assert net.output_code == x(1)
 
 
 @pytest.mark.parametrize("text,message", [

@@ -11,35 +11,24 @@ from ptsynth.moves import (
     propose_swap_between_gates,
     replacement_pool,
     revert_proposal,
+    source_pools,
 )
 from ptsynth.network import (
-    CONST,
-    GATE,
-    INPUT,
-    Gate,
-    Literal,
     LogicNetwork,
     NetworkConstraints,
-    decode_literal,
-    encode_literal,
     evaluate_full,
     is_valid,
 )
 from ptsynth.truthtable import majority_truth_table
 
-from conftest import random_location, random_problem, random_reassign_one
-
-
-def x(i, inv=False):
-    return Literal(INPUT, i, inv)
-
-
-def const(v):
-    return Literal(CONST, v)
-
-
-def codes_of(lits, n):
-    return [encode_literal(lit, n) for lit in lits]
+from conftest import (
+    const,
+    g,
+    random_location,
+    random_problem,
+    random_reassign_one,
+    x,
+)
 
 
 def reassign_one_at(net, rng, gate, slot):
@@ -48,7 +37,8 @@ def reassign_one_at(net, rng, gate, slot):
 
 
 def random_swap(net, rng):
-    return propose_swap_between_gates(net, rng, *random_location(net, rng))
+    return propose_swap_between_gates(net, rng, *random_location(net, rng),
+                                      source_pools(net))
 
 
 MAKERS = (random_reassign_one, random_swap)
@@ -56,35 +46,31 @@ MAKERS = (random_reassign_one, random_swap)
 
 def test_pool_excludes_other_slots_and_keeps_constants():
     cons = NetworkConstraints(1, inverters_allowed=False)
-    net = LogicNetwork(3, cons, [codes_of([x(0), x(1), x(2)], 3)])
-    pool = {decode_literal(c, 3) for c in replacement_pool(net, 0, 0)}
+    net = LogicNetwork(3, cons, [[x(0), x(1), x(2)]])
+    pool = set(replacement_pool(net, 0, 0))
     # slot 0 may become anything but x1/x2; the current x0 stays in the pool
     assert pool == {const(0), const(1), x(0)}
     rng = random.Random(1)
     for _ in range(50):
         (gate, slot, code), = reassign_one_at(net, rng, 0, 0)
         assert (gate, slot) == (0, 0)
-        lit = decode_literal(code, 3)
-        assert lit in (const(0), const(1))
+        assert code in (const(0), const(1))
 
 
 def test_pool_leafy_lock_restricts_to_inputs():
     cons = NetworkConstraints(2, inverters_allowed=False, leafy=True)
-    net = LogicNetwork(3, cons, [codes_of([x(0), x(1), x(2)], 3),
-                                 codes_of([x(0), const(0), const(1)], 3)])
-    pool = {decode_literal(c, 3) for c in replacement_pool(net, 1, 0)}
+    net = LogicNetwork(3, cons, [[x(0), x(1), x(2)], [x(0), const(0), const(1)]])
+    pool = set(replacement_pool(net, 1, 0))
     assert pool == {x(0), x(1), x(2)}
 
 
 def test_pool_first_gate_sees_no_gate_outputs():
     cons = NetworkConstraints(3, inverters_allowed=True)
-    net = LogicNetwork(4, cons, [codes_of([x(0), x(1), x(2)], 4),
-                                 codes_of([x(0), x(1), Literal(GATE, 0)], 4),
-                                 codes_of([x(0), x(1), Literal(GATE, 1)], 4)])
-    pool = [decode_literal(c, 4) for c in replacement_pool(net, 0, 2)]
-    assert all(lit.kind != GATE for lit in pool)
-    pool2 = [decode_literal(c, 4) for c in replacement_pool(net, 2, 2)]
-    assert any(lit.kind == GATE for lit in pool2)
+    net = LogicNetwork(4, cons, [[x(0), x(1), x(2)], [x(0), x(1), g(0, 4)],
+                                 [x(0), x(1), g(1, 4)]])
+    first_gate = g(0, 4)
+    assert all(c < first_gate for c in replacement_pool(net, 0, 2))
+    assert any(c >= first_gate for c in replacement_pool(net, 2, 2))
 
 
 def test_reassign_one_never_null_and_respects_polarity_rules():
@@ -106,7 +92,7 @@ def test_reassign_one_never_null_and_respects_polarity_rules():
 def test_reassign_one_unavailable_when_saturated():
     # n=1 without inverters: the only gate is {x0, 0, 1} in some order
     cons = NetworkConstraints(1, inverters_allowed=False)
-    net = LogicNetwork(1, cons, [codes_of([x(0), const(0), const(1)], 1)])
+    net = LogicNetwork(1, cons, [[x(0), const(0), const(1)]])
     rng = random.Random(3)
     for slot in range(3):
         assert reassign_one_at(net, rng, 0, slot) is None
@@ -114,16 +100,16 @@ def test_reassign_one_unavailable_when_saturated():
 
 def test_swap_needs_two_gates():
     cons = NetworkConstraints(1)
-    net = LogicNetwork(3, cons, [codes_of([x(0), x(1), x(2)], 3)])
-    assert propose_swap_between_gates(net, random.Random(0), 0, 0) is None
+    net = LogicNetwork(3, cons, [[x(0), x(1), x(2)]])
+    assert propose_swap_between_gates(net, random.Random(0), 0, 0,
+                                      source_pools(net)) is None
 
 
 def test_swap_rejects_topological_violation():
     # every swap here would self-reference gate 0 or duplicate an operand,
     # so bounded rejection sampling always gives up
     cons = NetworkConstraints(2, inverters_allowed=False)
-    net = LogicNetwork(3, cons, [codes_of([x(0), x(1), x(2)], 3),
-                                 codes_of([Literal(GATE, 0), x(1), x(2)], 3)])
+    net = LogicNetwork(3, cons, [[x(0), x(1), x(2)], [g(0, 3), x(1), x(2)]])
     rng = random.Random(4)
     for _ in range(100):
         assert random_swap(net, rng) is None
@@ -131,8 +117,7 @@ def test_swap_rejects_topological_violation():
 
 def test_swap_never_moves_gate_refs_too_early():
     cons = NetworkConstraints(2, inverters_allowed=False)
-    net = LogicNetwork(4, cons, [codes_of([x(0), x(1), x(2)], 4),
-                                 codes_of([Literal(GATE, 0), x(3), x(2)], 4)])
+    net = LogicNetwork(4, cons, [[x(0), x(1), x(2)], [g(0, 4), x(3), x(2)]])
     rng = random.Random(4)
     seen_valid = 0
     for _ in range(200):
@@ -142,7 +127,7 @@ def test_swap_never_moves_gate_refs_too_early():
         seen_valid += 1
         assert {g for g, _, _ in edits} == {0, 1}
         moved_into_first, = (code for g, _, code in edits if g == 0)
-        assert decode_literal(moved_into_first, 4).kind != GATE
+        assert moved_into_first < g(0, 4)  # not a gate
     assert seen_valid > 0
 
 
@@ -171,30 +156,30 @@ def test_swap_apply_revert_roundtrip():
 def test_apply_delta_matches_score_change():
     # replacing the AND gate's constant 0 by x2 repairs MAJ-3 exactly
     cons = NetworkConstraints(1, inverters_allowed=False)
-    net = LogicNetwork(3, cons, [codes_of([x(0), x(1), const(0)], 3)])
+    net = LogicNetwork(3, cons, [[x(0), x(1), const(0)]])
     cache = evaluate_full(net, majority_truth_table(3))
     assert cache.score == 2
-    edits = ((0, 2, encode_literal(x(2), 3)),)
+    edits = ((0, 2, x(2)),)
     delta, undo = apply_proposal(net, cache, edits)
     assert delta == -2
     assert cache.error == 0 and cache.score == 0
     revert_proposal(net, cache, undo)
-    assert net.codes[0][2] == encode_literal(const(0), 3)
+    assert net.codes[0][2] == const(0)
     delta2, _ = apply_proposal(net, cache, edits)
     assert delta2 == -2
 
 
 DEAD_GATE_ROWS = [[x(0), x(1), x(2)],
-                  [x(0), x(1), Literal(GATE, 0)],
-                  [x(2), Literal(GATE, 0), Literal(GATE, 1)],
-                  [x(0), Literal(GATE, 1), Literal(GATE, 2)]]
+                  [x(0), x(1), g(0, 3)],
+                  [x(2), g(0, 3), g(1, 3)],
+                  [x(0), g(1, 3), g(2, 3)]]
 
 
 def dead_gate_replica(rng):
     """g0 = maj(x0, x1, x2) = MAJ-3 is the output and g1..g3 are dead."""
     cons = NetworkConstraints(4, inverters_allowed=False)
-    net = LogicNetwork(3, cons, [codes_of(row, 3) for row in DEAD_GATE_ROWS],
-                       output_code=encode_literal(Literal(GATE, 0), 3))
+    net = LogicNetwork(3, cons, [row[:] for row in DEAD_GATE_ROWS],
+                       output_code=g(0, 3))
     return Replica(net, evaluate_full(net, majority_truth_table(3)), rng)
 
 
@@ -220,8 +205,7 @@ def test_out_of_cone_edit_skips_the_cleanup_count(monkeypatch):
             sweep(replica, math.inf, move_weights=mix)
             assert (replica.cache.error, replica.score) == (0, 1 - 4)
         # the dead gates were rewired, yet nothing was counted
-        assert net.codes[1:] != [codes_of(row, 3)
-                                 for row in DEAD_GATE_ROWS[1:]]
+        assert net.codes[1:] != DEAD_GATE_ROWS[1:]
         assert calls == 0, mix
         assert evaluate_full(net, majority_truth_table(3)).score == \
             replica.score

@@ -2,76 +2,53 @@ import random
 
 import pytest
 
+from ptsynth.formats import parse_network
 from ptsynth.network import (
-    CONST,
-    GATE,
-    INPUT,
-    Gate,
-    Literal,
     LogicNetwork,
     NetworkConstraints,
     cleaned_gate_count,
     cleanup,
     combined_score,
-    encode_literal,
-    decode_literal,
     evaluate_full,
     input_column,
     is_valid,
+    operand_text,
     random_network,
     recompute_from,
 )
 from ptsynth.truthtable import TruthTable, majority_truth_table
 
-from conftest import random_problem
+from conftest import const, g, random_problem, x
 
 
-def x(i, inv=False):
-    return Literal(INPUT, i, inv)
-
-
-def g(i, inv=False):
-    return Literal(GATE, i, inv)
-
-
-def const(v):
-    return Literal(CONST, v)
-
-
-def single_gate_net(lits, n=3, max_nodes=1, inverters=True):
+def single_gate_net(row, n=3, max_nodes=1, inverters=True):
     cons = NetworkConstraints(max_nodes, inverters_allowed=inverters)
-    return LogicNetwork.from_gates(n, [Gate(tuple(lits))], cons)
+    return LogicNetwork(n, cons, [list(row)])
 
 
-def test_literal_normalizes_inverted_constants():
-    assert Literal(CONST, 0, inverted=True) == const(1)
-    assert Literal(CONST, 1, inverted=True) == const(0)
-    assert str(Literal(INPUT, 3, True)) == "~x3"
-    assert str(const(1)) == "1"
+def test_inverted_constants_read_as_the_other_constant():
+    # codes 1 and 3 are the inverted constants 0 and 1
+    assert [operand_text(code, 3) for code in range(4)] == ["0", "1", "1", "0"]
+    net = parse_network("inputs 3\ng0 = MAJ(~0, ~1, x0)\noutput g0\n")
+    assert net.codes == [[const(1), const(0), x(0)]]
+    assert operand_text(x(3, True), 4) == "~x3"
+    assert operand_text(g(2, 4, True), 4) == "~g2"
 
 
-def test_literal_rejects_bad_fields():
-    with pytest.raises(ValueError):
-        Literal("wire", 0)
-    with pytest.raises(ValueError):
-        Literal(CONST, 2)
-    with pytest.raises(ValueError):
-        Literal(INPUT, -1)
-
-
-def test_literal_code_roundtrip():
+def test_operand_text_reads_back_as_the_same_code():
     rng = random.Random(0)
-    n = 6
-    for _ in range(200):
-        kind = rng.choice([CONST, INPUT, GATE])
-        if kind == CONST:
-            index = rng.randrange(2)
-        elif kind == INPUT:
-            index = rng.randrange(n)
-        else:
-            index = rng.randrange(10)
-        lit = Literal(kind, index, rng.random() < 0.5)
-        assert decode_literal(encode_literal(lit, n), n) == lit
+    for _ in range(100):
+        n = rng.randrange(1, 7)
+        cons = NetworkConstraints(rng.randrange(1, 10),
+                                  inverters_allowed=rng.random() < 0.5)
+        net = random_network(n, cons, rng)
+        lines = [f"inputs {n}"]
+        lines += [f"g{k} = MAJ({', '.join(operand_text(c, n) for c in row)})"
+                  for k, row in enumerate(net.codes)]
+        for code in {c for row in net.codes for c in row} | {net.output_code}:
+            back = parse_network("\n".join(lines) + f"\noutput {operand_text(code, n)}")
+            assert back.codes == net.codes
+            assert back.output_code == code
 
 
 def test_input_column_patterns():
@@ -112,9 +89,7 @@ def test_evaluate_rejects_arity_mismatch():
 
 def test_constant_zero_network_vs_maj9():
     cons = NetworkConstraints(1, inverters_allowed=False)
-    net = LogicNetwork.from_gates(
-        9, [Gate((const(0), const(1), x(0)))], cons)
-    net.output_code = encode_literal(const(0), 9)
+    net = LogicNetwork(9, cons, [[const(0), const(1), x(0)]], const(0))
     cache = evaluate_full(net, majority_truth_table(9))
     assert cache.error == 256
 
@@ -172,11 +147,10 @@ def test_recompute_matches_full_eval():
 
 
 def test_recompute_last_gate_touches_one_column():
-    net = LogicNetwork.from_gates(
-        3, [Gate((x(0), x(1), x(2))), Gate((x(0), x(1), g(0)))],
-        NetworkConstraints(2))
+    net = LogicNetwork(3, NetworkConstraints(2),
+                       [[x(0), x(1), x(2)], [x(0), x(1), g(0, 3)]])
     cache = evaluate_full(net, majority_truth_table(3))
-    net.codes[1][2] = encode_literal(const(0), 3)
+    net.codes[1][2] = const(0)
     undo = []
     recompute_from(net, cache, 1, undo)
     assert len(undo) == 1
@@ -184,12 +158,11 @@ def test_recompute_last_gate_touches_one_column():
 
 def test_recompute_dead_gate_leaves_error():
     # gate 0 feeds nothing; output is gate 1
-    net = LogicNetwork.from_gates(
-        3, [Gate((x(0), x(1), x(2))), Gate((x(0), x(1), const(0)))],
-        NetworkConstraints(2))
+    net = LogicNetwork(3, NetworkConstraints(2),
+                       [[x(0), x(1), x(2)], [x(0), x(1), const(0)]])
     cache = evaluate_full(net, majority_truth_table(3))
     before = cache.error
-    net.codes[0][0] = encode_literal(const(1), 3)
+    net.codes[0][0] = const(1)
     recompute_from(net, cache, 0)
     assert cache.error == before
 
@@ -202,10 +175,8 @@ def test_recompute_rejects_bad_index():
 
 
 def test_cleanup_removes_dead_gate():
-    net = LogicNetwork.from_gates(
-        3, [Gate((x(0), x(1), x(2))), Gate((x(0), x(1), const(0)))],
-        NetworkConstraints(2),
-        output=g(1))
+    net = LogicNetwork(3, NetworkConstraints(2),
+                       [[x(0), x(1), x(2)], [x(0), x(1), const(0)]], g(1, 3))
     simplified, q = cleanup(net)
     assert q == 1
     assert simplified.num_gates == 1
@@ -215,7 +186,7 @@ def test_cleanup_collapses_to_wire():
     net = single_gate_net([x(0), const(0), const(1)])
     simplified, q = cleanup(net)
     assert q == 0
-    assert simplified.output == x(0)
+    assert simplified.output_code == x(0)
     tt = majority_truth_table(3)
     before = evaluate_full(net, tt)
     after = evaluate_full(simplified, tt)
@@ -223,22 +194,20 @@ def test_cleanup_collapses_to_wire():
 
 
 def test_cleanup_merges_duplicate_gates():
-    gates = [Gate((x(0), x(1), x(2))),
-             Gate((x(2), x(0), x(1))),        # same multiset as gate 0
-             Gate((g(0), g(1), x(0)))]        # becomes trivial after merge
-    net = LogicNetwork.from_gates(3, gates, NetworkConstraints(3))
+    codes = [[x(0), x(1), x(2)],
+             [x(2), x(0), x(1)],              # same multiset as gate 0
+             [g(0, 3), g(1, 3), x(0)]]        # becomes trivial after merge
+    net = LogicNetwork(3, NetworkConstraints(3), codes)
     simplified, q = cleanup(net)
     assert q == 1
-    assert simplified.output == g(0)
+    assert simplified.output_code == g(0, 3)
 
 
 def test_cleanup_raises_when_it_reaches_a_removed_gate():
     # g0 reads the later gate g1, which reduces to x1; a network in gate
     # order never does this, and cleanup must not count g1 or emit it
-    g0 = [encode_literal(lit, 3) for lit in (g(1), x(0), x(1))]
-    g1 = [encode_literal(lit, 3) for lit in (x(0), x(0, True), x(1))]
-    net = LogicNetwork(3, NetworkConstraints(2), [g0, g1],
-                       encode_literal(g(0), 3))
+    net = LogicNetwork(3, NetworkConstraints(2),
+                       [[g(1, 3), x(0), x(1)], [x(0), x(0, True), x(1)]], g(0, 3))
     with pytest.raises(RuntimeError, match="removed gate g1"):
         cleanup(net)
     with pytest.raises(RuntimeError, match="removed gate g1"):
@@ -251,10 +220,9 @@ def test_cleanup_keeps_apart_gates_with_large_operand_codes():
     # and (4, 7, 100) of the last gate share a key if each code gets only
     # 16 bits, although the gates differ on the vector x0=1, x1=x2=0.
     n, p = 3, 32816
-    x0, x1, nx1 = (encode_literal(lit, n) for lit in (x(0), x(1), x(1, True)))
-    codes = [[x0, x1, encode_literal(x(2), n)]]
-    codes += [[x0, x1, encode_literal(g(i - 1), n)] for i in range(1, p - 1)]
-    codes.append([x0, nx1, encode_literal(g(45), n)])
+    codes = [[x(0), x(1), x(2)]]
+    codes += [[x(0), x(1), g(i - 1, n)] for i in range(1, p - 1)]
+    codes.append([x(0), x(1, True), g(45, n)])
     net = LogicNetwork(n, NetworkConstraints(p), codes)
     simplified, q = cleanup(net)
     assert q == 47  # the last gate and g0..g45
@@ -290,7 +258,6 @@ def test_combined_score_regimes():
 
 
 def test_combined_score_counts_removable_gates(fixtures_dir):
-    from ptsynth.formats import parse_network
     net = parse_network((fixtures_dir / "maj9_noinv.mig").read_text())
     # pad to the published node budget with unreferenced gates
     padded = LogicNetwork(9, NetworkConstraints(17, inverters_allowed=False),
@@ -309,33 +276,21 @@ def test_combined_score_counts_removable_gates(fixtures_dir):
 
 def test_is_valid_catches_violations():
     cons = NetworkConstraints(2, inverters_allowed=False)
-    forward = LogicNetwork(3, cons, [[encode_literal(x(0), 3),
-                                      encode_literal(x(1), 3),
-                                      encode_literal(g(1), 3)],
-                                     [encode_literal(x(0), 3),
-                                      encode_literal(x(1), 3),
-                                      encode_literal(x(2), 3)]])
+    forward = LogicNetwork(3, cons, [[x(0), x(1), g(1, 3)], [x(0), x(1), x(2)]])
     ok, why = is_valid(forward)
     assert not ok and "g0" in why
 
-    inverted = LogicNetwork(3, cons, [[encode_literal(x(0, True), 3),
-                                       encode_literal(x(1), 3),
-                                       encode_literal(x(2), 3)]])
+    inverted = LogicNetwork(3, cons, [[x(0, True), x(1), x(2)]])
     ok, why = is_valid(inverted)
     assert not ok and "inverted" in why
 
-    duplicated = LogicNetwork(3, cons, [[encode_literal(x(0), 3),
-                                         encode_literal(x(0), 3),
-                                         encode_literal(x(1), 3)]])
+    duplicated = LogicNetwork(3, cons, [[x(0), x(0), x(1)]])
     ok, why = is_valid(duplicated)
     assert not ok and "repeats" in why
 
     leafy_cons = NetworkConstraints(2, inverters_allowed=True, leafy=True)
-    no_leaf = LogicNetwork(3, leafy_cons,
-                           [[encode_literal(x(0), 3), encode_literal(x(1), 3),
-                             encode_literal(x(2), 3)],
-                            [encode_literal(g(0), 3), encode_literal(const(0), 3),
-                             encode_literal(const(1), 3)]])
+    no_leaf = LogicNetwork(3, leafy_cons, [[x(0), x(1), x(2)],
+                                           [g(0, 3), const(0), const(1)]])
     ok, why = is_valid(no_leaf)
     assert not ok and "leafy" in why
 

@@ -4,37 +4,28 @@ import pytest
 
 from ptsynth import oracle
 from ptsynth.formats import parse_network
-from ptsynth.network import (
-    Gate,
-    Literal,
-    LogicNetwork,
-    NetworkConstraints,
-    evaluate_full,
-)
+from ptsynth.network import LogicNetwork, NetworkConstraints, evaluate_full
 from ptsynth.truthtable import majority_truth_table
 
-from conftest import random_problem
+from conftest import const, random_problem, x
 
 
 def test_eval_single_plain_gate():
-    net = LogicNetwork.from_gates(
-        3, [Gate((Literal("input", 0), Literal("input", 1), Literal("input", 2)))])
+    net = LogicNetwork(3, NetworkConstraints(1), [[x(0), x(1), x(2)]])
     assert oracle.eval_single(net, [1, 1, 0]) == 1
     assert oracle.eval_single(net, [1, 0, 0]) == 0
 
 
 def test_eval_single_inverted_operand():
     # MAJ(~x0, 1, 0) reduces to ~x0
-    net = LogicNetwork.from_gates(
-        3, [Gate((Literal("input", 0, True), Literal("const", 1),
-                  Literal("const", 0)))])
+    net = LogicNetwork(3, NetworkConstraints(1),
+                       [[x(0, True), const(1), const(0)]])
     assert oracle.eval_single(net, [1, 0, 0]) == 0
     assert oracle.eval_single(net, [0, 1, 1]) == 1
 
 
 def test_eval_single_checks_arity():
-    net = LogicNetwork.from_gates(
-        3, [Gate((Literal("input", 0), Literal("input", 1), Literal("input", 2)))])
+    net = LogicNetwork(3, NetworkConstraints(1), [[x(0), x(1), x(2)]])
     with pytest.raises(ValueError):
         oracle.eval_single(net, [1, 0])
 
@@ -51,11 +42,8 @@ def test_fixture_exhaustive_error_is_zero(fixtures_dir):
 
 
 def test_constant_network_vs_maj9():
-    net = LogicNetwork.from_gates(
-        9, [Gate((Literal("const", 0), Literal("const", 1),
-                  Literal("input", 0)))],
-        NetworkConstraints(1))
-    net.output_code = 0  # constant 0
+    net = LogicNetwork(9, NetworkConstraints(1), [[const(0), const(1), x(0)]],
+                       const(0))
     assert oracle.exhaustive_error(net, majority_truth_table(9)) == 256
 
 

@@ -1,7 +1,10 @@
 import ast
 import pathlib
+import re
 
 import ptsynth
+
+from conftest import REPO_ROOT
 
 
 def test_public_names_resolve_and_star_import_works():
@@ -20,3 +23,13 @@ def test_package_has_no_assert_statements():
              for node in ast.walk(ast.parse(path.read_text(), str(path)))
              if isinstance(node, ast.Assert)]
     assert not found, found
+
+
+def test_readme_library_example_runs(capsys):
+    # the README's Library block names the whole documented API; run it as
+    # written (MAJ-7 without inverters reaches q=7 on seed 1)
+    block, = re.findall(r"```python\n(.*?)```",
+                        (REPO_ROOT / "README.md").read_text(), re.S)
+    exec(block, {})
+    best_q, _, _ = capsys.readouterr().out.split()
+    assert best_q == "7"

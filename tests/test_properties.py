@@ -20,6 +20,7 @@ from ptsynth.moves import (
     propose_swap_between_gates,
     replacement_pool,
     revert_proposal,
+    source_pools,
 )
 from ptsynth.network import (
     PI_BASE,
@@ -68,7 +69,7 @@ def propose(net, rng, kind, gate, slot):
     if kind == 0:
         return propose_reassign_one(net, rng, gate, slot,
                                     replacement_pool(net, gate, slot))
-    return propose_swap_between_gates(net, rng, gate, slot)
+    return propose_swap_between_gates(net, rng, gate, slot, source_pools(net))
 
 
 @SETTINGS
@@ -331,7 +332,8 @@ def test_swap_pass_refreshes_every_column_the_sweep_reads(drawn, exact_start):
     target = own_target(net) if exact_start \
         else TruthTable(net.n, rng.getrandbits(1 << net.n))
     g = rng.randrange(net.num_gates)
-    edits = propose_swap_between_gates(net, rng, g, rng.randrange(3))
+    edits = propose_swap_between_gates(net, rng, g, rng.randrange(3),
+                                       source_pools(net))
     if edits is None:
         return
     cache = evaluate_full(net, target)
@@ -479,7 +481,7 @@ def test_swap_is_proposed_exactly_when_the_exchange_is_valid(net):
         if g2 == g:
             continue
         rng = ScriptedDraws(g2 - (g2 > g), s2)
-        edits = propose_swap_between_gates(net, rng, g, s)
+        edits = propose_swap_between_gates(net, rng, g, s, source_pools(net))
         assert codes == before
         l1, l2 = codes[g][s], codes[g2][s2]
         codes[g][s], codes[g2][s2] = l2, l1
