@@ -295,26 +295,15 @@ def output_cofactors(net: LogicNetwork, cache: EvalCache, g: int,
     return cols[sid] ^ (d & x) ^ inv ^ cache.target_bits, d, readers
 
 
-def _cone(codes, base: int, out: int) -> int:
-    """Bitmask of the gates that output code ``out`` reaches through the
-    operand rows ``codes`` (bit g for gate g; ``base`` is gate 0's source id)."""
-    cone = 0
-    stack = [(out >> 1) - base]
-    while stack:
-        g = stack.pop()
-        if g >= 0 and not cone >> g & 1:
-            cone |= 1 << g
-            ca, cb, cc = codes[g]
-            stack.append((ca >> 1) - base)
-            stack.append((cb >> 1) - base)
-            stack.append((cc >> 1) - base)
-    return cone
-
-
 def output_cone(net: LogicNetwork) -> int:
     """Bitmask of the gates the output reaches through operand edges (bit g
-    for gate g), found on the raw codes without any cleanup."""
-    return _cone(net.codes, PI_BASE + net.n, net.output_code)
+    for gate g), found on the raw codes without any cleanup: one pass in
+    gate order, which the codes must keep (``is_valid``), gives each gate
+    its reach, its own bit OR its operands' reach."""
+    reach = [0] * (PI_BASE + net.n)  # by source id; gate g is appended
+    for g, (a, b, c) in enumerate(net.codes):
+        reach.append(1 << g | reach[a >> 1] | reach[b >> 1] | reach[c >> 1])
+    return reach[net.output_code >> 1]
 
 
 def _reduce_codes(n: int, codes: list[list[int]], output_code: int):
@@ -330,25 +319,27 @@ def _reduce_codes(n: int, codes: list[list[int]], output_code: int):
     sources, whose substitutions are final when g is visited, so a second
     pass would find the same operands and keys.  Substitutions live in a
     table indexed by operand code, and every entry names its final code.
+    A gate reading itself or a later source raises ``RuntimeError``.  Each
+    kept gate records its reach, as ``output_cone`` does on raw codes.
 
-    Returns (lits, out, cone): every gate's substituted operand codes, the
-    substituted output code, and the bitmask of gates that output reaches.
+    Returns (table, cone): the substitution table and the bitmask of the
+    kept gates the substituted output reaches.
     """
     base = PI_BASE + n
     table = list(range((base + len(codes)) << 1))
     width = len(table).bit_length()  # every code fits in one key field
     seen: dict[int, int] = {}
-    lits = []
-    removed = 0
+    reach = [0] * (base + len(codes))
     for g, (a, b, c) in enumerate(codes):
         a, b, c = table[a], table[b], table[c]
-        lits.append((a, b, c))
         if a > b:
             a, b = b, a
         if b > c:
             b, c = c, b
         if a > b:
             a, b = b, a
+        if c >> 1 >= base + g:
+            raise RuntimeError(f"gate g{g} references a non-earlier source {operand_text(c, n)}")
         if a >> 1 == b >> 1:
             red = a if a == b else c
         elif b >> 1 == c >> 1:
@@ -360,26 +351,19 @@ def _reduce_codes(n: int, codes: list[list[int]], output_code: int):
             other = seen.get(key)
             if other is None:
                 seen[key] = g
+                reach[base + g] = 1 << g | reach[a >> 1] | reach[b >> 1] | reach[c >> 1]
                 continue
             red = (base + other) << 1
         sid = (base + g) << 1
         table[sid] = red
         # inverted constants normalize to the opposite constant
         table[sid | 1] = red ^ 2 if red < 4 else red ^ 1
-        removed |= 1 << g
-    out = table[output_code]
-    cone = _cone(lits, base, out)
-    bad = cone & removed
-    if bad:
-        # only a gate reading a later one can reach a replaced gate
-        raise RuntimeError("cleanup reached the removed gate "
-                           f"g{(bad & -bad).bit_length() - 1}")
-    return lits, out, cone
+    return table, reach[table[output_code] >> 1]
 
 
 def cleaned_gate_count(net: LogicNetwork) -> int:
     """Gate count after cleanup, without materializing the cleaned network."""
-    return _reduce_codes(net.n, net.codes, net.output_code)[2].bit_count()
+    return _reduce_codes(net.n, net.codes, net.output_code)[1].bit_count()
 
 
 def cleanup(net: LogicNetwork) -> tuple[LogicNetwork, int]:
@@ -387,21 +371,24 @@ def cleanup(net: LogicNetwork) -> tuple[LogicNetwork, int]:
     dead-gate removal, in one pass that reaches the fixpoint (see
     ``_reduce_codes``).  Returns (simplified network, gate count).
 
-    The input network is not modified; the simplified network computes a
-    bit-identical output column.
+    The kept gates are the reach of the substituted output, and each reads
+    its operands through the substitution table, whose entries for earlier
+    sources are final.  The input network is not modified; the simplified
+    network computes a bit-identical output column.
     """
     n = net.n
     base = PI_BASE + n
-    lits, out, cone = _reduce_codes(n, net.codes, net.output_code)
-    order = [g for g in range(len(lits)) if cone >> g & 1]
+    table, cone = _reduce_codes(n, net.codes, net.output_code)
+    order = [g for g in range(net.num_gates) if cone >> g & 1]
     renumber = {base + g: base + i for i, g in enumerate(order)}
 
     def remap(code: int) -> int:
+        code = table[code]
         sid = code >> 1
         return renumber[sid] << 1 | (code & 1) if sid in renumber else code
 
-    new_codes = [[remap(x) for x in lits[g]] for g in order]
-    simplified = LogicNetwork(n, net.constraints, new_codes, remap(out))
+    new_codes = [[remap(x) for x in net.codes[g]] for g in order]
+    simplified = LogicNetwork(n, net.constraints, new_codes, remap(net.output_code))
     return simplified, len(new_codes)
 
 

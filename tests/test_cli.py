@@ -99,9 +99,10 @@ def test_simplify_removes_dead_gate(tmp_path, capsys):
     assert net.num_gates == 2
 
 
-def test_simplify_fixture_unchanged(fixtures_dir, capsys):
-    source = (fixtures_dir / "maj9_noinv.mig").read_text()
-    assert run_cli(["simplify", str(fixtures_dir / "maj9_noinv.mig")]) == 0
+@pytest.mark.parametrize("name", sorted(FIXTURE_SPECS))
+def test_simplify_fixture_unchanged(fixtures_dir, capsys, name):
+    source = (fixtures_dir / name).read_text()
+    assert run_cli(["simplify", str(fixtures_dir / name)]) == 0
     assert capsys.readouterr().out == source
 
 

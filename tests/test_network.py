@@ -208,9 +208,20 @@ def test_cleanup_raises_when_it_reaches_a_removed_gate():
     # order never does this, and cleanup must not count g1 or emit it
     net = LogicNetwork(3, NetworkConstraints(2),
                        [[g(1, 3), x(0), x(1)], [x(0), x(0, True), x(1)]], g(0, 3))
-    with pytest.raises(RuntimeError, match="removed gate g1"):
+    with pytest.raises(RuntimeError, match="gate g0 references a non-earlier source g1"):
         cleanup(net)
-    with pytest.raises(RuntimeError, match="removed gate g1"):
+    with pytest.raises(RuntimeError, match="gate g0 references a non-earlier source g1"):
+        cleaned_gate_count(net)
+
+
+def test_cleanup_raises_when_a_kept_gate_reads_a_later_one():
+    # g0 reads g1, which cleanup keeps; the output still reaches only kept
+    # gates, so only the forward-read check can see the fault
+    net = LogicNetwork(3, NetworkConstraints(2),
+                       [[g(1, 3), x(0), x(1)], [x(0), x(1), x(2)]], g(0, 3))
+    with pytest.raises(RuntimeError, match="gate g0 references a non-earlier source g1"):
+        cleanup(net)
+    with pytest.raises(RuntimeError, match="gate g0 references a non-earlier source g1"):
         cleaned_gate_count(net)
 
 

@@ -26,7 +26,6 @@ from ptsynth.network import (
     PI_BASE,
     LogicNetwork,
     NetworkConstraints,
-    _cone,
     _reduce_codes,
     cleaned_gate_count,
     cleanup,
@@ -121,15 +120,27 @@ def test_cleanup_of_merging_networks_is_sound_and_idempotent(drawn, data):
     assert cleaned_gate_count(net) == q
 
 
+def walk_cone(rows, base, out):
+    """Bitmask of the gates output code ``out`` reaches through the operand
+    ``rows``, by a stack walk back from the output (gate 0 is ``base``)."""
+    cone, stack = 0, [(out >> 1) - base]
+    while stack:
+        g = stack.pop()
+        if g >= 0 and not cone >> g & 1:
+            cone |= 1 << g
+            stack.extend((c >> 1) - base for c in rows[g])
+    return cone
+
+
 def ladder_reduce_codes(n, codes, output_code):
     """``network._reduce_codes`` as it was before it sorted the operands
-    first: the pattern ladder, kept as the reference."""
+    first: the pattern ladder, kept as the reference.  Returns every gate's
+    substituted operands, the substituted output and the gates it reaches."""
     base = PI_BASE + n
     table = list(range((base + len(codes)) << 1))
     width = len(table).bit_length()  # every code fits in one key field
     seen: dict[int, int] = {}
     lits = []
-    removed = 0
     for g, (a, b, c) in enumerate(codes):
         a, b, c = table[a], table[b], table[c]
         lits.append((a, b, c))
@@ -168,15 +179,8 @@ def ladder_reduce_codes(n, codes, output_code):
         table[sid] = red
         # inverted constants normalize to the opposite constant
         table[sid | 1] = red ^ 2 if red < 4 else red ^ 1
-        removed |= 1 << g
     out = table[output_code]
-    cone = _cone(lits, base, out)
-    bad = cone & removed
-    if bad:
-        # only a gate reading a later one can reach a replaced gate
-        raise RuntimeError("cleanup reached the removed gate "
-                           f"g{(bad & -bad).bit_length() - 1}")
-    return lits, out, cone
+    return lits, out, walk_cone(lits, base, out)
 
 
 @st.composite
@@ -215,8 +219,18 @@ def reducible_codes(draw):
 @given(reducible_codes())
 def test_sorted_operand_rules_match_the_pattern_ladder(drawn):
     n, codes, output_code = drawn
-    assert _reduce_codes(n, codes, output_code) == \
-        ladder_reduce_codes(n, codes, output_code)
+    table, cone = _reduce_codes(n, codes, output_code)
+    assert ([tuple(table[c] for c in row) for row in codes],
+            table[output_code], cone) == ladder_reduce_codes(n, codes, output_code)
+
+
+@SETTINGS
+@given(networks())
+def test_output_cone_matches_a_walk_and_spans_the_cleaned_network(drawn):
+    net, _ = drawn
+    assert output_cone(net) == walk_cone(net.codes, PI_BASE + net.n, net.output_code)
+    simplified, q = cleanup(net)
+    assert output_cone(simplified) == (1 << q) - 1
 
 
 @SETTINGS
