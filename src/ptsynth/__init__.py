@@ -11,11 +11,9 @@ from .engine import (
 )
 from .formats import (
     NetworkParseError,
-    TraceParseError,
     emit_network,
     emit_trace,
     parse_network,
-    parse_trace,
 )
 from .network import (
     LogicNetwork,
@@ -30,7 +28,6 @@ from .network import (
 from .truthtable import (
     TruthTable,
     TruthTableError,
-    emit_truth_table,
     majority_truth_table,
     parse_truth_table,
 )
@@ -45,7 +42,6 @@ __all__ = [
     "StopConditions",
     "SynthesisReport",
     "TemperatureLadder",
-    "TraceParseError",
     "TraceRow",
     "TruthTable",
     "TruthTableError",
@@ -54,12 +50,10 @@ __all__ = [
     "combined_score",
     "emit_network",
     "emit_trace",
-    "emit_truth_table",
     "evaluate_full",
     "is_valid",
     "majority_truth_table",
     "parse_network",
-    "parse_trace",
     "parse_truth_table",
     "random_network",
     "recompute_from",

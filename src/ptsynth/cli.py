@@ -74,22 +74,21 @@ def _write_text(path: str, text: str) -> None:
         raise CliError(f"cannot write {path}: {exc}", EXIT_IO) from None
 
 
-def _load_target(label: str) -> tuple[TruthTable, str]:
+def _load_target(label: str) -> TruthTable:
     if label.startswith("maj:"):
         try:
             n = int(label.split(":", 1)[1])
         except ValueError:
             raise CliError(f"bad target {label!r}", EXIT_USAGE) from None
         try:
-            return majority_truth_table(n), label
+            return majority_truth_table(n)
         except TruthTableError as exc:
             raise CliError(str(exc), EXIT_USAGE) from None
     text = _read_text(label)
     try:
-        target = parse_truth_table_file(text)
+        return parse_truth_table_file(text)
     except TruthTableError as exc:
         raise CliError(f"{label}: {exc}", EXIT_USAGE) from None
-    return target, label
 
 
 def _load_network(path: str) -> LogicNetwork:
@@ -108,11 +107,11 @@ def _default_seed() -> int:
                        EXIT_USAGE) from None
 
 
-def _constraints(args, target: TruthTable, label: str) -> NetworkConstraints:
+def _constraints(args, target: TruthTable) -> NetworkConstraints:
     inverters = args.gates == "maj-inv"
     max_nodes = args.max_nodes
     if max_nodes is None:
-        if label.startswith("maj:"):
+        if args.target.startswith("maj:"):
             max_nodes = DEFAULT_MAX_NODES.get((target.n, inverters))
         if max_nodes is None:
             raise CliError("--max-nodes is required for this target", EXIT_USAGE)
@@ -133,11 +132,11 @@ def _replicas(args) -> int:
         raise CliError(f"--replicas: {exc}", EXIT_USAGE) from None
 
 
-def _score_goal(args, target: TruthTable, label: str,
+def _score_goal(args, target: TruthTable,
                 constraints: NetworkConstraints) -> int | None:
     if args.score_goal is not None:
         return args.score_goal
-    if label.startswith("maj:"):
+    if args.target.startswith("maj:"):
         best = BEST_KNOWN.get((target.n, constraints.inverters_allowed,
                                constraints.leafy))
         if best is not None:
@@ -165,16 +164,16 @@ def _make_ladder(args, target: TruthTable,
 
 
 def cmd_synth(args) -> int:
-    target, label = _load_target(args.target)
-    constraints = _constraints(args, target, label)
-    goal = _score_goal(args, target, label, constraints)
+    target = _load_target(args.target)
+    constraints = _constraints(args, target)
+    goal = _score_goal(args, target, constraints)
     try:
         ladder = _make_ladder(args, target, constraints)
     except engine.CalibrationError as exc:
         print(f"calibration failed: {exc}", file=sys.stderr)
         return EXIT_NO_GOAL
     gates = "maj-inv" if constraints.inverters_allowed else "maj"
-    print(f"target {label} (n={target.n}), gates {gates}"
+    print(f"target {args.target} (n={target.n}), gates {gates}"
           f"{', leafy' if constraints.leafy else ''}, p={constraints.max_nodes}, "
           f"replicas {ladder.size}, score goal {goal}, seed {args.seed}")
     stop = engine.StopConditions(max_repetitions=args.max_reps,
@@ -209,10 +208,10 @@ def cmd_synth(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    target, label = _load_target(args.target)
+    target = _load_target(args.target)
     net = _load_network(args.network)
     if net.n != target.n:
-        print(f"network has {net.n} inputs, target {label} has {target.n}",
+        print(f"network has {net.n} inputs, target {args.target} has {target.n}",
               file=sys.stderr)
         return EXIT_USAGE
     cache = evaluate_full(net, target)
@@ -235,8 +234,8 @@ def cmd_simplify(args) -> int:
 
 
 def cmd_calibrate(args) -> int:
-    target, label = _load_target(args.target)
-    constraints = _constraints(args, target, label)
+    target = _load_target(args.target)
+    constraints = _constraints(args, target)
     replicas = _replicas(args)
     try:
         deltas = engine.collect_uphill_deltas(

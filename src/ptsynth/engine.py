@@ -390,14 +390,15 @@ class _SweepWorkers:
     slice ``[j::shares]`` of a list by identity.  Worker processes forked
     from the caller own every share but the last, with its RNG streams; the
     caller sweeps the last share itself and reads its copies of the others
-    no more.  ``close`` ends the workers.  With one share, or where the
-    platform has no ``fork``, no process is forked: the caller sweeps every
-    replica and ``close`` has nothing to end.
+    no more.  Every sweep draws from the ``move_weights`` mix and reads and
+    updates only its replica's cache, so the workers need no target.
+    ``close`` ends the workers.  With one share, or where the platform has
+    no ``fork``, no process is forked: the caller sweeps every replica and
+    ``close`` has nothing to end.
     """
 
     def __init__(self, replicas: list[Replica], betas: list[float],
-                 threads: int, target: TruthTable, move_weights,
-                 debug_checks: bool) -> None:
+                 threads: int, move_weights) -> None:
         shares = min(threads, len(replicas))
         if shares > 1:
             # imported here, so that a serial run does not load it
@@ -407,8 +408,7 @@ class _SweepWorkers:
             else:
                 shares = 1
         self.replicas, self.betas, self.shares = replicas, betas, shares
-        self.target, self.move_weights = target, move_weights
-        self.debug_checks = debug_checks
+        self.move_weights = move_weights
         pipes = [context.Pipe() for _ in range(shares - 1)]
         self.conns = [parent_end for parent_end, _ in pipes]
         self.procs: list = []
@@ -428,18 +428,11 @@ class _SweepWorkers:
     def sweep_share(self, j: int, slots: list[int],
                     threshold: int) -> list[SweepStats]:
         """Sweep share j at ``slots`` and return its stats, in identity
-        order; with ``debug_checks``, check each cache after its sweep."""
-        stats = []
-        for r, slot in zip(range(j, len(self.replicas), self.shares), slots):
-            replica = self.replicas[r]
-            stats.append(sweep(replica, self.betas[slot], threshold,
-                               move_weights=self.move_weights))
-            if self.debug_checks:
-                try:
-                    _check_replicas([replica], self.target)
-                except RuntimeError as e:
-                    raise RuntimeError(f"replica {r} at slot {slot}: {e}")
-        return stats
+        order."""
+        return [sweep(self.replicas[r], self.betas[slot], threshold,
+                      move_weights=self.move_weights)
+                for r, slot in zip(range(j, len(self.replicas), self.shares),
+                                   slots)]
 
     def sweep_all(self, slot_of: list[int],
                   threshold: int) -> list[SweepStats]:
@@ -512,8 +505,7 @@ SWAP_NOTE_INTERVAL = 1000  # repetitions between swap-rate notes in a report
 def run(target: TruthTable, constraints: NetworkConstraints,
         ladder: TemperatureLadder, stop: StopConditions | None = None,
         seed=0, threads: int = 1, move_weights=(1.0, 0.0),
-        wall_clock_trace: bool = False,
-        debug_checks: bool = False) -> SynthesisReport:
+        wall_clock_trace: bool = False) -> SynthesisReport:
     """Full parallel-tempering synthesis run.
 
     ``move_weights`` is the (reassign-one, swap) mix every sweep draws its
@@ -544,6 +536,10 @@ def run(target: TruthTable, constraints: NetworkConstraints,
     that runs no other threads.  Workers ignore SIGINT; an exception in one
     is raised again in the caller with its type and message, and every
     worker has exited when ``run`` returns or raises.
+
+    ``run`` trusts the caches its sweeps keep and does not re-evaluate
+    them; ``evaluate_full`` gives the fresh cache that each one must equal
+    after its sweep.
 
     Deterministic for a fixed (target, constraints, ladder, stop, seed,
     move_weights), as long as no wall-clock stop or interrupt cuts the run
@@ -601,8 +597,7 @@ def run(target: TruthTable, constraints: NetworkConstraints,
     order = list(range(m))  # order[slot]: the identity of the replica there
     workers = None
     try:
-        workers = _SweepWorkers(replicas, ladder.betas, threads, target,
-                                move_weights, debug_checks)
+        workers = _SweepWorkers(replicas, ladder.betas, threads, move_weights)
         while True:
             if stop.score_goal is not None and best_score is not None \
                     and best_score <= stop.score_goal:
@@ -657,17 +652,6 @@ def run(target: TruthTable, constraints: NetworkConstraints,
         replicas=m,
         interrupted=interrupted,
     )
-
-
-def _check_replicas(replicas: list[Replica], target: TruthTable) -> None:
-    for replica in replicas:
-        fresh = evaluate_full(replica.network, target)
-        if fresh.cols != replica.cache.cols:
-            raise RuntimeError("cache columns drifted")
-        if fresh.error != replica.cache.error:
-            raise RuntimeError("cache error drifted")
-        if fresh.score != replica.cache.score:
-            raise RuntimeError("cached score drifted")
 
 
 DEFAULT_REPLICAS = 51  # ladder size when the caller sets none

@@ -12,6 +12,12 @@ Network files are line oriented::
 Operands are ``x<i>`` (primary input), ``g<j>`` (earlier gate), ``0``/``1``
 (constants), with ``~`` marking inversion.  Gate lines may also use the
 ``x<m>`` numbering that starts gates at index n; parsing normalizes it.
+
+Traces are written, never read back: a CSV header
+``repetition,best_q,best_score,elapsed_seconds``, one row per improvement
+(``elapsed_seconds`` empty when no wall clock was recorded), and
+``# swap_rates rep=R ...`` comment lines in repetition order.  Ladders are
+one inverse temperature per line, hottest first, with ``#`` comments.
 """
 
 from __future__ import annotations
@@ -39,16 +45,6 @@ class NetworkParseError(ValueError):
         self.line = line
         if line is not None:
             message = f"line {line}: {message}"
-        super().__init__(message)
-
-
-class TraceParseError(ValueError):
-    """Malformed trace CSV."""
-
-    def __init__(self, message: str, row: int | None = None) -> None:
-        self.row = row
-        if row is not None:
-            message = f"row {row}: {message}"
         super().__init__(message)
 
 
@@ -187,33 +183,6 @@ def emit_trace(rows: list[TraceRow],
 def _swap_note(note: tuple[int, list[float]]) -> str:
     repetition, rates = note
     return f"# swap_rates rep={repetition} " + " ".join(f"{r:.4f}" for r in rates)
-
-
-def parse_trace(text: str) -> list[TraceRow]:
-    """Parse a trace CSV back into rows, ignoring comment lines."""
-    lines = text.splitlines()
-    if not lines or lines[0].strip() != "repetition,best_q,best_score,elapsed_seconds":
-        raise TraceParseError("missing trace header")
-    rows: list[TraceRow] = []
-    for i, raw in enumerate(lines[1:], start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        fields = line.split(",")
-        if len(fields) != 4:
-            raise TraceParseError(f"expected 4 fields, got {len(fields)}", i)
-        try:
-            repetition = int(fields[0])
-            best_q = int(fields[1])
-            best_score = int(fields[2])
-            elapsed = float(fields[3]) if fields[3] else None
-        except ValueError as exc:
-            raise TraceParseError(str(exc), i) from None
-        if rows and repetition <= rows[-1].repetition:
-            raise TraceParseError(
-                f"repetition {repetition} not increasing", i)
-        rows.append(TraceRow(repetition, best_q, best_score, elapsed))
-    return rows
 
 
 def emit_ladder(ladder: TemperatureLadder) -> str:

@@ -58,17 +58,17 @@ class LogicNetwork:
     __slots__ = ("n", "constraints", "codes", "output_code")
 
     def __init__(self, n: int, constraints: NetworkConstraints,
-                 codes: list[list[int]] | None = None,
+                 codes: list[list[int]],
                  output_code: int | None = None) -> None:
         if not 1 <= n <= MAX_INPUTS:
             raise ValueError(f"input count must be in 1..{MAX_INPUTS}, got {n}")
         self.n = n
         self.constraints = constraints
-        self.codes = codes if codes is not None else []
+        self.codes = codes
         if output_code is None:
-            if not self.codes:
+            if not codes:
                 raise ValueError("a network without gates needs an explicit output")
-            output_code = (PI_BASE + n + len(self.codes) - 1) << 1
+            output_code = (PI_BASE + n + len(codes) - 1) << 1
         self.output_code = output_code
 
     @property
@@ -101,6 +101,8 @@ def is_valid(net: LogicNetwork) -> tuple[bool, str | None]:
             return False, f"gate g{g} has {len(row)} operands"
         sources = [c >> 1 for c in row]
         for c, sid in zip(row, sources):
+            if c < 0:
+                return False, f"gate g{g} has a negative operand code {c}"
             if sid >= base + g:
                 return False, f"gate g{g} references a non-earlier source {operand_text(c, n)}"
             if (c & 1) and not cons.inverters_allowed:
@@ -112,6 +114,8 @@ def is_valid(net: LogicNetwork) -> tuple[bool, str | None]:
         if cons.leafy and not any(PI_BASE <= s < base for s in sources):
             return False, f"gate g{g} has no primary input operand (leafy)"
     out = net.output_code
+    if out < 0:
+        return False, f"output has a negative code {out}"
     if out >> 1 >= base + net.num_gates:
         return False, "output references a missing gate"
     if (out & 1) and not cons.inverters_allowed:
@@ -273,8 +277,9 @@ def output_cofactors(net: LogicNetwork, cache: EvalCache, g: int,
     cached columns XOR the forced ones.  The other columns, gate g's among
     them, are read from the cache and must be fresh, except the columns of
     the gates outside the cone: a cone gate reads only cone gates and
-    sources before it, so those are never read.  For a gate outside the cone ``d`` is 0 and
-    ``readers`` is empty.
+    sources before it, so those are never read.  For a gate outside the
+    cone ``d`` is 0 and ``readers`` is empty; for the output gate ``d`` is
+    ``mask`` and ``readers`` is empty, as no cone gate comes after it.
     """
     codes = net.codes
     if not 0 <= g < len(codes):
@@ -285,8 +290,6 @@ def output_cofactors(net: LogicNetwork, cache: EvalCache, g: int,
     out = net.output_code
     sid = out >> 1
     inv = mask if out & 1 else 0
-    if sid == hid:
-        return inv ^ cache.target_bits, mask, []
     x = cols[hid]
     forced = cols[:]
     forced[hid] = x ^ mask

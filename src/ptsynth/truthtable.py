@@ -85,13 +85,6 @@ def parse_truth_table(text: str, n: int) -> TruthTable:
     return TruthTable(n, int(s, 16))
 
 
-def emit_truth_table(tt: TruthTable) -> str:
-    """Canonical text form; inverse of :func:`parse_truth_table`."""
-    if tt.n < 2:
-        return "0b" + format(tt.bits, f"0{1 << tt.n}b")
-    return format(tt.bits, f"0{(1 << tt.n) // 4}X")
-
-
 def parse_truth_table_file(text: str) -> TruthTable:
     """Read a .tt file: one table line, optional ``weights:`` line, # comments.
 

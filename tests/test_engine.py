@@ -593,10 +593,13 @@ def test_run_trace_is_monotone_and_best_verifies():
     assert report.best_q == rows[-1].best_q
     if report.found_exact:
         assert evaluate_full(report.best_network, target).error == 0
-    # emitted traces must satisfy their own parser, even when several
+    # the emitted trace holds one row per improvement, even when several
     # improvements land inside one repetition
-    from ptsynth.formats import emit_trace, parse_trace
-    assert parse_trace(emit_trace(rows, report.swap_rate_log)) == rows
+    header, *lines = emit_trace(rows, report.swap_rate_log).splitlines()
+    assert header == "repetition,best_q,best_score,elapsed_seconds"
+    assert [line.split(",") for line in lines if not line.startswith("#")] \
+        == [[str(r.repetition), str(r.best_q), str(r.best_score), ""]
+            for r in rows]
 
 
 def test_run_hot_slots_accept_more_than_cold_slots():
@@ -626,30 +629,25 @@ def test_run_without_exact_solution_reports_positive_score():
                                              (True, False), (True, True)],
                          ids=["maj", "maj-leafy", "inv", "inv-leafy"])
 def test_run_debug_checks_hold(mix, inverters, leafy, tmp_path, monkeypatch):
-    # _check_replicas compares every cached column with evaluate_full after
-    # every repetition; the two seeds together take every case through
-    # both phases.  With threads=2 it also runs in the worker process, so
-    # the checks and sweeps are logged to a file, one line per call, with
-    # the process id.
-    real_check, real_sweep = engine._check_replicas, engine.sweep
+    # every sweep is checked as it returns: the replica's cached columns,
+    # error and score must equal evaluate_full's.  The two seeds together
+    # take every case through both phases.  With threads=2 the check also
+    # runs in the worker process, so each checked sweep is logged to a
+    # file, one line per call, with the process id.
+    real_sweep = engine.sweep
     log = None
 
-    def write(line):
+    def checked_sweep(replica, *args, **kwargs):
+        stats = real_sweep(replica, *args, **kwargs)
+        cache, fresh = replica.cache, evaluate_full(replica.network, target)
+        assert (cache.cols, cache.error, cache.score) \
+            == (fresh.cols, fresh.error, fresh.score), "cache drifted"
         with open(log, "a", encoding="utf-8") as handle:
-            handle.write(f"{os.getpid()} {line}\n")
-
-    def recording_check(replicas, target):
-        real_check(replicas, target)
-        for replica in replicas:
-            write(f"exact {int(replica.cache.error == 0)}")
-
-    def counting_sweep(*args, **kwargs):
-        stats = real_sweep(*args, **kwargs)
-        write(f"accepted {stats.accepted}")
+            handle.write(f"{os.getpid()} {int(cache.error == 0)} "
+                         f"{stats.accepted}\n")
         return stats
 
-    monkeypatch.setattr(engine, "_check_replicas", recording_check)
-    monkeypatch.setattr(engine, "sweep", counting_sweep)
+    monkeypatch.setattr(engine, "sweep", checked_sweep)
     target = majority_truth_table(5)
     cons = NetworkConstraints(8, inverters_allowed=inverters, leafy=leafy)
     for threads in (1, 2):
@@ -657,16 +655,12 @@ def test_run_debug_checks_hold(mix, inverters, leafy, tmp_path, monkeypatch):
         for seed in (1, 4):
             run(target, cons, TemperatureLadder([0.1, 0.6, 2.0, 5.0]),
                 StopConditions(max_repetitions=40), seed=seed,
-                threads=threads, move_weights=mix, debug_checks=True)
+                threads=threads, move_weights=mix)
         lines = [line.split() for line in log.read_text().splitlines()]
-        exact = {value for _, kind, value in lines if kind == "exact"}
-        assert exact == {"0", "1"}
-        assert sum(int(value) for _, kind, value in lines
-                   if kind == "accepted")
-        checked = {pid for pid, kind, _ in lines if kind == "exact"}
-        # every process that swept checked its own replicas
-        assert checked == {pid for pid, kind, _ in lines if kind == "accepted"}
-        assert len(checked) == (1 if threads == 1 else 3)
+        assert {exact for _, exact, _ in lines} == {"0", "1"}
+        assert sum(int(accepted) for _, _, accepted in lines)
+        # the caller and, with threads=2, each run's worker checked sweeps
+        assert len({pid for pid, _, _ in lines}) == (1 if threads == 1 else 3)
 
 
 def test_run_forks_one_process_per_extra_share(monkeypatch):
@@ -757,30 +751,6 @@ def test_run_reports_a_worker_that_exits(monkeypatch):
     assert multiprocessing.active_children() == []
 
 
-def test_run_raises_a_worker_cache_drift(monkeypatch):
-    # debug_checks run in the worker: a drift there is reported with the
-    # type and message of _check_replicas
-    real_sweep = engine.sweep
-    parent = os.getpid()
-
-    def drifting_sweep(replica, *args, **kwargs):
-        stats = real_sweep(replica, *args, **kwargs)
-        if os.getpid() != parent:
-            replica.cache.error += 1
-        return stats
-
-    monkeypatch.setattr(engine, "sweep", drifting_sweep)
-    target = majority_truth_table(5)
-    cons = NetworkConstraints(8, inverters_allowed=False)
-    ladder = TemperatureLadder([0.05, 0.3, 0.8, 1.5, 3.0, 6.0])
-    with alarm_after(60), \
-            pytest.raises(RuntimeError, match="cache error drifted") as err:
-        run(target, cons, ladder, StopConditions(max_repetitions=5), seed=9,
-            threads=3, debug_checks=True)
-    assert "in a sweep worker" in str(err.value.__cause__)
-    assert multiprocessing.active_children() == []
-
-
 @pytest.mark.parametrize("threads", [1, 2])
 def test_run_interrupt_reports_the_best_so_far(threads, monkeypatch):
     real_swap = engine.swap_phase
@@ -820,11 +790,3 @@ def test_run_raises_when_cleanup_disagrees_with_score(monkeypatch):
         run(target, cons, ladder,
             StopConditions(max_repetitions=10**6, score_goal=0), seed=1)
 
-
-def test_check_replicas_raises_on_a_drifted_cache():
-    replica = make_replica(3, 2, seed=7)
-    target = majority_truth_table(3)
-    engine._check_replicas([replica], target)
-    replica.cache.error += 1
-    with pytest.raises(RuntimeError, match="cache error drifted"):
-        engine._check_replicas([replica], target)

@@ -6,13 +6,11 @@ import pytest
 from ptsynth.engine import TemperatureLadder, TraceRow
 from ptsynth.formats import (
     NetworkParseError,
-    TraceParseError,
     emit_ladder,
     emit_network,
     emit_trace,
     parse_ladder,
     parse_network,
-    parse_trace,
 )
 from ptsynth.network import (
     NetworkConstraints,
@@ -137,40 +135,17 @@ def test_fixture_counts_match_published_values(fixtures_dir):
         assert (net.n, net.num_gates) == (n, gates), name
 
 
-def test_trace_roundtrip_empty():
-    assert parse_trace(emit_trace([])) == []
-
-
-def test_trace_roundtrip_rows():
+def test_trace_text():
+    # rows in order, each swap-rate note before the first later row
     rows = [TraceRow(3, 17, 0, None), TraceRow(9, 15, -2, 1.5),
             TraceRow(40, 13, -4, 2.25)]
-    text = emit_trace(rows, swap_rate_log=[(10, [0.5, 0.25]), (20, [0.6, 0.3])])
-    assert parse_trace(text) == rows
-    assert "# swap_rates rep=10" in text
-
-
-def test_trace_roundtrip_large():
-    rng = random.Random(13)
-    rows = []
-    rep, q, score = 0, 500, 400
-    for _ in range(1000):
-        rep += rng.randrange(1, 50)
-        q -= rng.randrange(0, 2)
-        score -= rng.randrange(1, 5)
-        rows.append(TraceRow(rep, q, score, rng.random()))
-    assert parse_trace(emit_trace(rows)) == rows
-
-
-def test_trace_parse_errors():
-    with pytest.raises(TraceParseError, match="header"):
-        parse_trace("nope\n")
-    header = "repetition,best_q,best_score,elapsed_seconds\n"
-    with pytest.raises(TraceParseError, match="row 1"):
-        parse_trace(header + "1,2\n")
-    with pytest.raises(TraceParseError, match="not increasing"):
-        parse_trace(header + "5,4,1,\n5,3,0,\n")
-    with pytest.raises(TraceParseError):
-        parse_trace(header + "x,4,1,\n")
+    text = emit_trace(rows, swap_rate_log=[(20, [0.6, 0.3]), (10, [0.5, 0.25])])
+    assert text == ("repetition,best_q,best_score,elapsed_seconds\n"
+                    "3,17,0,\n"
+                    "9,15,-2,1.5\n"
+                    "# swap_rates rep=10 0.5000 0.2500\n"
+                    "# swap_rates rep=20 0.6000 0.3000\n"
+                    "40,13,-4,2.25\n")
 
 
 def test_ladder_roundtrip():

@@ -310,6 +310,14 @@ def test_is_valid_catches_violations():
     ok, why = is_valid(inverted_out)
     assert not ok and "inverted constant" in why
 
+    # a negative code names no source; its text would not parse back
+    negative_operand = LogicNetwork(3, NetworkConstraints(2), [[-2, 4, 6]])
+    ok, why = is_valid(negative_operand)
+    assert not ok and "negative" in why and "g0" in why
+    negative_out = LogicNetwork(3, NetworkConstraints(2), [[4, 6, 8]], -2)
+    ok, why = is_valid(negative_out)
+    assert not ok and "negative" in why and "output" in why
+
 
 def test_fixture_networks_pass_validity(fixtures_dir):
     from ptsynth.formats import parse_network

@@ -33,3 +33,20 @@ def test_readme_library_example_runs(capsys):
     exec(block, {})
     best_q, _, _ = capsys.readouterr().out.split()
     assert best_q == "7"
+
+
+def test_every_public_name_is_used_outside_the_tests():
+    # an exported name needs a caller: code in another package module or
+    # in a script (its own def or class statement is no use), or the README
+    used = set()
+    package = REPO_ROOT / "src" / "ptsynth"
+    paths = [path for path in sorted(package.glob("*.py"))
+             if path.name != "__init__.py"]
+    for path in paths + sorted((REPO_ROOT / "scripts").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Name):
+                used.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                used.add(node.attr)
+    used.update(re.findall(r"\w+", (REPO_ROOT / "README.md").read_text()))
+    assert [name for name in ptsynth.__all__ if name not in used] == []

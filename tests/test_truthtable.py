@@ -5,7 +5,6 @@ import pytest
 from ptsynth.truthtable import (
     TruthTable,
     TruthTableError,
-    emit_truth_table,
     majority_truth_table,
     parse_truth_table,
     parse_truth_table_file,
@@ -77,12 +76,19 @@ def test_parse_errors_carry_offset():
         parse_truth_table("E8", 1)
 
 
+def table_text(tt):
+    """The canonical text of ``tt``: hex from n = 2, else a 0b string."""
+    if tt.n < 2:
+        return "0b" + format(tt.bits, f"0{tt.size}b")
+    return format(tt.bits, f"0{tt.size // 4}X")
+
+
 def test_roundtrip_random_tables():
     rng = random.Random(5)
     for _ in range(100):
         n = rng.randrange(1, 11)
         tt = TruthTable(n, rng.getrandbits(1 << n))
-        assert parse_truth_table(emit_truth_table(tt), n) == tt
+        assert parse_truth_table(table_text(tt), n) == tt
 
 
 def test_table_file_roundtrip():
@@ -90,7 +96,7 @@ def test_table_file_roundtrip():
     for _ in range(50):
         n = rng.randrange(1, 11)
         tt = TruthTable(n, rng.getrandbits(1 << n))
-        assert parse_truth_table_file(emit_truth_table(tt) + "\n") == tt
+        assert parse_truth_table_file(table_text(tt) + "\n") == tt
     plain = parse_truth_table_file("# target\nE8\n")
     assert plain == majority_truth_table(3)
 
