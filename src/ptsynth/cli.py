@@ -8,9 +8,7 @@ from __future__ import annotations
 
 import argparse
 import math
-import os
 import sys
-import time
 
 from . import engine, formats
 from .network import (
@@ -98,15 +96,6 @@ def _load_network(path: str) -> LogicNetwork:
         raise CliError(f"{path}: {exc}", EXIT_USAGE) from None
 
 
-def _default_seed() -> int:
-    text = os.environ.get("PTSYNTH_SEED", "0")
-    try:
-        return int(text)
-    except ValueError:
-        raise CliError(f"PTSYNTH_SEED must be an integer, got {text!r}",
-                       EXIT_USAGE) from None
-
-
 def _constraints(args, target: TruthTable) -> NetworkConstraints:
     inverters = args.gates == "maj-inv"
     max_nodes = args.max_nodes
@@ -146,7 +135,7 @@ def _score_goal(args, target: TruthTable,
 
 def _make_ladder(args, target: TruthTable,
                  constraints: NetworkConstraints) -> engine.TemperatureLadder:
-    if args.ladder != "auto":
+    if args.ladder is not None:
         # a ladder file fixes the replicas and skips calibration
         for option, value in (("--replicas", args.replicas),
                               ("--warmup-sweeps", args.warmup_sweeps)):
@@ -164,6 +153,8 @@ def _make_ladder(args, target: TruthTable,
 
 
 def cmd_synth(args) -> int:
+    if args.wall_clock_trace and not args.trace:
+        raise CliError("--wall-clock-trace needs --trace", EXIT_USAGE)
     target = _load_target(args.target)
     constraints = _constraints(args, target)
     goal = _score_goal(args, target, constraints)
@@ -250,10 +241,9 @@ def cmd_calibrate(args) -> int:
     for rate in engine.ANCHOR_RATES:
         beta = engine.anchor_beta(deltas, rate)
         print(f"anchor rate {rate:g}: beta {beta:.6f}")
-    if args.probe:
+    if args.probe is not None:
         rates = engine.probe_swap_rates(target, constraints, ladder,
-                                        seed=args.seed,
-                                        repetitions=args.probe_reps)
+                                        seed=args.seed, repetitions=args.probe)
         print("swap rates " + " ".join(f"{r:.3f}" for r in rates))
         print(f"min swap rate {min(rates):.3f}")
     if args.out:
@@ -287,11 +277,9 @@ def cmd_bench(args) -> int:
                 stop = engine.StopConditions(max_repetitions=args.max_reps,
                                              time_limit=args.time_limit,
                                              score_goal=goal_q - p)
-                start = time.perf_counter()
                 report = engine.run(target, constraints, ladder, stop,
                                     seed=args.seed)
-                wall = time.perf_counter() - start
-                reps = report.repetitions
+                wall, reps = report.wall_time, report.repetitions
                 status = "ok" if report.best_q is not None \
                     and report.best_q <= goal_q else "partial"
                 q = report.best_q if report.best_q is not None else "-"
@@ -343,8 +331,8 @@ def _add_target_options(parser: argparse.ArgumentParser, with_budget: bool = Tru
                             help="require a primary input on every gate")
         parser.add_argument("--max-nodes", "-p", type=int, default=None,
                             help="node budget p (defaults exist for maj:9/11/13)")
-        parser.add_argument("--seed", type=int, default=_default_seed(),
-                            help="RNG seed (default $PTSYNTH_SEED or 0)")
+        parser.add_argument("--seed", type=int, default=0,
+                            help="RNG seed (default 0)")
         parser.add_argument("--replicas", type=int, default=None,
                             help="override the calibrated replica count")
         parser.add_argument("--warmup-sweeps", type=_positive(int), default=None,
@@ -361,8 +349,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     synth = sub.add_parser("synth", help="search for a minimal exact network")
     _add_target_options(synth)
-    synth.add_argument("--ladder", default="auto",
-                       help="'auto' (calibrate) or a ladder file")
+    synth.add_argument("--ladder", default=None,
+                       help="ladder file (default: calibrate one)")
     synth.add_argument("--max-reps", type=_positive(int), default=10**7)
     synth.add_argument("--time-limit", type=_positive(float), default=None,
                        help="wall-clock budget in seconds")
@@ -395,17 +383,17 @@ def build_parser() -> argparse.ArgumentParser:
 
     calibrate = sub.add_parser("calibrate", help="build a temperature ladder")
     _add_target_options(calibrate)
-    calibrate.add_argument("--probe", action="store_true",
-                           help="measure swap rates with a probe run")
-    calibrate.add_argument("--probe-reps", type=_positive(int, 1), default=1000,
-                           help="probe repetitions, at least 2 so that every "
-                                "pair is tried (default 1000)")
+    calibrate.add_argument("--probe", nargs="?", type=_positive(int, 1),
+                           const=1000, default=None, metavar="REPS",
+                           help="measure swap rates with a probe run of REPS "
+                                "repetitions, at least 2 so that every pair "
+                                "is tried (default 1000)")
     calibrate.add_argument("--out", default=None, help="ladder output file")
     calibrate.set_defaults(func=cmd_calibrate)
 
     bench = sub.add_parser("bench", help="reproduce the benchmark table")
     bench.add_argument("--suite", choices=("quick", "paper"), default="quick")
-    bench.add_argument("--seed", type=int, default=_default_seed())
+    bench.add_argument("--seed", type=int, default=0)
     bench.add_argument("--replicas", type=int, default=None)
     bench.add_argument("--max-reps", type=_positive(int), default=10**7)
     bench.add_argument("--time-limit", type=_positive(float), default=None,
@@ -417,7 +405,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     try:
-        # the parser reads $PTSYNTH_SEED for its defaults
         args = build_parser().parse_args(argv)
         return args.func(args)
     except CliError as exc:

@@ -154,19 +154,15 @@ def test_synth_stopped_before_a_repetition_says_so_exit_3(tmp_path,
     assert trace.read_text() == "repetition,best_q,best_score,elapsed_seconds\n"
 
 
-def test_synth_env_seed(monkeypatch, capsys, tmp_path):
-    monkeypatch.setenv("PTSYNTH_SEED", "7")
-    parser = cli.build_parser()
-    args = parser.parse_args(["synth", "--target", "maj:3", "--gates", "maj",
-                              "--max-nodes", "1"])
-    assert args.seed == 7
-
-
-def test_non_integer_env_seed_exit_2(monkeypatch, fixtures_dir, capsys):
+def test_seed_comes_only_from_the_seed_option(monkeypatch, fixtures_dir,
+                                              capsys):
     monkeypatch.setenv("PTSYNTH_SEED", "abc")
-    assert_usage_error(["verify", str(fixtures_dir / "maj9_inv.mig"),
-                        "--target", "maj:9"],
-                       capsys, "PTSYNTH_SEED must be an integer, got 'abc'")
+    fixture = fixtures_dir / "maj9_inv.mig"
+    assert run_cli(["simplify", str(fixture)]) == 0
+    assert capsys.readouterr().out == fixture.read_text()
+    args = cli.build_parser().parse_args(["synth", "--target", "maj:3",
+                                          "--max-nodes", "1"])
+    assert args.seed == 0
 
 
 # the three-value strings in these two tests are mixes of the former
@@ -223,20 +219,20 @@ CALIBRATE = ["calibrate", "--target", "maj:3", "--max-nodes", "1"]
     (SYNTH + ["--max-reps", "0"], "--max-reps"),
     (SYNTH + ["--warmup-sweeps", "-1"], "--warmup-sweeps"),
     (CALIBRATE + ["--warmup-sweeps", "0"], "--warmup-sweeps"),
-    (CALIBRATE + ["--probe", "--probe-reps", "-3"], "--probe-reps"),
+    (CALIBRATE + ["--probe", "-3"], "--probe"),
     (["bench", "--max-reps", "-1"], "--max-reps"),
     (["bench", "--time-limit=-inf"], "--time-limit"),
     (SYNTH + ["--threads", "0"], "--threads"),
     (SYNTH + ["--threads", "-1"], "--threads"),
     # one repetition tries only the even pairs
-    (CALIBRATE + ["--probe", "--probe-reps", "1"], "--probe-reps"),
+    (CALIBRATE + ["--probe", "1"], "--probe"),
 ])
 def test_out_of_range_numeric_options_exit_2(args, option, capsys):
     with pytest.raises(SystemExit) as err:
         run_cli(args)
     assert err.value.code == 2
     last = capsys.readouterr().err.splitlines()[-1]
-    low = 1 if option == "--probe-reps" else 0
+    low = 1 if option == "--probe" else 0
     assert f"error: argument {option}: must be finite and above {low}" in last
 
 
@@ -298,6 +294,27 @@ def test_calibrate_runs_the_warmup_once(monkeypatch, tmp_path, capsys):
     assert out.read_text() == emit_ladder(ladder)
 
 
+def test_calibrate_probe_prints_the_swap_rates(capsys):
+    args = ["calibrate", "--target", "maj:3", "--gates", "maj",
+            "--max-nodes", "2", "--replicas", "4", "--seed", "1"]
+    assert run_cli(args + ["--probe", "2"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    rates = [float(v) for v in
+             next(line for line in lines
+                  if line.startswith("swap rates ")).split()[2:]]
+    assert len(rates) == 3
+    assert f"min swap rate {min(rates):.3f}" in lines
+    assert run_cli(args) == 0
+    assert "swap rate" not in capsys.readouterr().out
+
+
+def test_probe_reps_option_is_gone(capsys):
+    with pytest.raises(SystemExit) as err:
+        run_cli(CALIBRATE + ["--probe", "--probe-reps", "50"])
+    assert err.value.code == 2
+    assert "unrecognized arguments: --probe-reps" in capsys.readouterr().err
+
+
 def test_calibrate_degenerate_exit_3(capsys):
     code = run_cli(["calibrate", "--target", "maj:1", "--gates", "maj",
                     "--max-nodes", "1", "--seed", "1"])
@@ -348,6 +365,22 @@ def test_calibration_option_with_a_ladder_file_exit_2(option, tmp_path,
     ladder.write_text("0.5\n1.0\n")
     assert_usage_error(SYNTH + ["--ladder", str(ladder)] + option, capsys,
                        f"{option[0]} cannot be used with a ladder file")
+
+
+def test_synth_reads_a_ladder_file_named_auto(monkeypatch, tmp_path, capsys):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "auto").write_text("0.5\n1.0\n2.0\n4.0\n")
+    code = run_cli(["synth", "--target", "maj:3", "--gates", "maj",
+                    "--max-nodes", "2", "--seed", "1", "--ladder", "auto",
+                    "--max-reps", "5"])
+    out = capsys.readouterr().out
+    assert code in (0, 3)
+    assert "replicas 4," in out.splitlines()[0]
+
+
+def test_wall_clock_trace_without_trace_exit_2(capsys):
+    assert_usage_error(SYNTH + ["--wall-clock-trace"], capsys,
+                       "--wall-clock-trace needs --trace")
 
 
 def test_synth_threads_option_is_accepted_and_changes_nothing(tmp_path, capsys):

@@ -1,8 +1,10 @@
 import ast
 import pathlib
 import re
+import shlex
 
 import ptsynth
+from ptsynth import cli
 
 from conftest import REPO_ROOT
 
@@ -33,6 +35,18 @@ def test_readme_library_example_runs(capsys):
     exec(block, {})
     best_q, _, _ = capsys.readouterr().out.split()
     assert best_q == "7"
+
+
+def test_readme_cli_block_parses():
+    # every command of the README's CLI block parses with today's options;
+    # nothing is run
+    readme = (REPO_ROOT / "README.md").read_text()
+    block, = re.findall(r"## CLI\n\n```sh\n(.*?)```", readme, re.S)
+    lines = [line for line in block.replace("\\\n", " ").splitlines()
+             if line.startswith("ptsynth ")]
+    assert len(lines) == 5
+    for line in lines:
+        cli.build_parser().parse_args(shlex.split(line)[1:])
 
 
 def test_every_public_name_is_used_outside_the_tests():
