@@ -7,8 +7,13 @@ or degenerate calibration, 4 I/O failure.
 from __future__ import annotations
 
 import argparse
+import json
 import math
+import os
+import platform
+import statistics
 import sys
+import time
 
 from . import engine, formats
 from .network import (
@@ -252,46 +257,111 @@ def cmd_calibrate(args) -> int:
     return EXIT_OK
 
 
+def _bench_run(args, target: TruthTable, constraints: NetworkConstraints,
+               goal_q: int, seed: int, replicas: int) -> dict:
+    """Calibrate a ladder for ``seed`` and run to ``goal_q``; record the
+    repetitions and seconds at which q first reached each value from
+    ``goal_q + 3`` down to ``goal_q``.  A failed calibration is reported
+    and leaves the run unsolved at 0 repetitions, with no calibration time."""
+    run = {"seed": seed, "replicas": replicas, "calibration_seconds": None,
+           "best_q": None, "repetitions": 0, "wall_seconds": 0.0,
+           "to_q": dict.fromkeys(str(q) for q in range(goal_q + 3, goal_q - 1, -1))}
+    start = time.perf_counter()
+    try:
+        ladder = engine.calibrate_ladder(target, constraints, seed=seed, replicas=replicas)
+    except engine.CalibrationError as exc:
+        print(f"calibration failed: {exc}", file=sys.stderr)
+        return run
+    run["calibration_seconds"] = round(time.perf_counter() - start, 3)
+    stop = engine.StopConditions(max_repetitions=args.max_reps, time_limit=args.time_limit,
+                                 score_goal=goal_q - constraints.max_nodes)
+    report = engine.run(target, constraints, ladder, stop, seed=seed,
+                        threads=args.threads, move_weights=args.move_weights,
+                        wall_clock_trace=True)
+    run.update(best_q=report.best_q, repetitions=report.repetitions,
+               wall_seconds=round(report.wall_time, 3))
+    for q in run["to_q"]:
+        row = next((r for r in report.trace if r.best_q <= int(q)), None)
+        if row is not None:
+            run["to_q"][q] = {"repetitions": row.repetition,
+                              "seconds": round(row.elapsed_seconds, 3)}
+    return run
+
+
+def _bench_median(runs: list[dict], q: str) -> dict:
+    """The median repetitions and seconds to ``q`` over ``runs``.  An
+    unsolved run counts at its own repetitions and wall time, and a median
+    is censored (a lower bound) if it would change were those larger."""
+    censored = [run["to_q"][q] is None for run in runs]
+    median = {}
+    for key, stop_key in (("repetitions", "repetitions"), ("seconds", "wall_seconds")):
+        values = [run[stop_key] if cut else run["to_q"][q][key]
+                  for run, cut in zip(runs, censored)]
+        at_stop = statistics.median(values)
+        median[key] = round(at_stop, 3)
+        median[f"{key}_censored"] = at_stop != statistics.median(
+            [math.inf if cut else v for v, cut in zip(values, censored)])
+    return median
+
+
 def cmd_bench(args) -> int:
-    sizes = [3, 5, 7] if args.suite == "quick" else [3, 5, 7, 9, 11, 13]
-    replicas = _replicas(args)
-    rows = []
-    print(f"{'n':>3} {'gates':>8} {'p':>3} {'goal':>4} {'q':>3} "
-          f"{'reps':>8} {'wall_s':>8} status")
+    try:
+        sizes = [int(n) for n in args.sizes.split(",")]
+        seeds = [int(seed) for seed in args.seeds.split(",")]
+    except ValueError:
+        raise CliError(f"--sizes {args.sizes!r} and --seeds {args.seeds!r} "
+                       "must be comma-separated integers", EXIT_USAGE) from None
+    instances = []
     for n in sizes:
-        for gates in ("maj", "maj-inv"):
+        for gates in args.gates.split(","):
+            if gates not in ("maj", "maj-inv"):
+                raise CliError(f"--gates: bad gate set {gates!r}", EXIT_USAGE)
             inverters = gates == "maj-inv"
-            target = majority_truth_table(n)
             p = DEFAULT_MAX_NODES.get((n, inverters), BENCH_MAX_NODES.get(n))
-            constraints = NetworkConstraints(p, inverters_allowed=inverters)
-            goal_q = BEST_KNOWN[(n, inverters, False)]
-            try:
-                ladder = engine.calibrate_ladder(target, constraints,
-                                                 seed=args.seed,
-                                                 replicas=replicas)
-            except engine.CalibrationError as exc:
-                # no run for this instance; the others still run
-                print(f"calibration failed: {exc}", file=sys.stderr)
-                q, reps, wall, status = "-", 0, 0.0, "partial"
-            else:
-                stop = engine.StopConditions(max_repetitions=args.max_reps,
-                                             time_limit=args.time_limit,
-                                             score_goal=goal_q - p)
-                report = engine.run(target, constraints, ladder, stop,
-                                    seed=args.seed)
-                wall, reps = report.wall_time, report.repetitions
-                status = "ok" if report.best_q is not None \
-                    and report.best_q <= goal_q else "partial"
-                q = report.best_q if report.best_q is not None else "-"
-            print(f"{n:>3} {gates:>8} {p:>3} {goal_q:>4} {q:>3} "
-                  f"{reps:>8} {wall:>8.2f} {status}")
-            rows.append((n, gates, p, goal_q, q, reps, wall, status))
-    if args.csv:
-        lines = ["n,gates,p,goal_q,q,repetitions,wall_seconds,status"]
-        lines += [",".join(str(v) for v in row) for row in rows]
-        _write_text(args.csv, "\n".join(lines) + "\n")
-        print(f"wrote {args.csv}")
-    return EXIT_OK if all(row[-1] == "ok" for row in rows) else EXIT_NO_GOAL
+            goal_q = BEST_KNOWN.get((n, inverters, False))
+            if p is None or goal_q is None:
+                raise CliError(f"--sizes: no budget or best-known q for "
+                               f"maj:{n} with gates {gates}", EXIT_USAGE)
+            instances.append((n, gates, p, goal_q))
+    replicas = _replicas(args)
+    results = []
+    print(f"{'n':>3} {'gates':>8} {'seed':>4} {'p':>3} {'goal':>4} {'q':>3} "
+          f"{'reps':>8} {'wall_s':>8} status")
+    for n, gates, p, goal_q in instances:
+        target = majority_truth_table(n)
+        constraints = NetworkConstraints(p, inverters_allowed=gates == "maj-inv")
+        runs = []
+        for seed in seeds:
+            run = _bench_run(args, target, constraints, goal_q, seed, replicas)
+            q = "-" if run["best_q"] is None else run["best_q"]
+            status = "partial" if run["to_q"][str(goal_q)] is None else "ok"
+            print(f"{n:>3} {gates:>8} {seed:>4} {p:>3} {goal_q:>4} {q:>3} "
+                  f"{run['repetitions']:>8} {run['wall_seconds']:>8.2f} {status}")
+            runs.append(run)
+        median = {q: _bench_median(runs, q) for q in runs[0]["to_q"]}
+        if len(seeds) > 1:
+            for q, med in median.items():
+                print(f"q<={q}: median {med['repetitions']} reps"
+                      f"{' (censored)' if med['repetitions_censored'] else ''}, "
+                      f"{med['seconds']} s"
+                      f"{' (censored)' if med['seconds_censored'] else ''}")
+        results.append({
+            "setup": {"n": n, "gates": gates, "p": p, "goal_q": goal_q, "seeds": seeds,
+                      "max_reps": args.max_reps, "time_limit": args.time_limit,
+                      "threads": args.threads, "ladder": "calibrated per seed",
+                      "move_weights": list(args.move_weights)},
+            "solved": {str(g): sum(run["to_q"][str(g)] is not None for run in runs) / len(runs)
+                       for g in (goal_q + 1, goal_q)},
+            "median": median, "runs": runs})
+    if args.json:
+        host = f"{platform.machine()}, {os.cpu_count()} CPUs, Python {platform.python_version()}"
+        _write_text(args.json, json.dumps(
+            {"command": " ".join(["ptsynth", *args.argv]), "host": host,
+             "instances": results}, indent=1) + "\n")
+        print(f"wrote {args.json}")
+    solved = all(inst["solved"][str(inst["setup"]["goal_q"])] == 1
+                 for inst in results)
+    return EXIT_OK if solved else EXIT_NO_GOAL
 
 
 def _move_weights(text: str) -> tuple[float, float]:
@@ -340,6 +410,21 @@ def _add_target_options(parser: argparse.ArgumentParser, with_budget: bool = Tru
                                  f"{engine.WARMUP_SWEEPS})")
 
 
+def _add_run_options(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument("--max-reps", type=_positive(int), default=10**7)
+    parser.add_argument("--time-limit", type=_positive(float), default=None,
+                        help="wall-clock budget per run in seconds")
+    parser.add_argument("--threads", type=_positive(int), default=1,
+                        help="processes that sweep the replicas (default 1); "
+                             "the output is the same for every value, and "
+                             "the run is serial where the platform cannot "
+                             "fork")
+    parser.add_argument("--move-weights", type=_move_weights,
+                        default=(1.0, 0.0),
+                        help="relative weights of reassign-one and "
+                             "swap-between-gates (default 1,0)")
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="ptsynth",
@@ -351,20 +436,9 @@ def build_parser() -> argparse.ArgumentParser:
     _add_target_options(synth)
     synth.add_argument("--ladder", default=None,
                        help="ladder file (default: calibrate one)")
-    synth.add_argument("--max-reps", type=_positive(int), default=10**7)
-    synth.add_argument("--time-limit", type=_positive(float), default=None,
-                       help="wall-clock budget in seconds")
+    _add_run_options(synth)
     synth.add_argument("--score-goal", type=int, default=None,
                        help="stop when the best score reaches this value")
-    synth.add_argument("--threads", type=_positive(int), default=1,
-                       help="processes that sweep the replicas (default 1); "
-                            "the output is the same for every value, and "
-                            "the run is serial where the platform cannot "
-                            "fork")
-    synth.add_argument("--move-weights", type=_move_weights,
-                       default=(1.0, 0.0),
-                       help="relative weights of reassign-one and "
-                            "swap-between-gates (default 1,0)")
     synth.add_argument("--out", default=None, help="best-network output file")
     synth.add_argument("--trace", default=None, help="trace CSV output file")
     synth.add_argument("--wall-clock-trace", action="store_true",
@@ -391,14 +465,17 @@ def build_parser() -> argparse.ArgumentParser:
     calibrate.add_argument("--out", default=None, help="ladder output file")
     calibrate.set_defaults(func=cmd_calibrate)
 
-    bench = sub.add_parser("bench", help="reproduce the benchmark table")
-    bench.add_argument("--suite", choices=("quick", "paper"), default="quick")
-    bench.add_argument("--seed", type=int, default=0)
-    bench.add_argument("--replicas", type=int, default=None)
-    bench.add_argument("--max-reps", type=_positive(int), default=10**7)
-    bench.add_argument("--time-limit", type=_positive(float), default=None,
-                       help="wall-clock budget per instance in seconds")
-    bench.add_argument("--csv", default=None, help="summary CSV output file")
+    bench = sub.add_parser("bench", help="time MAJ-n runs to the best-known q")
+    bench.add_argument("--sizes", default="3,5,7",
+                       help="comma-separated n (default 3,5,7)")
+    bench.add_argument("--gates", default="maj,maj-inv",
+                       help="comma-separated gate sets (default both)")
+    bench.add_argument("--seeds", default="0",
+                       help="comma-separated RNG seeds (default 0)")
+    bench.add_argument("--replicas", type=int, default=None,
+                       help="override the calibrated replica count")
+    _add_run_options(bench)
+    bench.add_argument("--json", default=None, help="per-run milestones and medians output file")
     bench.set_defaults(func=cmd_bench)
     return parser
 
@@ -406,6 +483,7 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
+        args.argv = sys.argv[1:] if argv is None else argv
         return args.func(args)
     except CliError as exc:
         print(str(exc), file=sys.stderr)

@@ -1,3 +1,5 @@
+import json
+
 import pytest
 
 from ptsynth import cli, engine
@@ -331,9 +333,12 @@ def assert_usage_error(args, capsys, expected):
 
 @pytest.mark.parametrize("command", ["synth", "calibrate", "bench"])
 def test_too_few_replicas_exit_2(command, capsys):
-    args = [command, "--replicas", "3", "--seed", "1"]
-    if command != "bench":
-        args += ["--target", "maj:3", "--gates", "maj", "--max-nodes", "2"]
+    args = [command, "--replicas", "3"]
+    if command == "bench":
+        args += ["--seeds", "1"]
+    else:
+        args += ["--seed", "1", "--target", "maj:3", "--gates", "maj",
+                 "--max-nodes", "2"]
     assert_usage_error(args, capsys, "at least 4 replicas, got 3")
 
 
@@ -455,33 +460,91 @@ def test_bench_reports_a_calibration_failure_and_goes_on(tmp_path, capsys,
         raise engine.CalibrationError(f"no ladder for n={target.n}")
 
     monkeypatch.setattr(engine, "calibrate_ladder", failing)
-    summary = tmp_path / "bench.csv"
-    code = run_cli(["bench", "--suite", "quick", "--seed", "1",
-                    "--csv", str(summary)])
+    summary = tmp_path / "bench.json"
+    code = run_cli(["bench", "--seeds", "1", "--json", str(summary)])
     err = capsys.readouterr().err
     assert code == 3
     assert "Traceback" not in err
     assert err.splitlines() == [f"calibration failed: no ladder for n={n}"
                                 for n in (3, 3, 5, 5, 7, 7)]
-    rows = [line.split(",") for line in summary.read_text().splitlines()[1:]]
-    assert [(row[0], row[1], row[4], row[5], row[7]) for row in rows] == [
-        (str(n), gates, "-", "0", "partial")
-        for n in (3, 5, 7) for gates in ("maj", "maj-inv")]
+    instances = json.loads(summary.read_text())["instances"]
+    rows = [(inst["setup"]["n"], inst["setup"]["gates"], run["best_q"],
+             run["repetitions"], inst["solved"][str(inst["setup"]["goal_q"])])
+            for inst in instances for run in inst["runs"]]
+    assert rows == [(n, gates, None, 0, 0.0)
+                    for n in (3, 5, 7) for gates in ("maj", "maj-inv")]
+
+
+# MAJ-5 without inverters at p=8 on an 8-replica ladder, as bench runs it
+SHORT_BENCH = ["bench", "--sizes", "5", "--gates", "maj", "--replicas", "8"]
+
+
+def test_bench_pins_the_repetitions_of_a_short_run(tmp_path, capsys):
+    summary = tmp_path / "ttq.json"
+    code = run_cli(SHORT_BENCH + ["--seeds", "1,2", "--max-reps", "300",
+                                  "--json", str(summary)])
+    out = capsys.readouterr().out
+    assert code == 0
+    assert "q<=4: median 2.5 reps" in out
+    [result] = json.loads(summary.read_text())["instances"]
+    assert result["setup"]["seeds"] == [1, 2]
+    assert result["setup"]["max_reps"] == 300
+    # repetition counts are deterministic for a seed: they pin the stream
+    reps = [{q: hit["repetitions"] for q, hit in run["to_q"].items()}
+            for run in result["runs"]]
+    assert reps == [{"7": 1, "6": 1, "5": 1, "4": 2},
+                    {"7": 3, "6": 3, "5": 3, "4": 3}]
+    assert [run["repetitions"] for run in result["runs"]] == [2, 3]
+    assert result["solved"] == {"5": 1.0, "4": 1.0}
+    median = result["median"]["4"]
+    assert (median["repetitions"], median["repetitions_censored"],
+            median["seconds_censored"]) == (2.5, False, False)
+
+
+def test_bench_censors_unsolved_seeds_at_their_stop(tmp_path, capsys):
+    summary = tmp_path / "ttq.json"
+    code = run_cli(SHORT_BENCH + ["--seeds", "1,2,3", "--max-reps", "1",
+                                  "--json", str(summary)])
+    capsys.readouterr()
+    assert code == 3
+    [result] = json.loads(summary.read_text())["instances"]
+    # one repetition takes seed 1 to q=5 and seeds 2 and 3 nowhere
+    assert result["solved"]["4"] == 0.0
+    assert all(run["to_q"]["4"] is None for run in result["runs"])
+    median = result["median"]["4"]
+    assert median["repetitions"] == 1
+    assert median["repetitions_censored"] and median["seconds_censored"]
+
+
+@pytest.mark.parametrize("args, expected", [
+    pytest.param(["--sizes", "4"], "no budget or best-known q for maj:4",
+                 id="sizes-4"),
+    pytest.param(["--sizes", "15"], "no budget or best-known q for maj:15",
+                 id="sizes-15"),
+    pytest.param(["--gates", "nand"], "--gates: bad gate set 'nand'",
+                 id="gates-nand"),
+    pytest.param(["--seeds", "x"], "must be comma-separated integers",
+                 id="seeds-x"),
+    # 0 is a count, not "unset": it must not fall back to the default
+    pytest.param(["--replicas", "0"], "at least 4 replicas, got 0",
+                 id="replicas-0"),
+])
+def test_bench_bad_input_exit_2(args, expected, capsys):
+    assert_usage_error(["bench", *args], capsys, expected)
 
 
 @pytest.mark.slow
 def test_bench_quick_suite(tmp_path, capsys):
-    summary = tmp_path / "bench.csv"
-    code = run_cli(["bench", "--suite", "quick", "--seed", "1",
-                    "--time-limit", "300", "--csv", str(summary)])
+    summary = tmp_path / "bench.json"
+    code = run_cli(["bench", "--seeds", "1", "--time-limit", "300",
+                    "--json", str(summary)])
     capsys.readouterr()
     assert code == 0
-    lines = summary.read_text().splitlines()
-    assert lines[0] == "n,gates,p,goal_q,q,repetitions,wall_seconds,status"
-    rows = [line.split(",") for line in lines[1:]]
-    assert len(rows) == 6
-    assert all(len(row) == 8 for row in rows)
-    found = {(int(row[0]), row[1]): int(row[4]) for row in rows}
+    instances = json.loads(summary.read_text())["instances"]
+    assert len(instances) == 6
+    assert all(len(inst["runs"]) == 1 for inst in instances)
+    found = {(inst["setup"]["n"], inst["setup"]["gates"]):
+             inst["runs"][0]["best_q"] for inst in instances}
     for n, expected in ((3, 1), (5, 4), (7, 7)):
         assert found[(n, "maj")] == expected
         assert found[(n, "maj-inv")] == expected
