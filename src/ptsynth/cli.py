@@ -35,8 +35,10 @@ EXIT_USAGE = 2
 EXIT_NO_GOAL = 3
 EXIT_IO = 4
 
-# node budgets used in the published runs, by (n, inverters_allowed)
+# default node budget p by (n, inverters_allowed); from n=9 the published one
 DEFAULT_MAX_NODES = {
+    (3, True): 2, (3, False): 2, (5, True): 8, (5, False): 8,
+    (7, True): 10, (7, False): 10,
     (9, True): 16, (9, False): 17,
     (11, True): 25, (11, False): 31,
     (13, True): 35, (13, False): 44,
@@ -50,9 +52,6 @@ BEST_KNOWN = {
     (9, False, False): 13, (11, False, False): 20, (13, False, False): 28,
     (9, True, True): 13, (9, False, True): 14,
 }
-
-# small-instance node budgets for bench; larger sizes use DEFAULT_MAX_NODES
-BENCH_MAX_NODES = {3: 2, 5: 8, 7: 10}
 
 
 class CliError(Exception):
@@ -138,23 +137,27 @@ def _score_goal(args, target: TruthTable,
     return 0
 
 
+def _calibrate(args, target: TruthTable,
+               constraints: NetworkConstraints) -> engine.TemperatureLadder:
+    """``engine.calibrate_ladder`` for --seed and --replicas; a failure exits 3."""
+    try:
+        return engine.calibrate_ladder(target, constraints, seed=args.seed,
+                                       replicas=_replicas(args))
+    except engine.CalibrationError as exc:
+        raise CliError(f"calibration failed: {exc}", EXIT_NO_GOAL) from None
+
+
 def _make_ladder(args, target: TruthTable,
                  constraints: NetworkConstraints) -> engine.TemperatureLadder:
-    if args.ladder is not None:
-        # a ladder file fixes the replicas and skips calibration
-        for option, value in (("--replicas", args.replicas),
-                              ("--warmup-sweeps", args.warmup_sweeps)):
-            if value is not None:
-                raise CliError(f"{option} cannot be used with a ladder file",
-                               EXIT_USAGE)
-        try:
-            return formats.parse_ladder(_read_text(args.ladder))
-        except formats.NetworkParseError as exc:
-            raise CliError(f"{args.ladder}: {exc}", EXIT_USAGE) from None
-    return engine.calibrate_ladder(target, constraints, seed=args.seed,
-                                   replicas=_replicas(args),
-                                   warmup_sweeps=args.warmup_sweeps
-                                   or engine.WARMUP_SWEEPS)
+    if args.ladder is None:
+        return _calibrate(args, target, constraints)
+    # a ladder file fixes the replicas and skips calibration
+    if args.replicas is not None:
+        raise CliError("--replicas cannot be used with a ladder file", EXIT_USAGE)
+    try:
+        return formats.parse_ladder(_read_text(args.ladder))
+    except formats.NetworkParseError as exc:
+        raise CliError(f"{args.ladder}: {exc}", EXIT_USAGE) from None
 
 
 def cmd_synth(args) -> int:
@@ -163,11 +166,7 @@ def cmd_synth(args) -> int:
     target = _load_target(args.target)
     constraints = _constraints(args, target)
     goal = _score_goal(args, target, constraints)
-    try:
-        ladder = _make_ladder(args, target, constraints)
-    except engine.CalibrationError as exc:
-        print(f"calibration failed: {exc}", file=sys.stderr)
-        return EXIT_NO_GOAL
+    ladder = _make_ladder(args, target, constraints)
     gates = "maj-inv" if constraints.inverters_allowed else "maj"
     print(f"target {args.target} (n={target.n}), gates {gates}"
           f"{', leafy' if constraints.leafy else ''}, p={constraints.max_nodes}, "
@@ -232,20 +231,9 @@ def cmd_simplify(args) -> int:
 def cmd_calibrate(args) -> int:
     target = _load_target(args.target)
     constraints = _constraints(args, target)
-    replicas = _replicas(args)
-    try:
-        deltas = engine.collect_uphill_deltas(
-            target, constraints, engine.derived_rng(args.seed, "calibrate"),
-            args.warmup_sweeps or engine.WARMUP_SWEEPS)
-        ladder = engine.ladder_from_deltas(deltas, replicas)
-    except engine.CalibrationError as exc:
-        print(f"calibration failed: {exc}", file=sys.stderr)
-        return EXIT_NO_GOAL
+    ladder = _calibrate(args, target, constraints)
     print(f"replicas {ladder.size}")
     print("betas " + " ".join(f"{b:.6f}" for b in ladder.betas))
-    for rate in engine.ANCHOR_RATES:
-        beta = engine.anchor_beta(deltas, rate)
-        print(f"anchor rate {rate:g}: beta {beta:.6f}")
     if args.probe is not None:
         rates = engine.probe_swap_rates(target, constraints, ladder,
                                         seed=args.seed, repetitions=args.probe)
@@ -262,15 +250,19 @@ def _bench_run(args, target: TruthTable, constraints: NetworkConstraints,
     """Calibrate a ladder for ``seed`` and run to ``goal_q``; record the
     repetitions and seconds at which q first reached each value from
     ``goal_q + 3`` down to ``goal_q``.  A failed calibration is reported
-    and leaves the run unsolved at 0 repetitions, with no calibration time."""
+    and leaves the run unsolved at 0 repetitions, with no calibration time,
+    as does a Ctrl-C there; a Ctrl-C there or in the run marks it interrupted."""
     run = {"seed": seed, "replicas": replicas, "calibration_seconds": None,
-           "best_q": None, "repetitions": 0, "wall_seconds": 0.0,
+           "best_q": None, "repetitions": 0, "wall_seconds": 0.0, "interrupted": False,
            "to_q": dict.fromkeys(str(q) for q in range(goal_q + 3, goal_q - 1, -1))}
     start = time.perf_counter()
     try:
         ladder = engine.calibrate_ladder(target, constraints, seed=seed, replicas=replicas)
     except engine.CalibrationError as exc:
         print(f"calibration failed: {exc}", file=sys.stderr)
+        return run
+    except KeyboardInterrupt:
+        run["interrupted"] = True
         return run
     run["calibration_seconds"] = round(time.perf_counter() - start, 3)
     stop = engine.StopConditions(max_repetitions=args.max_reps, time_limit=args.time_limit,
@@ -279,7 +271,7 @@ def _bench_run(args, target: TruthTable, constraints: NetworkConstraints,
                         threads=args.threads, move_weights=args.move_weights,
                         wall_clock_trace=True)
     run.update(best_q=report.best_q, repetitions=report.repetitions,
-               wall_seconds=round(report.wall_time, 3))
+               wall_seconds=round(report.wall_time, 3), interrupted=report.interrupted)
     for q in run["to_q"]:
         row = next((r for r in report.trace if r.best_q <= int(q)), None)
         if row is not None:
@@ -317,7 +309,7 @@ def cmd_bench(args) -> int:
             if gates not in ("maj", "maj-inv"):
                 raise CliError(f"--gates: bad gate set {gates!r}", EXIT_USAGE)
             inverters = gates == "maj-inv"
-            p = DEFAULT_MAX_NODES.get((n, inverters), BENCH_MAX_NODES.get(n))
+            p = DEFAULT_MAX_NODES.get((n, inverters))
             goal_q = BEST_KNOWN.get((n, inverters, False))
             if p is None or goal_q is None:
                 raise CliError(f"--sizes: no budget or best-known q for "
@@ -325,40 +317,60 @@ def cmd_bench(args) -> int:
             instances.append((n, gates, p, goal_q))
     replicas = _replicas(args)
     results = []
+    host = f"{platform.machine()}, {os.cpu_count()} CPUs, Python {platform.python_version()}"
+
+    def write_json() -> None:
+        if args.json:
+            _write_text(args.json, json.dumps(
+                {"command": " ".join(["ptsynth", *args.argv]), "host": host,
+                 "instances": results}, indent=1) + "\n")
+
+    # a path that cannot be written fails before the first calibration, and
+    # the file is rewritten after every run, so finished runs survive a stop
+    write_json()
     print(f"{'n':>3} {'gates':>8} {'seed':>4} {'p':>3} {'goal':>4} {'q':>3} "
           f"{'reps':>8} {'wall_s':>8} status")
+    interrupted = False
     for n, gates, p, goal_q in instances:
         target = majority_truth_table(n)
         constraints = NetworkConstraints(p, inverters_allowed=gates == "maj-inv")
         runs = []
-        for seed in seeds:
-            run = _bench_run(args, target, constraints, goal_q, seed, replicas)
-            q = "-" if run["best_q"] is None else run["best_q"]
-            status = "partial" if run["to_q"][str(goal_q)] is None else "ok"
-            print(f"{n:>3} {gates:>8} {seed:>4} {p:>3} {goal_q:>4} {q:>3} "
-                  f"{run['repetitions']:>8} {run['wall_seconds']:>8.2f} {status}")
-            runs.append(run)
-        median = {q: _bench_median(runs, q) for q in runs[0]["to_q"]}
-        if len(seeds) > 1:
-            for q, med in median.items():
-                print(f"q<={q}: median {med['repetitions']} reps"
-                      f"{' (censored)' if med['repetitions_censored'] else ''}, "
-                      f"{med['seconds']} s"
-                      f"{' (censored)' if med['seconds_censored'] else ''}")
-        results.append({
+        instance = {
             "setup": {"n": n, "gates": gates, "p": p, "goal_q": goal_q, "seeds": seeds,
                       "max_reps": args.max_reps, "time_limit": args.time_limit,
                       "threads": args.threads, "ladder": "calibrated per seed",
                       "move_weights": list(args.move_weights)},
-            "solved": {str(g): sum(run["to_q"][str(g)] is not None for run in runs) / len(runs)
-                       for g in (goal_q + 1, goal_q)},
-            "median": median, "runs": runs})
+            "solved": None, "median": None, "runs": runs}
+        results.append(instance)
+        for seed in seeds:
+            run = _bench_run(args, target, constraints, goal_q, seed, replicas)
+            runs.append(run)
+            interrupted = run["interrupted"]
+            q = "-" if run["best_q"] is None else run["best_q"]
+            status = ("interrupted" if interrupted else
+                      "partial" if run["to_q"][str(goal_q)] is None else "ok")
+            print(f"{n:>3} {gates:>8} {seed:>4} {p:>3} {goal_q:>4} {q:>3} "
+                  f"{run['repetitions']:>8} {run['wall_seconds']:>8.2f} {status}")
+            instance["solved"] = {
+                str(g): sum(run["to_q"][str(g)] is not None for run in runs) / len(runs)
+                for g in (goal_q + 1, goal_q)}
+            instance["median"] = {q: _bench_median(runs, q) for q in run["to_q"]}
+            write_json()
+            if interrupted:
+                break
+        if interrupted:
+            break
+        if len(seeds) > 1:
+            for q, med in instance["median"].items():
+                print(f"q<={q}: median {med['repetitions']} reps"
+                      f"{' (censored)' if med['repetitions_censored'] else ''}, "
+                      f"{med['seconds']} s"
+                      f"{' (censored)' if med['seconds_censored'] else ''}")
     if args.json:
-        host = f"{platform.machine()}, {os.cpu_count()} CPUs, Python {platform.python_version()}"
-        _write_text(args.json, json.dumps(
-            {"command": " ".join(["ptsynth", *args.argv]), "host": host,
-             "instances": results}, indent=1) + "\n")
         print(f"wrote {args.json}")
+    if interrupted:
+        print("interrupted; no further runs started", file=sys.stderr)
+        return EXIT_NO_GOAL
     solved = all(inst["solved"][str(inst["setup"]["goal_q"])] == 1
                  for inst in results)
     return EXIT_OK if solved else EXIT_NO_GOAL
@@ -400,14 +412,12 @@ def _add_target_options(parser: argparse.ArgumentParser, with_budget: bool = Tru
         parser.add_argument("--leafy", action="store_true",
                             help="require a primary input on every gate")
         parser.add_argument("--max-nodes", "-p", type=int, default=None,
-                            help="node budget p (defaults exist for maj:9/11/13)")
+                            help="node budget p (defaults exist for "
+                                 "maj:3/5/7/9/11/13)")
         parser.add_argument("--seed", type=int, default=0,
                             help="RNG seed (default 0)")
         parser.add_argument("--replicas", type=int, default=None,
                             help="override the calibrated replica count")
-        parser.add_argument("--warmup-sweeps", type=_positive(int), default=None,
-                            help="calibration warm-up sweeps (default "
-                                 f"{engine.WARMUP_SWEEPS})")
 
 
 def _add_run_options(parser: argparse.ArgumentParser) -> None:

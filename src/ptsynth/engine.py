@@ -655,7 +655,7 @@ def run(target: TruthTable, constraints: NetworkConstraints,
 
 
 DEFAULT_REPLICAS = 51  # ladder size when the caller sets none
-WARMUP_SWEEPS = 200  # calibration warm-up sweeps when the caller sets none
+WARMUP_SWEEPS = 200  # sweeps of the calibration warm-up
 # estimated acceptance of the warm-up's uphill moves at the four anchors
 ANCHOR_RATES = (0.99, 0.60, 0.01, 1e-6)
 BETA_MAX = 100.0  # upper end of anchor_beta's bisection
@@ -664,7 +664,7 @@ TOLERANCE = 1e-6  # interval width at which that bisection stops
 
 def check_replica_count(replicas: int) -> int:
     """The ladder size, unchanged.  Raises ValueError below 4, the fewest
-    the two-segment ladder of ``ladder_from_deltas`` can hold."""
+    the two-segment ladder of ``calibrate_ladder`` can hold."""
     if replicas < 4:
         raise ValueError("the two-segment ladder needs at least 4 "
                          f"replicas, got {replicas}")
@@ -694,48 +694,37 @@ def anchor_beta(deltas: Counter, rate: float) -> float:
 
 
 def collect_uphill_deltas(target: TruthTable, constraints: NetworkConstraints,
-                          rng: random.Random, warmup_sweeps: int) -> Counter:
-    """Infinite-temperature random walk recording every uphill score delta."""
+                          rng: random.Random) -> Counter:
+    """Infinite-temperature random walk of ``WARMUP_SWEEPS`` sweeps,
+    recording every uphill score delta."""
     net = random_network(target.n, constraints, rng)
     replica = Replica(net, evaluate_full(net, target), rng)
     seen: Counter = Counter()
-    for _ in range(warmup_sweeps):
+    for _ in range(WARMUP_SWEEPS):
         stats = sweep(replica, 0.0, collect_deltas=True)
         seen.update(stats.uphill_deltas)
     return seen
 
 
 def calibrate_ladder(target: TruthTable, constraints: NetworkConstraints,
-                     seed=0, replicas: int = DEFAULT_REPLICAS,
-                     warmup_sweeps: int = WARMUP_SWEEPS) -> TemperatureLadder:
-    """Warm up for ``warmup_sweeps`` sweeps at infinite temperature, then
-    build a ladder of ``replicas`` temperatures from the observed uphill
-    deltas (see ``ladder_from_deltas``).  Raises ValueError, before any
-    warm-up sweep, on a ladder size that ``check_replica_count`` rejects."""
-    check_replica_count(replicas)
-    deltas = collect_uphill_deltas(target, constraints,
-                                   derived_rng(seed, "calibrate"),
-                                   warmup_sweeps)
-    return ladder_from_deltas(deltas, replicas)
+                     seed=0, replicas: int = DEFAULT_REPLICAS) -> TemperatureLadder:
+    """Build the two-segment linear-in-beta ladder from a warm-up.
 
-
-def ladder_from_deltas(deltas: Counter, replicas: int) -> TemperatureLadder:
-    """Build the two-segment linear-in-beta ladder from warm-up statistics.
-
-    Four anchor temperatures are chosen so the estimated acceptance of the
-    observed uphill moves is roughly ``ANCHOR_RATES``; replicas are
-    inserted linearly in beta between the middle anchors until the ladder
-    holds ``replicas`` temperatures.  Raises ValueError on a ladder size
-    that ``check_replica_count`` rejects.
+    The warm-up (``collect_uphill_deltas``) records the uphill deltas of a
+    walk at infinite temperature.  Four anchor temperatures are chosen so
+    the estimated acceptance of those moves is roughly ``ANCHOR_RATES``;
+    replicas are inserted linearly in beta between the middle anchors until
+    the ladder holds ``replicas`` temperatures.  Raises ValueError, before
+    any warm-up sweep, on a ladder size that ``check_replica_count``
+    rejects, and CalibrationError if the warm-up saw no uphill move or its
+    anchors do not increase.
     """
     check_replica_count(replicas)
-    if not deltas:
-        raise CalibrationError(
-            "warm-up saw no energy-increasing updates; increase warmup_sweeps")
+    deltas = collect_uphill_deltas(target, constraints,
+                                   derived_rng(seed, "calibrate"))
     b1, b2, bk, bl = (anchor_beta(deltas, r) for r in ANCHOR_RATES)
     if not b1 < b2 < bk < bl:
-        raise CalibrationError(f"degenerate anchors {b1}, {b2}, {bk}, {bl}; "
-                               "increase warmup_sweeps")
+        raise CalibrationError(f"degenerate anchors {b1}, {b2}, {bk}, {bl}")
     interior = replicas - 2
     a = round(interior * (bk - b2) / (bl - b2))
     a = max(1, min(interior - 1, a))

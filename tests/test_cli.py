@@ -1,3 +1,4 @@
+import dataclasses
 import json
 
 import pytest
@@ -84,8 +85,23 @@ def test_bad_usage_exit_2(capsys):
 
 
 def test_synth_requires_max_nodes_for_small_targets(capsys):
-    assert run_cli(["synth", "--target", "maj:5"]) == 2
+    # maj:1 is the one builtin size with no default budget
+    assert run_cli(["synth", "--target", "maj:1"]) == 2
     capsys.readouterr()
+
+
+def test_synth_requires_max_nodes_for_a_target_file(tmp_path, capsys):
+    table = tmp_path / "maj3.tt"
+    table.write_text("E8\n")
+    assert run_cli(["synth", "--target", str(table), "--gates", "maj"]) == 2
+    assert capsys.readouterr().err.splitlines() == [
+        "--max-nodes is required for this target"]
+
+
+def test_synth_runs_maj5_at_the_budget_bench_uses(capsys):
+    assert run_cli(["synth", "--target", "maj:5", "--gates", "maj",
+                    "--seed", "1"]) == 0
+    assert ", p=8, " in capsys.readouterr().out.splitlines()[0]
 
 
 def test_simplify_removes_dead_gate(tmp_path, capsys):
@@ -219,8 +235,8 @@ CALIBRATE = ["calibrate", "--target", "maj:3", "--max-nodes", "1"]
     (SYNTH + ["--time-limit", "inf"], "--time-limit"),
     (SYNTH + ["--max-reps", "-5"], "--max-reps"),
     (SYNTH + ["--max-reps", "0"], "--max-reps"),
-    (SYNTH + ["--warmup-sweeps", "-1"], "--warmup-sweeps"),
-    (CALIBRATE + ["--warmup-sweeps", "0"], "--warmup-sweeps"),
+    (["bench", "--threads", "0"], "--threads"),
+    (SYNTH + ["--time-limit", "1e309"], "--time-limit"),
     (CALIBRATE + ["--probe", "-3"], "--probe"),
     (["bench", "--max-reps", "-1"], "--max-reps"),
     (["bench", "--time-limit=-inf"], "--time-limit"),
@@ -266,6 +282,7 @@ def test_calibrate_replica_override(capsys):
                     "--max-nodes", "2", "--replicas", "8", "--seed", "1"])
     out = capsys.readouterr().out
     assert code == 0
+    assert [line.split()[0] for line in out.splitlines()] == ["replicas", "betas"]
     assert "replicas 8" in out
     betas = [float(v) for v in
              next(line for line in out.splitlines()
@@ -308,6 +325,14 @@ def test_calibrate_probe_prints_the_swap_rates(capsys):
     assert f"min swap rate {min(rates):.3f}" in lines
     assert run_cli(args) == 0
     assert "swap rate" not in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("args", [SYNTH, CALIBRATE])
+def test_warmup_sweeps_option_is_gone(args, capsys):
+    with pytest.raises(SystemExit) as err:
+        run_cli(args + ["--warmup-sweeps", "50"])
+    assert err.value.code == 2
+    assert "unrecognized arguments: --warmup-sweeps" in capsys.readouterr().err
 
 
 def test_probe_reps_option_is_gone(capsys):
@@ -362,8 +387,8 @@ def test_malformed_ladder_file_exit_2(text, expected, tmp_path, capsys):
                         "--ladder", str(ladder)], capsys, expected)
 
 
-@pytest.mark.parametrize("option", [["--replicas", "9"],
-                                    ["--warmup-sweeps", "50"]])
+# --replicas is the one calibration option
+@pytest.mark.parametrize("option", [["--replicas", "9"]])
 def test_calibration_option_with_a_ladder_file_exit_2(option, tmp_path,
                                                       capsys):
     ladder = tmp_path / "ladder.txt"
@@ -455,8 +480,7 @@ def test_target_file_with_unit_weights_runs(tmp_path, capsys):
 
 def test_bench_reports_a_calibration_failure_and_goes_on(tmp_path, capsys,
                                                         monkeypatch):
-    def failing(target, constraints, seed=0, replicas=engine.DEFAULT_REPLICAS,
-                warmup_sweeps=engine.WARMUP_SWEEPS):
+    def failing(target, constraints, seed=0, replicas=engine.DEFAULT_REPLICAS):
         raise engine.CalibrationError(f"no ladder for n={target.n}")
 
     monkeypatch.setattr(engine, "calibrate_ladder", failing)
@@ -514,6 +538,52 @@ def test_bench_censors_unsolved_seeds_at_their_stop(tmp_path, capsys):
     median = result["median"]["4"]
     assert median["repetitions"] == 1
     assert median["repetitions_censored"] and median["seconds_censored"]
+
+
+def test_bench_json_in_a_missing_directory_exit_4_before_calibrating(
+        tmp_path, monkeypatch, capsys):
+    calls = []
+    monkeypatch.setattr(engine, "calibrate_ladder",
+                        lambda *args, **kwargs: calls.append(args))
+    summary = tmp_path / "missing" / "x.json"
+    assert run_cli(SHORT_BENCH + ["--seeds", "1,2", "--json", str(summary)]) == 4
+    assert calls == []
+    assert capsys.readouterr().err.startswith(f"cannot write {summary}: ")
+
+
+@pytest.mark.parametrize("where", ["run", "calibration"])
+def test_bench_stops_at_the_first_interrupt(where, tmp_path, monkeypatch,
+                                            capsys):
+    calls = []
+    real_run, real_calibrate = engine.run, engine.calibrate_ladder
+
+    def cut_run(*args, **kwargs):
+        calls.append("run")
+        report = real_run(*args, **kwargs)
+        return dataclasses.replace(report, interrupted=len(calls) == 1)
+
+    def cut_calibration(*args, **kwargs):
+        calls.append("calibrate")
+        if len(calls) == 1:
+            raise KeyboardInterrupt
+        return real_calibrate(*args, **kwargs)
+
+    if where == "run":
+        monkeypatch.setattr(engine, "run", cut_run)
+    else:
+        monkeypatch.setattr(engine, "calibrate_ladder", cut_calibration)
+    summary = tmp_path / "ttq.json"
+    code = run_cli(SHORT_BENCH + ["--seeds", "1,2,3", "--max-reps", "300",
+                                  "--json", str(summary)])
+    out, err = capsys.readouterr()
+    assert code == 3
+    assert len(calls) == 1
+    assert err.splitlines() == ["interrupted; no further runs started"]
+    rows = out.splitlines()[1:-1]
+    assert len(rows) == 1 and rows[0].split()[2] == "1"
+    assert rows[0].endswith(" interrupted")
+    [result] = json.loads(summary.read_text())["instances"]
+    assert [(run["seed"], run["interrupted"]) for run in result["runs"]] == [(1, True)]
 
 
 @pytest.mark.parametrize("args, expected", [

@@ -479,7 +479,7 @@ def test_calibrate_ladder_degenerate_case():
 def test_collect_uphill_deltas_nonempty():
     target = majority_truth_table(3)
     cons = NetworkConstraints(2, inverters_allowed=False)
-    deltas = collect_uphill_deltas(target, cons, derived_rng(0, "warm"), 20)
+    deltas = collect_uphill_deltas(target, cons, derived_rng(0, "warm"))
     assert sum(deltas.values()) > 0
     assert all(d > 0 for d in deltas)
 

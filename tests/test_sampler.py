@@ -4,9 +4,10 @@ The space is MAJ-3 without inverters at p=3, with the output at the last
 gate: 60 * 120 * 210 valid networks, one ordered triple of distinct earlier
 sources per gate.  Their scores are counted once (``SCORE_COUNTS``, and
 again by enumeration in a slow test), so P(score) at inverse temperature
-beta is exact.  One replica's sweeps must reproduce P(score = -2) within
-4 standard errors, read as 20 batch means: a move rule that breaks
-detailed balance shifts it however the sweep and the move path agree.
+beta is exact.  One replica's sweeps, and each slot of a two-replica
+ladder with swaps, must reproduce P(score = -2) within 4 standard
+errors, read as 20 batch means: a move or swap rule that breaks detailed
+balance shifts it however the sweep and the move path agree.
 """
 
 import itertools
@@ -75,6 +76,44 @@ def test_default_mix_samples_boltzmann_at_beta_1(seed):
 @pytest.mark.parametrize("seed", [1, 2])
 def test_default_mix_samples_boltzmann_at_beta_half(seed):
     assert abs(batch_z(seed, 0.5)) < 4
+
+
+def two_slot_z(seed: int, repetitions: int = 50_000,
+               batches: int = 20) -> list[float]:
+    """z of the measured P(score = -2) at each slot of a two-slot ladder
+    (beta 0.5 and 1.0), against the exact value, over ``repetitions``
+    repetitions that sweep both replicas and then run the swap phase, as
+    ``engine.run`` does."""
+    ladder = engine.TemperatureLadder([0.5, 1.0])
+    replicas = []
+    for r in range(ladder.size):
+        rng = engine.derived_rng(seed, "sampler", r)
+        net = random_network(TARGET.n, CONSTRAINTS, rng)
+        replicas.append(engine.Replica(net, evaluate_full(net, TARGET), rng))
+    order, counts = [0, 1], [[0, 0]]
+    swap_rng = engine.derived_rng(seed, "sampler-swap")
+    per_batch = repetitions // batches
+    hits = [[0] * batches for _ in order]
+    for repetition in range(1, per_batch * batches + 1):
+        for slot, r in enumerate(order):
+            engine.sweep(replicas[r], ladder.betas[slot])
+        scores = [replica.score for replica in replicas]
+        engine.swap_phase(order, ladder, repetition & 1, swap_rng, counts,
+                          scores)
+        for slot, r in enumerate(order):
+            hits[slot][(repetition - 1) // per_batch] += scores[r] == -2
+    assert counts[0][1] > 0, "no swap was accepted"
+    zs = []
+    for slot, beta in enumerate(ladder.betas):
+        means = [h / per_batch for h in hits[slot]]
+        error = statistics.stdev(means) / math.sqrt(batches)
+        zs.append((statistics.fmean(means) - exact_probability(-2, beta))
+                  / error)
+    return zs
+
+
+def test_two_replicas_with_swaps_sample_boltzmann_at_each_slot():
+    assert all(abs(z) < 4 for z in two_slot_z(1))
 
 
 @pytest.mark.slow
