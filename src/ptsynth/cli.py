@@ -133,7 +133,8 @@ def _score_goal(args, target: TruthTable,
         best = BEST_KNOWN.get((target.n, constraints.inverters_allowed,
                                constraints.leafy))
         if best is not None:
-            return best - constraints.max_nodes
+            # below the best-known q, any exact network is a find
+            return min(best - constraints.max_nodes, 0)
     return 0
 
 
@@ -253,7 +254,8 @@ def _bench_run(args, target: TruthTable, constraints: NetworkConstraints,
     and leaves the run unsolved at 0 repetitions, with no calibration time,
     as does a Ctrl-C there; a Ctrl-C there or in the run marks it interrupted."""
     run = {"seed": seed, "replicas": replicas, "calibration_seconds": None,
-           "best_q": None, "repetitions": 0, "wall_seconds": 0.0, "interrupted": False,
+           "best_q": None, "best_score": None, "repetitions": 0,
+           "wall_seconds": 0.0, "interrupted": False,
            "to_q": dict.fromkeys(str(q) for q in range(goal_q + 3, goal_q - 1, -1))}
     start = time.perf_counter()
     try:
@@ -270,7 +272,8 @@ def _bench_run(args, target: TruthTable, constraints: NetworkConstraints,
     report = engine.run(target, constraints, ladder, stop, seed=seed,
                         threads=args.threads, move_weights=args.move_weights,
                         wall_clock_trace=True)
-    run.update(best_q=report.best_q, repetitions=report.repetitions,
+    run.update(best_q=report.best_q, best_score=report.best_score,
+               repetitions=report.repetitions,
                wall_seconds=round(report.wall_time, 3), interrupted=report.interrupted)
     for q in run["to_q"]:
         row = next((r for r in report.trace if r.best_q <= int(q)), None)
@@ -329,7 +332,7 @@ def cmd_bench(args) -> int:
     # the file is rewritten after every run, so finished runs survive a stop
     write_json()
     print(f"{'n':>3} {'gates':>8} {'seed':>4} {'p':>3} {'goal':>4} {'q':>3} "
-          f"{'reps':>8} {'wall_s':>8} status")
+          f"{'score':>5} {'reps':>8} {'wall_s':>8} status")
     interrupted = False
     for n, gates, p, goal_q in instances:
         target = majority_truth_table(n)
@@ -347,10 +350,11 @@ def cmd_bench(args) -> int:
             runs.append(run)
             interrupted = run["interrupted"]
             q = "-" if run["best_q"] is None else run["best_q"]
+            score = "-" if run["best_score"] is None else run["best_score"]
             status = ("interrupted" if interrupted else
                       "partial" if run["to_q"][str(goal_q)] is None else "ok")
             print(f"{n:>3} {gates:>8} {seed:>4} {p:>3} {goal_q:>4} {q:>3} "
-                  f"{run['repetitions']:>8} {run['wall_seconds']:>8.2f} {status}")
+                  f"{score:>5} {run['repetitions']:>8} {run['wall_seconds']:>8.2f} {status}")
             instance["solved"] = {
                 str(g): sum(run["to_q"][str(g)] is not None for run in runs) / len(runs)
                 for g in (goal_q + 1, goal_q)}

@@ -3,9 +3,9 @@
 Runs M replicas at calibrated inverse temperatures.  A repetition is one
 Metropolis sweep per replica (five update attempts per gate input) followed
 by one odd-even swap phase between neighboring temperature slots.  The best
-exact network found, after cleanup, is tracked across the whole run.  The
-sweeps of one repetition are independent, so ``run`` can spread them over
-worker processes (``threads``).
+exact network found, after cleanup, is tracked across the whole run.  A
+``LadderState`` holds the run and makes each repetition; its sweeps are
+independent, so ``run`` can spread them over worker processes (``threads``).
 """
 
 from __future__ import annotations
@@ -77,8 +77,8 @@ class TemperatureLadder:
 
 
 class Replica:
-    """One network with its cache and its own RNG stream; ``run`` keeps
-    which slot it is at (see ``swap_phase``)."""
+    """One network with its cache and its own RNG stream; ``LadderState``
+    keeps which slot it is at (see ``swap_phase``)."""
 
     __slots__ = ("network", "cache", "rng")
 
@@ -502,24 +502,114 @@ class SynthesisReport:
 SWAP_NOTE_INTERVAL = 1000  # repetitions between swap-rate notes in a report
 
 
+class LadderState:
+    """A run's state between repetitions, which ``step`` advances by one
+    and ``report`` reads out.  Replica i draws from ``derived_rng(seed,
+    "replica", i)`` and is known by that identity: ``order[slot]`` is the
+    replica at each slot, which the swap phase permutes, and ``scores[r]``
+    replica r's score after its last sweep.  The sweeps' caches are trusted;
+    ``evaluate_full`` gives the fresh cache each must equal after a sweep.
+    """
+
+    def __init__(self, target: TruthTable, constraints: NetworkConstraints,
+                 ladder: TemperatureLadder, seed=0,
+                 wall_clock_trace: bool = False) -> None:
+        self.start = time.perf_counter()
+        self.target, self.constraints, self.ladder = target, constraints, ladder
+        self.seed, self.wall_clock_trace = seed, wall_clock_trace
+        m = ladder.size
+        self.replicas = []
+        for i in range(m):
+            rng = derived_rng(seed, "replica", i)
+            net = random_network(target.n, constraints, rng)
+            self.replicas.append(Replica(net, evaluate_full(net, target), rng))
+        self.order = list(range(m))
+        self.scores = [replica.score for replica in self.replicas]
+        self.swap_counts = [[0, 0] for _ in range(m - 1)]  # [attempts, accepts]
+        self.slot_proposed, self.slot_accepted = [0] * m, [0] * m
+        self.best_net: LogicNetwork | None = None
+        self.best_q: int | None = None
+        self.best_score: int | None = None
+        self.trace: list[TraceRow] = []
+        self.swap_rate_log: list[tuple[int, list[float]]] = []
+        self.repetition = 0
+        for replica in self.replicas:
+            if replica.cache.error == 0:
+                self.consider(replica.score + constraints.max_nodes,
+                              replica.network.codes, replica.network.output_code)
+        self._record_improvement()
+
+    def consider(self, q: int, codes: list[list[int]], out_code: int) -> None:
+        """Keep the cleaned network if its q beats the best."""
+        if self.best_q is not None and q >= self.best_q:
+            return
+        cleaned, count = cleanup(LogicNetwork(self.target.n, self.constraints,
+                                              [row[:] for row in codes], out_code))
+        if count != q:
+            raise RuntimeError(f"cleanup counted {count} gates, the cached "
+                               f"score implies {q}")
+        self.best_q, self.best_net = q, cleaned
+        self.best_score = q - self.constraints.max_nodes
+
+    def _record_improvement(self) -> None:
+        # one trace row per repetition, taken after all of its updates
+        best_q = self.best_q
+        if best_q is not None and (not self.trace or best_q < self.trace[-1].best_q):
+            elapsed = time.perf_counter() - self.start if self.wall_clock_trace else None
+            self.trace.append(TraceRow(self.repetition, best_q, self.best_score, elapsed))
+
+    def step(self, workers: _SweepWorkers) -> None:
+        """One repetition: ``workers`` sweep every replica at its slot, the
+        stats are read in slot order, then the swap phase runs."""
+        self.repetition += 1
+        order = self.order
+        threshold = (self.best_q if self.best_q is not None
+                     else self.constraints.max_nodes + 1)
+        # slot_of[r]: replica r's slot, the inverse permutation of order
+        stats = workers.sweep_all(sorted(range(len(order)), key=order.__getitem__),
+                                  threshold)
+        self.scores = [st.score for st in stats]  # by identity, as stats
+        for slot, r in enumerate(order):
+            st = stats[r]
+            self.slot_proposed[slot] += st.proposed
+            self.slot_accepted[slot] += st.accepted
+            if st.best_exact is not None:
+                self.consider(*st.best_exact)
+            # No consider for an exact replica: it is in its last accepted
+            # state, which the sweep snapshotted if q < threshold (consider
+            # drops any other q), or in a state an earlier pass covered.
+            if st.score > 0 and (self.best_score is None
+                                 or st.score < self.best_score):
+                self.best_score = st.score
+        self._record_improvement()
+        swap_phase(order, self.ladder, self.repetition & 1,
+                   derived_rng(self.seed, "swap", self.repetition),
+                   self.swap_counts, self.scores)
+        if self.repetition % SWAP_NOTE_INTERVAL == 0:
+            self.swap_rate_log.append((self.repetition, _rates(self.swap_counts)))
+
+    def report(self, interrupted: bool = False) -> SynthesisReport:
+        return SynthesisReport(
+            best_network=self.best_net, best_q=self.best_q,
+            best_score=self.best_score, repetitions=self.repetition,
+            wall_time=time.perf_counter() - self.start,
+            swap_rates=_rates(self.swap_counts), trace=list(self.trace),
+            slot_acceptance=_rates(zip(self.slot_proposed, self.slot_accepted)),
+            swap_rate_log=list(self.swap_rate_log), replicas=self.ladder.size,
+            interrupted=interrupted)
+
+
 def run(target: TruthTable, constraints: NetworkConstraints,
         ladder: TemperatureLadder, stop: StopConditions | None = None,
         seed=0, threads: int = 1, move_weights=(1.0, 0.0),
         wall_clock_trace: bool = False) -> SynthesisReport:
-    """Full parallel-tempering synthesis run.
-
-    ``move_weights`` is the (reassign-one, swap) mix every sweep draws its
-    attempts from (see ``sweep``).
-
-    ``run`` does not modify ``ladder``.  It counts each adjacent pair's swap
-    attempts and accepts itself (see ``swap_phase``), and reports their
-    ratio, 0.0 for a pair never tried, in ``swap_rates`` at the end and in
-    ``swap_rate_log`` every ``SWAP_NOTE_INTERVAL`` repetitions.
-
-    ``run`` knows a replica by its identity, its index at creation, and
-    keeps the ladder's state in two lists: ``order[slot]``, the replica at
-    each slot, which the swap phase permutes, and ``scores[r]``, replica r's
-    score after its last sweep.  It reads the sweep stats in slot order.
+    """Full parallel-tempering synthesis run: a ``LadderState`` stepped
+    until a stop condition holds at a repetition boundary.  ``run`` does not
+    modify ``ladder``.  ``move_weights`` is the (reassign-one, swap) mix
+    every sweep draws its attempts from (see ``sweep``).  Each pair's swap
+    rate, accepts over attempts (0.0 if never tried), is reported in
+    ``swap_rates`` and every ``SWAP_NOTE_INTERVAL`` repetitions in
+    ``swap_rate_log``.
 
     ``threads`` is the number of processes that sweep.  With 1, every sweep
     runs on the calling thread.  With k > 1, after building the replicas,
@@ -527,19 +617,15 @@ def run(target: TruthTable, constraints: NetworkConstraints,
     owns a fixed share of the replicas and their RNG streams, and the caller
     sweeps the last share itself (``_SweepWorkers``).  Each repetition the
     caller sends every worker its replicas' slots and reads back their sweep
-    stats; only the caller holds ``order`` and ``scores`` and runs the swap
-    phase.  The sweeps of a repetition are independent, so the result is the
-    same for every ``threads``.  The workers are forked (the ``fork`` start
+    stats; only the caller holds the state and runs the swap phase.  The
+    sweeps of a repetition are independent, so the result is the same for
+    every ``threads``.  The workers are forked (the ``fork`` start
     method, named explicitly), so they inherit the replicas; where the
     platform has no ``fork``, and so in any case on Windows, the run is
     serial.  As with any fork, call it with threads > 1 only from a process
     that runs no other threads.  Workers ignore SIGINT; an exception in one
     is raised again in the caller with its type and message, and every
     worker has exited when ``run`` returns or raises.
-
-    ``run`` trusts the caches its sweeps keep and does not re-evaluate
-    them; ``evaluate_full`` gives the fresh cache that each one must equal
-    after its sweep.
 
     Deterministic for a fixed (target, constraints, ladder, stop, seed,
     move_weights), as long as no wall-clock stop or interrupt cuts the run
@@ -551,107 +637,24 @@ def run(target: TruthTable, constraints: NetworkConstraints,
         raise ValueError(f"threads must be at least 1, got {threads}")
     if stop is None:
         stop = StopConditions()
-    start = time.perf_counter()
-    m = ladder.size
-    budget = constraints.max_nodes
-    replicas = []
-    for i in range(m):
-        rng = derived_rng(seed, "replica", i)
-        net = random_network(target.n, constraints, rng)
-        replicas.append(Replica(net, evaluate_full(net, target), rng))
-
-    best_q: int | None = None
-    best_score: int | None = None
-    best_net: LogicNetwork | None = None
-    trace: list[TraceRow] = []
-    swap_rate_log: list[tuple[int, list[float]]] = []
-    swap_counts = [[0, 0] for _ in range(m - 1)]  # [attempts, accepts]
-    slot_proposed = [0] * m
-    slot_accepted = [0] * m
+    state = LadderState(target, constraints, ladder, seed, wall_clock_trace)
     interrupted = False
-    repetition = 0
-
-    def consider(q: int, codes: list[list[int]], out_code: int) -> None:
-        nonlocal best_q, best_score, best_net
-        if best_q is not None and q >= best_q:
-            return
-        cleaned, count = cleanup(LogicNetwork(target.n, constraints,
-                                              [row[:] for row in codes], out_code))
-        if count != q:
-            raise RuntimeError(f"cleanup counted {count} gates, the cached "
-                               f"score implies {q}")
-        best_q, best_score, best_net = q, q - budget, cleaned
-
-    def record_improvement(rep: int) -> None:
-        # one trace row per repetition, taken after all of its updates
-        if best_q is not None and (not trace or best_q < trace[-1].best_q):
-            elapsed = time.perf_counter() - start if wall_clock_trace else None
-            trace.append(TraceRow(rep, best_q, best_q - budget, elapsed))
-
-    for replica in replicas:
-        if replica.cache.error == 0:
-            consider(replica.score + budget, replica.network.codes,
-                     replica.network.output_code)
-    record_improvement(0)
-
-    order = list(range(m))  # order[slot]: the identity of the replica there
     workers = None
     try:
-        workers = _SweepWorkers(replicas, ladder.betas, threads, move_weights)
-        while True:
-            if stop.score_goal is not None and best_score is not None \
-                    and best_score <= stop.score_goal:
-                break
-            if stop.max_repetitions is not None and repetition >= stop.max_repetitions:
-                break
-            if stop.time_limit is not None \
-                    and time.perf_counter() - start >= stop.time_limit:
-                break
-            repetition += 1
-            threshold = best_q if best_q is not None else budget + 1
-            # slot_of[r]: replica r's slot, the inverse permutation of order
-            slot_of = sorted(range(m), key=order.__getitem__)
-            stats = workers.sweep_all(slot_of, threshold)
-            scores = [st.score for st in stats]  # by identity, as stats
-
-            for slot, r in enumerate(order):
-                st = stats[r]
-                slot_proposed[slot] += st.proposed
-                slot_accepted[slot] += st.accepted
-                if st.best_exact is not None:
-                    consider(*st.best_exact)
-                # No consider for an exact replica: it is in its last
-                # accepted state, which the sweep snapshotted if q <
-                # threshold (consider drops any other q), or in a state an
-                # earlier pass covered.
-                if st.score > 0 and (best_score is None or st.score < best_score):
-                    best_score = st.score
-            record_improvement(repetition)
-
-            swap_phase(order, ladder, repetition & 1,
-                       derived_rng(seed, "swap", repetition), swap_counts,
-                       scores)
-            if repetition % SWAP_NOTE_INTERVAL == 0:
-                swap_rate_log.append((repetition, _rates(swap_counts)))
+        workers = _SweepWorkers(state.replicas, ladder.betas, threads, move_weights)
+        while not (stop.score_goal is not None and state.best_score is not None
+                   and state.best_score <= stop.score_goal
+                   or stop.max_repetitions is not None
+                   and state.repetition >= stop.max_repetitions
+                   or stop.time_limit is not None
+                   and time.perf_counter() - state.start >= stop.time_limit):
+            state.step(workers)
     except KeyboardInterrupt:
         interrupted = True
     finally:
         if workers is not None:
             workers.close()
-
-    return SynthesisReport(
-        best_network=best_net,
-        best_q=best_q,
-        best_score=best_score,
-        repetitions=repetition,
-        wall_time=time.perf_counter() - start,
-        swap_rates=_rates(swap_counts),
-        trace=trace,
-        slot_acceptance=_rates(zip(slot_proposed, slot_accepted)),
-        swap_rate_log=swap_rate_log,
-        replicas=m,
-        interrupted=interrupted,
-    )
+    return state.report(interrupted)
 
 
 DEFAULT_REPLICAS = 51  # ladder size when the caller sets none

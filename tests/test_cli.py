@@ -158,6 +158,19 @@ def test_synth_goal_not_reached_exit_3(tmp_path, capsys):
     assert code == 3
 
 
+def test_synth_below_the_best_known_q_looks_for_any_exact_network(capsys):
+    # p=2 is below MAJ-5's best-known q=4: the default goal is 0, not
+    # 4 - 2, so a network 2 rows wrong does not end the run
+    code = run_cli(["synth", "--target", "maj:5", "--gates", "maj",
+                    "--max-nodes", "2", "--seed", "1", "--replicas", "8",
+                    "--max-reps", "20"])
+    out = capsys.readouterr().out
+    assert code == 3
+    assert ", score goal 0, " in out
+    assert "no exact network: best score " in out
+    assert " after 20 repetitions " in out
+
+
 def test_synth_stopped_before_a_repetition_says_so_exit_3(tmp_path,
                                                           capsys):
     # the time limit passes while the replicas are built
@@ -538,6 +551,10 @@ def test_bench_censors_unsolved_seeds_at_their_stop(tmp_path, capsys):
     median = result["median"]["4"]
     assert median["repetitions"] == 1
     assert median["repetitions_censored"] and median["seconds_censored"]
+    # the best score says how close a run came, positive while inexact
+    for run in result["runs"]:
+        assert type(run["best_score"]) is int
+        assert run["best_q"] is not None or run["best_score"] > 0
 
 
 def test_bench_json_in_a_missing_directory_exit_4_before_calibrating(

@@ -570,6 +570,29 @@ def test_run_leaves_its_ladder_unchanged(monkeypatch):
     assert report_fields(run(target, cons, before, stop, seed=9)) == first
 
 
+@pytest.mark.parametrize("mix", [(1.0, 0.0), (1.0, 1.0)], ids=["one", "mixed"])
+def test_ladder_state_reports_between_repetitions_as_a_stopped_run(
+        mix, monkeypatch):
+    # one state, read after 0, 1 and 7 steps, reports what a run stopped
+    # at that many repetitions does; each report stays as it was read
+    monkeypatch.setattr(engine, "SWAP_NOTE_INTERVAL", 3)
+    target = majority_truth_table(5)
+    cons = NetworkConstraints(8, inverters_allowed=False)
+    ladder = TemperatureLadder([0.05, 0.3, 0.8, 1.5, 3.0, 6.0])
+    state = engine.LadderState(target, cons, ladder, seed=9)
+    workers = engine._SweepWorkers(state.replicas, ladder.betas, 1, mix)
+    reports = {}
+    for k in (0, 1, 7):
+        while state.repetition < k:
+            state.step(workers)
+        reports[k] = state.report()
+    for k, report in reports.items():
+        stopped = run(target, cons, ladder, StopConditions(max_repetitions=k),
+                      seed=9, move_weights=mix)
+        assert report_fields(report) == report_fields(stopped), k
+    assert reports[7].best_q is not None and reports[7].swap_rate_log
+
+
 def test_run_rejects_fewer_than_one_thread():
     ladder = TemperatureLadder([0.1, 1.0])
     for threads in (0, -1):

@@ -5,9 +5,10 @@ gate: 60 * 120 * 210 valid networks, one ordered triple of distinct earlier
 sources per gate.  Their scores are counted once (``SCORE_COUNTS``, and
 again by enumeration in a slow test), so P(score) at inverse temperature
 beta is exact.  One replica's sweeps, and each slot of a two-replica
-ladder with swaps, must reproduce P(score = -2) within 4 standard
-errors, read as 20 batch means: a move or swap rule that breaks detailed
-balance shifts it however the sweep and the move path agree.
+ladder stepped as ``engine.run`` steps it, must reproduce P(score = -2)
+within 4 standard errors, read as 20 batch means: a move or swap rule that
+breaks detailed balance shifts it however the sweep and the move path
+agree.
 """
 
 import itertools
@@ -82,27 +83,18 @@ def two_slot_z(seed: int, repetitions: int = 50_000,
                batches: int = 20) -> list[float]:
     """z of the measured P(score = -2) at each slot of a two-slot ladder
     (beta 0.5 and 1.0), against the exact value, over ``repetitions``
-    repetitions that sweep both replicas and then run the swap phase, as
-    ``engine.run`` does."""
+    repetitions of the ``engine.LadderState`` that ``engine.run`` steps."""
     ladder = engine.TemperatureLadder([0.5, 1.0])
-    replicas = []
-    for r in range(ladder.size):
-        rng = engine.derived_rng(seed, "sampler", r)
-        net = random_network(TARGET.n, CONSTRAINTS, rng)
-        replicas.append(engine.Replica(net, evaluate_full(net, TARGET), rng))
-    order, counts = [0, 1], [[0, 0]]
-    swap_rng = engine.derived_rng(seed, "sampler-swap")
+    state = engine.LadderState(TARGET, CONSTRAINTS, ladder, seed)
+    workers = engine._SweepWorkers(state.replicas, ladder.betas, 1, (1.0, 0.0))
     per_batch = repetitions // batches
-    hits = [[0] * batches for _ in order]
-    for repetition in range(1, per_batch * batches + 1):
-        for slot, r in enumerate(order):
-            engine.sweep(replicas[r], ladder.betas[slot])
-        scores = [replica.score for replica in replicas]
-        engine.swap_phase(order, ladder, repetition & 1, swap_rng, counts,
-                          scores)
-        for slot, r in enumerate(order):
-            hits[slot][(repetition - 1) // per_batch] += scores[r] == -2
-    assert counts[0][1] > 0, "no swap was accepted"
+    hits = [[0] * batches for _ in ladder.betas]
+    for batch in range(batches):
+        for _ in range(per_batch):
+            state.step(workers)
+            for slot, r in enumerate(state.order):
+                hits[slot][batch] += state.scores[r] == -2
+    assert state.swap_counts[0][1] > 0, "no swap was accepted"
     zs = []
     for slot, beta in enumerate(ladder.betas):
         means = [h / per_batch for h in hits[slot]]
