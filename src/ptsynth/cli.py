@@ -76,6 +76,16 @@ def _write_text(path: str, text: str) -> None:
         raise CliError(f"cannot write {path}: {exc}", EXIT_IO) from None
 
 
+def _check_writable(path: str) -> None:
+    """Exit 4 now, not after a search, if ``path`` names a directory or lies
+    in one that does not exist.  Nothing is created."""
+    if os.path.isdir(path):
+        raise CliError(f"cannot write {path}: is a directory", EXIT_IO)
+    folder = os.path.dirname(path) or "."
+    if not os.path.isdir(folder):
+        raise CliError(f"cannot write {path}: no directory {folder}", EXIT_IO)
+
+
 def _load_target(label: str) -> TruthTable:
     if label.startswith("maj:"):
         try:
@@ -167,6 +177,9 @@ def cmd_synth(args) -> int:
     target = _load_target(args.target)
     constraints = _constraints(args, target)
     goal = _score_goal(args, target, constraints)
+    for path in (args.out, args.trace):
+        if path:
+            _check_writable(path)
     ladder = _make_ladder(args, target, constraints)
     gates = "maj-inv" if constraints.inverters_allowed else "maj"
     print(f"target {args.target} (n={target.n}), gates {gates}"
@@ -189,6 +202,11 @@ def cmd_synth(args) -> int:
     else:
         print(f"no exact network: best score {report.best_score} after "
               f"{report.repetitions} repetitions in {report.wall_time:.2f} s")
+    if report.repetitions:
+        # pair 0 joins the two hottest slots; a pair never tried reads 0.000
+        print("swap rates " + " ".join(f"{r:.3f}" for r in report.swap_rates))
+        print(f"min swap rate {min(report.swap_rates):.3f}")
+        print("slot acceptance " + " ".join(f"{a:.3f}" for a in report.slot_acceptance))
     if args.trace:
         _write_text(args.trace, formats.emit_trace(report.trace, report.swap_rate_log))
         print(f"wrote trace {args.trace}")
@@ -235,11 +253,6 @@ def cmd_calibrate(args) -> int:
     ladder = _calibrate(args, target, constraints)
     print(f"replicas {ladder.size}")
     print("betas " + " ".join(f"{b:.6f}" for b in ladder.betas))
-    if args.probe is not None:
-        rates = engine.probe_swap_rates(target, constraints, ladder,
-                                        seed=args.seed, repetitions=args.probe)
-        print("swap rates " + " ".join(f"{r:.3f}" for r in rates))
-        print(f"min swap rate {min(rates):.3f}")
     if args.out:
         _write_text(args.out, formats.emit_ladder(ladder))
         print(f"wrote ladder {args.out}")
@@ -254,8 +267,8 @@ def _bench_run(args, target: TruthTable, constraints: NetworkConstraints,
     and leaves the run unsolved at 0 repetitions, with no calibration time,
     as does a Ctrl-C there; a Ctrl-C there or in the run marks it interrupted."""
     run = {"seed": seed, "replicas": replicas, "calibration_seconds": None,
-           "best_q": None, "best_score": None, "repetitions": 0,
-           "wall_seconds": 0.0, "interrupted": False,
+           "best_q": None, "best_score": None, "min_swap_rate": None,
+           "repetitions": 0, "wall_seconds": 0.0, "interrupted": False,
            "to_q": dict.fromkeys(str(q) for q in range(goal_q + 3, goal_q - 1, -1))}
     start = time.perf_counter()
     try:
@@ -273,6 +286,7 @@ def _bench_run(args, target: TruthTable, constraints: NetworkConstraints,
                         threads=args.threads, move_weights=args.move_weights,
                         wall_clock_trace=True)
     run.update(best_q=report.best_q, best_score=report.best_score,
+               min_swap_rate=min(report.swap_rates) if report.repetitions else None,
                repetitions=report.repetitions,
                wall_seconds=round(report.wall_time, 3), interrupted=report.interrupted)
     for q in run["to_q"]:
@@ -391,18 +405,18 @@ def _move_weights(text: str) -> tuple[float, float]:
         raise argparse.ArgumentTypeError(str(err)) from None
 
 
-def _positive(convert, low=0):
+def _positive(convert):
     """An argparse type: ``convert(text)``, which must be finite and above
-    ``low``."""
+    0."""
     def parse(text: str):
         try:
             value = convert(text)
         except ValueError:
             raise argparse.ArgumentTypeError(
                 f"invalid {convert.__name__} value: {text!r}") from None
-        if not low < value < math.inf:
+        if not 0 < value < math.inf:
             raise argparse.ArgumentTypeError(
-                f"must be finite and above {low}, got {text}")
+                f"must be finite and above 0, got {text}")
         return value
     return parse
 
@@ -471,11 +485,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     calibrate = sub.add_parser("calibrate", help="build a temperature ladder")
     _add_target_options(calibrate)
-    calibrate.add_argument("--probe", nargs="?", type=_positive(int, 1),
-                           const=1000, default=None, metavar="REPS",
-                           help="measure swap rates with a probe run of REPS "
-                                "repetitions, at least 2 so that every pair "
-                                "is tried (default 1000)")
     calibrate.add_argument("--out", default=None, help="ladder output file")
     calibrate.set_defaults(func=cmd_calibrate)
 

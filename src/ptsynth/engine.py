@@ -737,14 +737,3 @@ def calibrate_ladder(target: TruthTable, constraints: NetworkConstraints,
     betas += [bk + (bl - bk) * i / b for i in range(1, b + 1)]
     return TemperatureLadder(betas)
 
-
-def probe_swap_rates(target: TruthTable, constraints: NetworkConstraints,
-                     ladder: TemperatureLadder, seed=0,
-                     repetitions: int = 1000) -> list[float]:
-    """Measure per-pair swap rates over a bounded probe run.  Raises
-    ValueError below 2 repetitions, as one tries only the even pairs."""
-    if repetitions < 2:
-        raise ValueError("a swap-rate probe needs at least 2 repetitions, "
-                         f"got {repetitions}")
-    return run(target, constraints, ladder,
-               StopConditions(max_repetitions=repetitions), seed=seed).swap_rates

@@ -19,10 +19,11 @@ import pytest
 
 from ptsynth import cli, oracle
 from ptsynth.engine import (
+    StopConditions,
     accept_uphill,
     calibrate_ladder,
     derived_rng,
-    probe_swap_rates,
+    run,
 )
 from ptsynth.formats import parse_network
 from ptsynth.network import (
@@ -238,8 +239,8 @@ def test_criterion_8_ladder_quality():
     ladder = calibrate_ladder(target, constraints, seed=1)
     assert 41 <= ladder.size <= 61, ladder.size
     assert all(b2 > b1 for b1, b2 in zip(ladder.betas, ladder.betas[1:]))
-    rates = probe_swap_rates(target, constraints, ladder, seed=1,
-                             repetitions=1000)
+    rates = run(target, constraints, ladder,
+                StopConditions(max_repetitions=1000), seed=1).swap_rates
     assert min(rates) > 0.20, f"worst swap rate {min(rates):.3f}"
     report(8, f"M={ladder.size}, swap rates in "
               f"[{min(rates):.2f}, {max(rates):.2f}] over 1000 repetitions")

@@ -250,21 +250,18 @@ CALIBRATE = ["calibrate", "--target", "maj:3", "--max-nodes", "1"]
     (SYNTH + ["--max-reps", "0"], "--max-reps"),
     (["bench", "--threads", "0"], "--threads"),
     (SYNTH + ["--time-limit", "1e309"], "--time-limit"),
-    (CALIBRATE + ["--probe", "-3"], "--probe"),
+    (["bench", "--time-limit", "nan"], "--time-limit"),
     (["bench", "--max-reps", "-1"], "--max-reps"),
     (["bench", "--time-limit=-inf"], "--time-limit"),
     (SYNTH + ["--threads", "0"], "--threads"),
     (SYNTH + ["--threads", "-1"], "--threads"),
-    # one repetition tries only the even pairs
-    (CALIBRATE + ["--probe", "1"], "--probe"),
 ])
 def test_out_of_range_numeric_options_exit_2(args, option, capsys):
     with pytest.raises(SystemExit) as err:
         run_cli(args)
     assert err.value.code == 2
     last = capsys.readouterr().err.splitlines()[-1]
-    low = 1 if option == "--probe" else 0
-    assert f"error: argument {option}: must be finite and above {low}" in last
+    assert f"error: argument {option}: must be finite and above 0" in last
 
 
 def test_non_integer_threads_exit_2(capsys):
@@ -326,18 +323,49 @@ def test_calibrate_runs_the_warmup_once(monkeypatch, tmp_path, capsys):
     assert out.read_text() == emit_ladder(ladder)
 
 
-def test_calibrate_probe_prints_the_swap_rates(capsys):
-    args = ["calibrate", "--target", "maj:3", "--gates", "maj",
-            "--max-nodes", "2", "--replicas", "4", "--seed", "1"]
-    assert run_cli(args + ["--probe", "2"]) == 0
-    lines = capsys.readouterr().out.splitlines()
-    rates = [float(v) for v in
-             next(line for line in lines
-                  if line.startswith("swap rates ")).split()[2:]]
-    assert len(rates) == 3
-    assert f"min swap rate {min(rates):.3f}" in lines
-    assert run_cli(args) == 0
-    assert "swap rate" not in capsys.readouterr().out
+def test_synth_prints_the_swap_rates_and_slot_acceptance_of_its_report(capsys):
+    # a score goal below any score runs all 50 repetitions
+    args = ["synth", "--target", "maj:5", "--gates", "maj", "--replicas", "8",
+            "--seed", "3", "--max-reps", "50", "--score-goal", "-100"]
+    target = majority_truth_table(5)
+    constraints = NetworkConstraints(8, inverters_allowed=False)
+    ladder = engine.calibrate_ladder(target, constraints, seed=3, replicas=8)
+    report = engine.run(target, constraints, ladder,
+                        engine.StopConditions(max_repetitions=50, score_goal=-100),
+                        seed=3)
+    expected = [
+        "swap rates " + " ".join(f"{r:.3f}" for r in report.swap_rates),
+        f"min swap rate {min(report.swap_rates):.3f}",
+        "slot acceptance " + " ".join(f"{a:.3f}" for a in report.slot_acceptance)]
+    # the stream of this run is pinned
+    assert expected[:2] == ["swap rates 0.800 0.000 0.680 0.960 0.920 0.960 1.000",
+                            "min swap rate 0.000"]
+    for threads in ("1", "2"):
+        assert run_cli(args + ["--threads", threads]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[2:5] == expected
+    # a run cut before its first repetition has no rates to print
+    assert run_cli(args + ["--time-limit", "1e-9"]) == 3
+    out = capsys.readouterr().out
+    assert "no repetition completed" in out
+    assert "swap rate" not in out and "slot acceptance" not in out
+
+
+@pytest.mark.parametrize("option, name", [("--out", "missing/x.mig"),
+                                          ("--trace", "missing/x.csv"),
+                                          ("--out", "")])
+def test_synth_output_in_a_missing_directory_exit_4_before_calibrating(
+        option, name, tmp_path, monkeypatch, capsys):
+    calls = []
+    monkeypatch.setattr(engine, "calibrate_ladder",
+                        lambda *args, **kwargs: calls.append(args))
+    # "" leaves tmp_path itself, a directory
+    path = tmp_path / name
+    assert run_cli(["synth", "--target", "maj:5", "--gates", "maj",
+                    "--seed", "1", option, str(path)]) == 4
+    assert calls == []
+    assert capsys.readouterr().err.startswith(f"cannot write {path}: ")
+    assert not (tmp_path / "missing").exists()
 
 
 @pytest.mark.parametrize("args", [SYNTH, CALIBRATE])
@@ -349,10 +377,13 @@ def test_warmup_sweeps_option_is_gone(args, capsys):
 
 
 def test_probe_reps_option_is_gone(capsys):
-    with pytest.raises(SystemExit) as err:
-        run_cli(CALIBRATE + ["--probe", "--probe-reps", "50"])
-    assert err.value.code == 2
-    assert "unrecognized arguments: --probe-reps" in capsys.readouterr().err
+    for option in ("--probe-reps", "--probe"):
+        with pytest.raises(SystemExit) as err:
+            run_cli(CALIBRATE + [option])
+        assert err.value.code == 2
+        assert capsys.readouterr().err.endswith(
+            f"unrecognized arguments: {option}\n")
+    assert not hasattr(engine, "probe_swap_rates")
 
 
 def test_calibrate_degenerate_exit_3(capsys):
@@ -555,6 +586,8 @@ def test_bench_censors_unsolved_seeds_at_their_stop(tmp_path, capsys):
     for run in result["runs"]:
         assert type(run["best_score"]) is int
         assert run["best_q"] is not None or run["best_score"] > 0
+        # one repetition tries only the even pairs, so an odd pair reads 0.0
+        assert run["min_swap_rate"] == 0.0 and type(run["min_swap_rate"]) is float
 
 
 def test_bench_json_in_a_missing_directory_exit_4_before_calibrating(

@@ -23,7 +23,6 @@ from ptsynth.engine import (
     calibrate_ladder,
     collect_uphill_deltas,
     derived_rng,
-    probe_swap_rates,
     run,
     swap_phase,
     sweep,
@@ -451,21 +450,6 @@ def test_calibrate_ladder_rejects_too_few_replicas_before_the_warmup(
         calibrate_ladder(majority_truth_table(3),
                          NetworkConstraints(2, inverters_allowed=False),
                          seed=1, replicas=3)
-
-
-@pytest.mark.parametrize("repetitions", [1, 0])
-def test_probe_swap_rates_rejects_fewer_than_two_repetitions_before_a_run(
-        repetitions, monkeypatch):
-    # one repetition tries only the even pairs, so every odd rate reads 0.0
-    def no_run(*args, **kwargs):
-        raise AssertionError("probe ran")
-
-    monkeypatch.setattr(engine, "run", no_run)
-    ladder = TemperatureLadder([0.05, 0.3, 0.8, 1.5, 3.0, 6.0])
-    with pytest.raises(ValueError, match="at least 2 repetitions"):
-        probe_swap_rates(majority_truth_table(5),
-                         NetworkConstraints(8, inverters_allowed=False),
-                         ladder, seed=1, repetitions=repetitions)
 
 
 def test_calibrate_ladder_degenerate_case():
