@@ -1,7 +1,8 @@
 """Command-line interface: synth, verify, simplify, calibrate, bench.
 
 Exit codes: 0 success, 2 usage or input-parse failure, 3 goal not reached
-or degenerate calibration, 4 I/O failure.
+or a degenerate or interrupted calibration, 4 I/O failure (a closed stdout
+included).
 """
 
 from __future__ import annotations
@@ -150,12 +151,15 @@ def _score_goal(args, target: TruthTable,
 
 def _calibrate(args, target: TruthTable,
                constraints: NetworkConstraints) -> engine.TemperatureLadder:
-    """``engine.calibrate_ladder`` for --seed and --replicas; a failure exits 3."""
+    """``engine.calibrate_ladder`` for --seed and --replicas; a failure or
+    a Ctrl-C exits 3."""
     try:
         return engine.calibrate_ladder(target, constraints, seed=args.seed,
                                        replicas=_replicas(args))
     except engine.CalibrationError as exc:
         raise CliError(f"calibration failed: {exc}", EXIT_NO_GOAL) from None
+    except KeyboardInterrupt:
+        raise CliError("interrupted during calibration", EXIT_NO_GOAL) from None
 
 
 def _make_ladder(args, target: TruthTable,
@@ -172,8 +176,6 @@ def _make_ladder(args, target: TruthTable,
 
 
 def cmd_synth(args) -> int:
-    if args.wall_clock_trace and not args.trace:
-        raise CliError("--wall-clock-trace needs --trace", EXIT_USAGE)
     target = _load_target(args.target)
     constraints = _constraints(args, target)
     goal = _score_goal(args, target, constraints)
@@ -188,8 +190,7 @@ def cmd_synth(args) -> int:
     stop = engine.StopConditions(max_repetitions=args.max_reps,
                                  time_limit=args.time_limit, score_goal=goal)
     report = engine.run(target, constraints, ladder, stop, seed=args.seed,
-                        threads=args.threads, move_weights=args.move_weights,
-                        wall_clock_trace=args.wall_clock_trace)
+                        threads=args.threads, move_weights=args.move_weights)
     if report.interrupted:
         print("interrupted; reporting best so far", file=sys.stderr)
     if report.found_exact:
@@ -283,8 +284,7 @@ def _bench_run(args, target: TruthTable, constraints: NetworkConstraints,
     stop = engine.StopConditions(max_repetitions=args.max_reps, time_limit=args.time_limit,
                                  score_goal=goal_q - constraints.max_nodes)
     report = engine.run(target, constraints, ladder, stop, seed=seed,
-                        threads=args.threads, move_weights=args.move_weights,
-                        wall_clock_trace=True)
+                        threads=args.threads, move_weights=args.move_weights)
     run.update(best_q=report.best_q, best_score=report.best_score,
                min_swap_rate=min(report.swap_rates) if report.repetitions else None,
                repetitions=report.repetitions,
@@ -469,9 +469,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="stop when the best score reaches this value")
     synth.add_argument("--out", default=None, help="best-network output file")
     synth.add_argument("--trace", default=None, help="trace CSV output file")
-    synth.add_argument("--wall-clock-trace", action="store_true",
-                       help="record wall-clock times in the trace "
-                            "(makes trace files non-reproducible)")
     synth.set_defaults(func=cmd_synth)
 
     verify = sub.add_parser("verify", help="check a network against a target")
@@ -507,10 +504,19 @@ def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
         args.argv = sys.argv[1:] if argv is None else argv
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()
+        return code
     except CliError as exc:
         print(str(exc), file=sys.stderr)
         return exc.code
+    except BrokenPipeError:
+        # the reader closed stdout; send the interpreter's exit flush to
+        # devnull so it does not fail again
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return EXIT_IO
 
 
 if __name__ == "__main__":

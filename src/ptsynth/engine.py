@@ -20,7 +20,7 @@ from bisect import bisect_left
 from collections import Counter
 # unused; kept because perfbench/run.py patches it in its traced pass
 from concurrent.futures import ThreadPoolExecutor  # noqa: F401
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from . import moves, network
 from .network import (
@@ -477,7 +477,8 @@ class TraceRow:
     repetition: int
     best_q: int
     best_score: int
-    elapsed_seconds: float | None = None
+    # seconds since the run started: a measurement, not part of the result
+    elapsed_seconds: float = field(compare=False)
 
 
 @dataclass
@@ -512,11 +513,10 @@ class LadderState:
     """
 
     def __init__(self, target: TruthTable, constraints: NetworkConstraints,
-                 ladder: TemperatureLadder, seed=0,
-                 wall_clock_trace: bool = False) -> None:
+                 ladder: TemperatureLadder, seed=0) -> None:
         self.start = time.perf_counter()
         self.target, self.constraints, self.ladder = target, constraints, ladder
-        self.seed, self.wall_clock_trace = seed, wall_clock_trace
+        self.seed = seed
         m = ladder.size
         self.replicas = []
         for i in range(m):
@@ -555,8 +555,8 @@ class LadderState:
         # one trace row per repetition, taken after all of its updates
         best_q = self.best_q
         if best_q is not None and (not self.trace or best_q < self.trace[-1].best_q):
-            elapsed = time.perf_counter() - self.start if self.wall_clock_trace else None
-            self.trace.append(TraceRow(self.repetition, best_q, self.best_score, elapsed))
+            self.trace.append(TraceRow(self.repetition, best_q, self.best_score,
+                                       time.perf_counter() - self.start))
 
     def step(self, workers: _SweepWorkers) -> None:
         """One repetition: ``workers`` sweep every replica at its slot, the
@@ -601,8 +601,7 @@ class LadderState:
 
 def run(target: TruthTable, constraints: NetworkConstraints,
         ladder: TemperatureLadder, stop: StopConditions | None = None,
-        seed=0, threads: int = 1, move_weights=(1.0, 0.0),
-        wall_clock_trace: bool = False) -> SynthesisReport:
+        seed=0, threads: int = 1, move_weights=(1.0, 0.0)) -> SynthesisReport:
     """Full parallel-tempering synthesis run: a ``LadderState`` stepped
     until a stop condition holds at a repetition boundary.  ``run`` does not
     modify ``ladder``.  ``move_weights`` is the (reassign-one, swap) mix
@@ -627,17 +626,18 @@ def run(target: TruthTable, constraints: NetworkConstraints,
     is raised again in the caller with its type and message, and every
     worker has exited when ``run`` returns or raises.
 
-    Deterministic for a fixed (target, constraints, ladder, stop, seed,
-    move_weights), as long as no wall-clock stop or interrupt cuts the run
-    short.  Raises ValueError on move weights that ``check_move_weights``
-    rejects, and on threads < 1.
+    Apart from the measured ``wall_time`` and trace rows'
+    ``elapsed_seconds``, deterministic for a fixed (target, constraints,
+    ladder, stop, seed, move_weights), as long as no wall-clock stop or
+    interrupt cuts the run short.  Raises ValueError on move weights that
+    ``check_move_weights`` rejects, and on threads < 1.
     """
     move_weights = check_move_weights(move_weights)
     if threads < 1:
         raise ValueError(f"threads must be at least 1, got {threads}")
     if stop is None:
         stop = StopConditions()
-    state = LadderState(target, constraints, ladder, seed, wall_clock_trace)
+    state = LadderState(target, constraints, ladder, seed)
     interrupted = False
     workers = None
     try:

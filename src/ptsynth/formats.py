@@ -15,9 +15,10 @@ Operands are ``x<i>`` (primary input), ``g<j>`` (earlier gate), ``0``/``1``
 
 Traces are written, never read back: a CSV header
 ``repetition,best_q,best_score,elapsed_seconds``, one row per improvement
-(``elapsed_seconds`` empty when no wall clock was recorded), and
-``# swap_rates rep=R ...`` comment lines in repetition order.  Ladders are
-one inverse temperature per line, hottest first, with ``#`` comments.
+(``elapsed_seconds`` always empty, so a fixed seed writes the same bytes;
+the column stays for the documented header), and ``# swap_rates rep=R ...``
+comment lines in repetition order.  Ladders are one inverse temperature per
+line, hottest first, with ``#`` comments.
 """
 
 from __future__ import annotations
@@ -164,18 +165,18 @@ def parse_network(text: str) -> LogicNetwork:
 
 
 def emit_trace(rows: list[TraceRow],
-               swap_rate_log: list[tuple[int, list[float]]] | None = None) -> str:
-    """Trace CSV: improvement rows plus ``# swap_rates`` comment lines."""
+               swap_rate_log: list[tuple[int, list[float]]]) -> str:
+    """Trace CSV: improvement rows plus ``# swap_rates`` comment lines,
+    ``swap_rate_log`` in repetition order as a report holds it."""
     lines = ["repetition,best_q,best_score,elapsed_seconds"]
-    notes = sorted(swap_rate_log or [], key=lambda item: item[0])
     note_at = 0
     for row in rows:
-        while note_at < len(notes) and notes[note_at][0] < row.repetition:
-            lines.append(_swap_note(notes[note_at]))
+        while (note_at < len(swap_rate_log)
+               and swap_rate_log[note_at][0] < row.repetition):
+            lines.append(_swap_note(swap_rate_log[note_at]))
             note_at += 1
-        elapsed = "" if row.elapsed_seconds is None else repr(row.elapsed_seconds)
-        lines.append(f"{row.repetition},{row.best_q},{row.best_score},{elapsed}")
-    for note in notes[note_at:]:
+        lines.append(f"{row.repetition},{row.best_q},{row.best_score},")
+    for note in swap_rate_log[note_at:]:
         lines.append(_swap_note(note))
     return "\n".join(lines) + "\n"
 

@@ -1,5 +1,8 @@
 import dataclasses
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -8,7 +11,7 @@ from ptsynth.formats import emit_ladder, parse_network
 from ptsynth.network import NetworkConstraints, cleanup, evaluate_full
 from ptsynth.truthtable import majority_truth_table
 
-from conftest import FIXTURE_SPECS
+from conftest import FIXTURE_SPECS, REPO_ROOT
 
 
 def run_cli(args):
@@ -377,13 +380,47 @@ def test_warmup_sweeps_option_is_gone(args, capsys):
 
 
 def test_probe_reps_option_is_gone(capsys):
-    for option in ("--probe-reps", "--probe"):
+    # and synth's --wall-clock-trace: the trace never records times
+    for args, option in ((CALIBRATE, "--probe-reps"), (CALIBRATE, "--probe"),
+                         (SYNTH + ["--trace", "t.csv"], "--wall-clock-trace")):
         with pytest.raises(SystemExit) as err:
-            run_cli(CALIBRATE + [option])
+            run_cli(args + [option])
         assert err.value.code == 2
         assert capsys.readouterr().err.endswith(
             f"unrecognized arguments: {option}\n")
     assert not hasattr(engine, "probe_swap_rates")
+
+
+@pytest.mark.parametrize("args", [SYNTH, CALIBRATE], ids=["synth", "calibrate"])
+def test_interrupt_during_calibration_exit_3(args, monkeypatch, capsys):
+    def interrupt(*_, **__):
+        raise KeyboardInterrupt
+    monkeypatch.setattr(engine, "calibrate_ladder", interrupt)
+    assert run_cli(args + ["--seed", "1"]) == 3
+    assert capsys.readouterr() == ("", "interrupted during calibration\n")
+
+
+@pytest.mark.parametrize("args", [
+    ["verify", "fixtures/maj9_noinv.mig", "--target", "maj:9"],
+    ["synth", "--target", "maj:5", "--gates", "maj", "--replicas", "8",
+     "--seed", "3", "--max-reps", "50", "--score-goal", "-100"],
+], ids=["verify", "synth"])
+def test_closed_stdout_exit_4(args):
+    # a pipe whose reader is gone before the start, as when "| head" has
+    # already exited
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    path = os.pathsep.join(filter(None, [str(REPO_ROOT / "src"),
+                                         os.environ.get("PYTHONPATH")]))
+    try:
+        done = subprocess.run([sys.executable, "-m", "ptsynth.cli", *args],
+                              stdout=write_end, stderr=subprocess.PIPE,
+                              cwd=REPO_ROOT, env=dict(os.environ, PYTHONPATH=path),
+                              text=True, timeout=120)
+    finally:
+        os.close(write_end)
+    assert done.returncode == 4
+    assert "Traceback" not in done.stderr
 
 
 def test_calibrate_degenerate_exit_3(capsys):
@@ -450,11 +487,6 @@ def test_synth_reads_a_ladder_file_named_auto(monkeypatch, tmp_path, capsys):
     out = capsys.readouterr().out
     assert code in (0, 3)
     assert "replicas 4," in out.splitlines()[0]
-
-
-def test_wall_clock_trace_without_trace_exit_2(capsys):
-    assert_usage_error(SYNTH + ["--wall-clock-trace"], capsys,
-                       "--wall-clock-trace needs --trace")
 
 
 def test_synth_threads_option_is_accepted_and_changes_nothing(tmp_path, capsys):

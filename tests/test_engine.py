@@ -589,8 +589,10 @@ def test_run_trace_is_monotone_and_best_verifies():
     target = majority_truth_table(5)
     cons = NetworkConstraints(8, inverters_allowed=False)
     ladder = TemperatureLadder([0.05, 0.3, 0.8, 1.5, 3.0, 6.0])
-    report = run(target, cons, ladder,
-                 StopConditions(max_repetitions=300, score_goal=-4), seed=2)
+    stop = StopConditions(max_repetitions=300, score_goal=-4)
+    reports = [run(target, cons, ladder, stop, seed=2, threads=threads)
+               for threads in (1, 2)]
+    report = reports[0]
     rows = report.trace
     assert rows, "expected at least one improvement"
     for earlier, later in zip(rows, rows[1:]):
@@ -598,6 +600,13 @@ def test_run_trace_is_monotone_and_best_verifies():
         assert later.best_score < earlier.best_score
         assert later.repetition > earlier.repetition
     assert report.best_q == rows[-1].best_q
+    # every row is clocked, in order and within the run, whatever the
+    # threads; the clock is left out when two traces are compared
+    for clocked in reports:
+        assert clocked.trace == rows
+        seconds = [row.elapsed_seconds for row in clocked.trace]
+        assert all(type(s) is float for s in seconds)
+        assert seconds == sorted(seconds) and seconds[-1] <= clocked.wall_time
     if report.found_exact:
         assert evaluate_full(report.best_network, target).error == 0
     # the emitted trace holds one row per improvement, even when several

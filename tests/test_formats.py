@@ -136,16 +136,17 @@ def test_fixture_counts_match_published_values(fixtures_dir):
 
 
 def test_trace_text():
-    # rows in order, each swap-rate note before the first later row
-    rows = [TraceRow(3, 17, 0, None), TraceRow(9, 15, -2, 1.5),
+    # rows in order, each swap-rate note before the first later row; the
+    # rows' clock is never written
+    rows = [TraceRow(3, 17, 0, 0.5), TraceRow(9, 15, -2, 1.5),
             TraceRow(40, 13, -4, 2.25)]
-    text = emit_trace(rows, swap_rate_log=[(20, [0.6, 0.3]), (10, [0.5, 0.25])])
+    text = emit_trace(rows, swap_rate_log=[(10, [0.5, 0.25]), (20, [0.6, 0.3])])
     assert text == ("repetition,best_q,best_score,elapsed_seconds\n"
                     "3,17,0,\n"
-                    "9,15,-2,1.5\n"
+                    "9,15,-2,\n"
                     "# swap_rates rep=10 0.5000 0.2500\n"
                     "# swap_rates rep=20 0.6000 0.3000\n"
-                    "40,13,-4,2.25\n")
+                    "40,13,-4,\n")
 
 
 def test_ladder_roundtrip():
